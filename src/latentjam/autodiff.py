@@ -169,7 +169,7 @@ def _fw_matmul(v, a):
 
 def _fw_transpose(v, a):
     _require_2d("transpose", v[0].shape)
-    return v[0].T.copy()
+    return v[0].T
 
 
 def _fw_relu(v, a):

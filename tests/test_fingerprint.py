@@ -28,7 +28,7 @@ from latentjam.data_io import BatchPlan, batches, synth_source
 from latentjam.game import GameConfig, init_state, train, train_step
 
 HASH_MNIST_STEPS = "0a1298970620f4604a3654351c74a82be27768c3e10589cf6b7915e75d593ac0"
-HASH_COMPARISON = "f0caf0ddf5978b98809ebec8da4383b80cfcae9bbdd5a8d7844b71ca2bfc76f3"
+HASH_COMPARISON = "1aa9b985d7d5d4b001583510685a7ba0a28b3e52cbaee54b17e90a97375a80b6"
 
 
 def _fingerprint(state) -> str:
