@@ -5,9 +5,20 @@ order, so backward is a single reverse sweep and `forward_eval` can replay
 the recorded graph against fresh input values (used for finite-difference
 checks and for bit-identical recomputation).
 
-Everything is float64. NaN/Inf detection runs at every op boundary and is
-always on: a training failure must surface loudly, not corrupt the minimax
-dynamics downstream.
+Node values may share memory: `transpose` records a view of its input,
+and leaves hold the caller's arrays, so an in-place parameter update
+after backward is visible through the tape. Backward is pruned to the
+nodes that depend on a requested tensor (a `detach` node cuts that
+dependence); gradients toward data constants, frozen parameters and
+detached paths are never computed.
+
+Everything is float64. NaN/Inf detection runs at every op boundary, on
+every value and every gradient, and is always on: a training failure must
+surface loudly, not corrupt the minimax dynamics downstream. The check
+reduces each array to its sum first, which is finite whenever every
+element is finite and not finite whenever any element is NaN or +-inf;
+only a non-finite sum (a bad element, or a finite array whose sum
+overflows) pays for the elementwise scan.
 """
 
 from __future__ import annotations
@@ -94,7 +105,7 @@ class Tape:
 
     def _record(self, op: str, inputs: tuple, value: np.ndarray, attrs: dict) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value)):
+        if not _all_finite(value):
             raise NumericError(f"non-finite value out of op '{op}' at node {len(self.nodes)}")
         self.nodes.append(Node(op, inputs, value, attrs))
         return Tensor(self, len(self.nodes) - 1)
@@ -127,6 +138,11 @@ class Tape:
     def mark_output(self, name: str, t: Tensor) -> Tensor:
         self.outputs[name] = t.node_id
         return t
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Elementwise finiteness, decided by one reduction unless it overflows."""
+    return bool(np.isfinite(x.sum())) or bool(np.all(np.isfinite(x)))
 
 
 # ============================================================
@@ -275,31 +291,37 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _backward_one(node: Node, grad: np.ndarray, in_values: list) -> list:
-    """Gradients w.r.t. each input of one node; None marks a stopped path."""
+def _backward_one(node: Node, grad: np.ndarray, in_values: list, need: list) -> list:
+    """Gradients w.r.t. each input of one node; None marks a stopped path.
+
+    `need[i]` says whether input i leads to a requested tensor. Binary ops
+    skip the unneeded side; the caller drops any other unneeded gradient.
+    """
     op = node.op
-    if op in ("input", "const"):
-        return []
     if op == "add":
-        return [_unbroadcast(grad, in_values[0].shape), _unbroadcast(grad, in_values[1].shape)]
+        return [_unbroadcast(grad, in_values[0].shape) if need[0] else None,
+                _unbroadcast(grad, in_values[1].shape) if need[1] else None]
     if op == "sub":
-        return [_unbroadcast(grad, in_values[0].shape), _unbroadcast(-grad, in_values[1].shape)]
+        return [_unbroadcast(grad, in_values[0].shape) if need[0] else None,
+                _unbroadcast(-grad, in_values[1].shape) if need[1] else None]
     if op == "mul":
         return [
-            _unbroadcast(grad * in_values[1], in_values[0].shape),
-            _unbroadcast(grad * in_values[0], in_values[1].shape),
+            _unbroadcast(grad * in_values[1], in_values[0].shape) if need[0] else None,
+            _unbroadcast(grad * in_values[0], in_values[1].shape) if need[1] else None,
         ]
     if op == "div":
         a, b = in_values
         return [
-            _unbroadcast(grad / b, a.shape),
-            _unbroadcast(-grad * a / (b * b), b.shape),
+            _unbroadcast(grad / b, a.shape) if need[0] else None,
+            _unbroadcast(-grad * a / (b * b), b.shape) if need[1] else None,
         ]
     if op == "neg":
         return [-grad]
     if op == "matmul":
         a, b = in_values
-        return [grad @ b.T, a.T @ grad]
+        # (grad.T @ a).T equals a.T @ grad but comes out F-ordered, so a weight
+        # reached through `transpose` gets its gradient C-ordered like itself
+        return [grad @ b.T if need[0] else None, (grad.T @ a).T if need[1] else None]
     if op == "transpose":
         return [grad.T]
     if op == "relu":
@@ -397,6 +419,7 @@ def sum_rows(t: Tensor) -> Tensor:
 
 
 def transpose(t: Tensor) -> Tensor:
+    """2-D transpose as a view: the value shares memory with `t`'s value."""
     return t.tape.apply("transpose", [t])
 
 
@@ -428,7 +451,7 @@ def forward_eval(tape: Tape, inputs: dict) -> dict:
             v = node.value
         else:
             v = _FORWARD[node.op]([values[i] for i in node.inputs], node.attrs)
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise NumericError(f"non-finite value out of op '{node.op}' at node {idx} during replay")
         values.append(v)
     return {name: values[nid] for name, nid in tape.outputs.items()}
@@ -439,6 +462,12 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
 
     Paths crossing a detach node contribute zero. Requested nodes the
     output does not depend on get zero arrays of matching shape.
+
+    The sweep is pruned: a first forward pass marks every node that depends
+    on a requested tensor (a detach node never passes the mark on), and
+    gradients are computed and accumulated for marked nodes only, so no
+    work goes into constants, frozen parameters or detached subgraphs.
+    Every gradient that is computed is checked for NaN/Inf.
     """
     if scalar_output.tape is not tape:
         raise ConfigError("output tensor does not belong to this tape")
@@ -448,23 +477,36 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
         if t.tape is not tape:
             raise ConfigError("gradient requested for a tensor from a different tape")
 
-    acc: dict[int, np.ndarray] = {scalar_output.node_id: np.ones(1)}
-    for nid in range(scalar_output.node_id, -1, -1):
+    out_id = scalar_output.node_id
+    marked = _depends_on(tape, {t.node_id for t in wrt}, out_id)
+    acc: dict[int, np.ndarray] = {out_id: np.ones(1)}
+    for nid in range(out_id, -1, -1):
         g = acc.get(nid)
-        if g is None:
+        if g is None or not marked[nid]:
             continue
         node = tape.nodes[nid]
-        if not node.inputs:
+        need = [marked[i] for i in node.inputs]
+        if not any(need):
             continue
         in_values = [tape.nodes[i].value for i in node.inputs]
-        for in_id, gi in zip(node.inputs, _backward_one(node, g, in_values)):
-            if gi is None:
+        for in_id, gi, wanted in zip(node.inputs, _backward_one(node, g, in_values, need), need):
+            if gi is None or not wanted:
                 continue
-            if not np.all(np.isfinite(gi)):
+            if not _all_finite(gi):
                 raise NumericError(f"non-finite gradient at op '{node.op}', node {nid}")
             prev = acc.get(in_id)
             acc[in_id] = gi if prev is None else prev + gi
-    return [acc.get(t.node_id, np.zeros(t.value.shape)) for t in wrt]
+    return [acc[t.node_id] if t.node_id in acc else np.zeros(t.value.shape) for t in wrt]
+
+
+def _depends_on(tape: Tape, wrt_ids: set, last: int) -> list:
+    """marked[i]: node i is requested or depends on a requested node without a detach between."""
+    marked = [False] * (last + 1)
+    for nid in range(min(wrt_ids, default=last + 1), last + 1):
+        node = tape.nodes[nid]
+        marked[nid] = nid in wrt_ids or (
+            node.op != "detach" and any(marked[i] for i in node.inputs))
+    return marked
 
 
 # ============================================================
@@ -495,8 +537,12 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"adam: gradient shape {g.shape} != parameter shape {p.shape} for '{name}'")
-        m = state.first_moment.setdefault(name, np.zeros_like(p))
-        v = state.second_moment.setdefault(name, np.zeros_like(p))
+        m = state.first_moment.get(name)
+        if m is None:
+            m = state.first_moment[name] = np.zeros_like(p)
+        v = state.second_moment.get(name)
+        if v is None:
+            v = state.second_moment[name] = np.zeros_like(p)
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

@@ -203,6 +203,58 @@ def test_detach_preserves_value():
     assert np.array_equal(ad.detach(x).value, x.value)
 
 
+def _unpruned_grads(tape, out, wrt):
+    """Reference sweep: every rule run on every input, every gradient kept."""
+    acc = {out.node_id: np.ones(1)}
+    for nid in range(out.node_id, -1, -1):
+        node = tape.nodes[nid]
+        if nid not in acc or not node.inputs:
+            continue
+        in_values = [tape.nodes[i].value for i in node.inputs]
+        need = [True] * len(node.inputs)
+        for in_id, gi in zip(node.inputs, ad._backward_one(node, acc[nid], in_values, need)):
+            if gi is not None:
+                acc[in_id] = gi if in_id not in acc else acc[in_id] + gi
+    return [acc.get(t.node_id, np.zeros(t.shape)) for t in wrt]
+
+
+def test_pruned_gradients_equal_unpruned_reference():
+    # a game-like graph: data constants, a trainable encoder whose output is
+    # used both live and detached, a frozen pair of constants, and a non-leaf
+    # hidden layer among the requested tensors
+    rng = Rng(23)
+    tape = Tape()
+    d = tape.const(rng.normal((16, 6)))
+    w1 = tape.input("w1", rng.normal((5, 6)))
+    b1 = tape.input("b1", rng.normal((5,)))
+    w2 = tape.input("w2", rng.normal((2, 5)))
+    frozen = tape.const(rng.normal((2, 2)))
+    hidden = ad.tanh(d @ ad.transpose(w1) + b1)
+    z = hidden @ ad.transpose(w2)
+    jammed = ad.sigmoid(ad.detach(z) @ ad.transpose(frozen)) * tape.const(rng.normal((16, 2)))
+    live = ad.square(z @ frozen) / (ad.mean_all(ad.square(z)) + 1.0)
+    loss = ad.mean_all(live - jammed) + ad.sum_all(ad.square(hidden)) * 0.01
+    wrt = [w1, b1, w2, hidden, frozen, d]
+    pruned = backward_grads(tape, loss, wrt)
+    reference = _unpruned_grads(tape, loss, wrt)
+    for t, g, ref in zip(wrt, pruned, reference):
+        assert np.array_equal(g, ref), f"node {t.node_id}"
+    # constants never requested, and the detach node itself, are never marked
+    marked = ad._depends_on(tape, {t.node_id for t in wrt[:4]}, loss.node_id)
+    assert not marked[d.node_id] and not marked[frozen.node_id]
+    assert not any(marked[n] for n, node in enumerate(tape.nodes) if node.op == "detach")
+    assert marked[hidden.node_id] and marked[loss.node_id]
+
+
+def test_transposed_weight_gradient_is_c_contiguous():
+    rng = Rng(29)
+    tape = Tape()
+    x = tape.const(rng.normal((32, 7)))
+    w = tape.input("w", rng.normal((3, 7)))
+    (gw,) = backward_grads(tape, ad.mean_all(ad.square(x @ ad.transpose(w))), [w])
+    assert gw.shape == (3, 7) and gw.flags["C_CONTIGUOUS"]
+
+
 # ============================================================
 # Replay
 # ============================================================
@@ -217,6 +269,20 @@ def test_replay_bit_identical():
     tape.mark_output("y", y)
     replayed = forward_eval(tape, {"x": xv})["y"]
     assert np.array_equal(replayed, y.value)
+
+
+def test_replay_through_transpose_view_bit_identical():
+    # (128, 64) @ (64, 8) is a shape where OpenBLAS rounds a transposed view
+    # differently from a C-ordered copy; replay must take the same path
+    rng = Rng(13)
+    xv, wv = rng.normal((128, 64)), rng.normal((8, 64))
+    tape = Tape()
+    w = tape.input("w", wv)
+    wt = ad.transpose(w)
+    assert np.shares_memory(wt.value, w.value)
+    y = ad.mean_all(ad.square(tape.input("x", xv) @ wt))
+    tape.mark_output("y", y)
+    assert np.array_equal(forward_eval(tape, {"x": xv, "w": wv})["y"], y.value)
 
 
 def test_replay_with_new_input():
@@ -257,6 +323,45 @@ def test_nonfinite_value_raises_with_node_index():
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericError, match="node"):
             _ = one / zero
+
+
+_NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_nonfinite_forward_value_names_op_and_node(bad):
+    tape = Tape()
+    tape.input("x", np.ones(3))
+    with pytest.raises(NumericError, match=r"op 'input' at node 1"):
+        tape.input("y", np.array([1.0, bad, 3.0]))
+    # a value that only turns bad inside an op: 0/0, 1/0 and -1/0
+    num = tape.const(np.array([1.0, np.copysign(1.0, bad) if np.isinf(bad) else 0.0]))
+    den = tape.const(np.array([1.0, 0.0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"op 'div' at node 3"):
+            _ = num / den
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_nonfinite_gradient_names_op_and_node(bad):
+    # sqrt(0) is finite, its derivative is not: 0 * inf, +inf or -inf upstream sign
+    scale = 0.0 if np.isnan(bad) else np.copysign(1.0, bad)
+    tape = Tape()
+    x = tape.input("x", np.array([[4.0, 0.0]]))
+    loss = ad.sum_all(ad.sqrt(x) * tape.const(np.array([[1.0, scale]])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"gradient at op 'sqrt', node 1"):
+            backward_grads(tape, loss, [x])
+
+
+def test_finite_values_whose_sum_overflows_pass():
+    big = np.full(4, 1e308)
+    tape = Tape()
+    with np.errstate(over="ignore"):
+        assert np.array_equal(tape.const(big).value, big)
+        x = tape.input("x", np.full(4, 1e-300))
+        (g,) = backward_grads(tape, ad.sum_all(x * tape.const(big)), [x])
+        assert np.array_equal(g, big)
 
 
 def test_backward_requires_scalar_output():
