@@ -173,8 +173,15 @@ def _apply_update(state: TrainState, net_name: str, grads: dict) -> None:
     adam_step(params, grads, state.opt[net_name])
 
 
-def _zero_like_net(params_obj) -> dict:
-    return {p: np.zeros_like(params_obj.array(p)) for p in params_obj.array_names()}
+def _snapshot(params_obj) -> dict:
+    return {p: params_obj.array(p).copy() for p in params_obj.array_names()}
+
+
+def _assert_unchanged(net_name: str, params_obj, before: dict, phase: str) -> None:
+    for pname, old in before.items():
+        if not np.array_equal(params_obj.array(pname), old):
+            raise NumericError(
+                f"stop-gradient violation: frozen {net_name}.{pname} changed in phase ({phase})")
 
 
 def _assert_all_zero(net_name: str, grads: dict, phase: str) -> None:
@@ -211,6 +218,9 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
         _apply_update(state, "h", grads["h"])
 
     # (b) compressor/reconstructor update; (g, h) frozen constants
+    # bitwise copies of the frozen pair, compared once f and r have been updated
+    frozen = ({net: _snapshot(getattr(nets, net)) for net in ("g", "h")}
+              if config.check_gradients else {})
     tape = Tape()
     f_b = BoundMlp(tape, nets.f, "f", trainable=True)
     r_b = BoundMlp(tape, nets.r, "r", trainable=True)
@@ -227,14 +237,11 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
     else:
         loss = recon
     grads = _collect_grads(tape, loss, [f_b, r_b])
-    gz = _zero_like_net(nets.g)
-    hz = _zero_like_net(nets.h)
-    if config.check_gradients:
-        _assert_all_zero("g", gz, "b")
-        _assert_all_zero("h", hz, "b")
-    state.grad_buffers = {"f": grads["f"], "r": grads["r"], "g": gz, "h": hz}
+    state.grad_buffers = {"f": grads["f"], "r": grads["r"]}
     _apply_update(state, "f", grads["f"])
     _apply_update(state, "r", grads["r"])
+    for net_name, before in frozen.items():
+        _assert_unchanged(net_name, getattr(nets, net_name), before, "b")
     return state
 
 

@@ -29,6 +29,7 @@ from latentjam.oracle import (OracleSpec, isotropic_matching, matching_residual,
                               saddle_verify, scalar_saddle_distortion)
 from latentjam.rng import Rng, derive_seed
 from latentjam import autodiff as ad
+from latentjam import game
 
 MNIST_SEED = 0  # the single fixed seed used by every MNIST benchmark below
 
@@ -167,20 +168,35 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
 # ============================================================
 
 
-def test_criterion_05_stop_gradient_contract_holds_each_step():
-    """100 steps; f zero in phase (a), g and h zero in phase (b), every step."""
+def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
+    """100 steps; f zero in phase (a), g and h bitwise unchanged in phase (b), every step."""
     cfg = GameConfig(k=2, n=3, batch_size=32, seed=5, regularizer="aj",
                      jscc_hidden=8, data_hidden=16, check_gradients=True)
     ds = synth_source("gaussian", 3200, 3, seed=5)
     plan = BatchPlan(cfg.batch_size, derive_seed(cfg.seed, "data"), drop_last=True)
     state = init_state(cfg)
+
+    # g and h as each update leaves them; after the step, the last phase-(a) copy
+    after_update = {}
+    real_update = game._apply_update
+
+    def recording_update(st, net_name, grads):
+        real_update(st, net_name, grads)
+        if net_name in ("g", "h"):
+            for net in ("g", "h"):
+                params = getattr(st.networks, net)
+                after_update[net] = {p: params.array(p).copy() for p in params.array_names()}
+
+    monkeypatch.setattr(game, "_apply_update", recording_update)
     steps = 0
     for i, batch in enumerate(batches(ds, plan, epoch=1)):
-        # check_gradients re-asserts the phase (a) f-zero on the live graph
+        # check_gradients re-asserts both halves inside the step as well
         train_step(state, batch, cfg)
         for net in ("g", "h"):
-            for pname, g in state.grad_buffers[net].items():
-                assert not np.any(g), f"step {i}: {net}.{pname} nonzero in phase (b)"
+            params = getattr(state.networks, net)
+            for pname, before in after_update[net].items():
+                assert np.array_equal(params.array(pname), before), \
+                    f"step {i}: {net}.{pname} changed in phase (b)"
 
         # independent phase (a) replica: backward through a detached z
         probe = Rng(derive_seed(cfg.seed, f"probe/{i}"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latentjam import autodiff as ad
+from latentjam import game
 from latentjam.autodiff import Tape, backward_grads, detach, forward_eval
 from latentjam.data_io import BatchPlan, Dataset, batches, synth_source
 from latentjam.errors import ConfigError, NumericError, ShapeError
@@ -313,6 +314,22 @@ def test_phase_a_without_detach_would_leak():
     tape.mark_output("loss", loss)
     grads = backward_grads(tape, loss, list(f_b.nodes.values()))
     assert any(np.any(g != 0.0) for g in grads)
+
+
+def test_phase_b_update_of_frozen_pair_raises(monkeypatch):
+    cfg = small_cfg(seed=8)
+    state = init_state(cfg)
+    batch = synth_source("gaussian", 16, 3, seed=8).images
+    real_update = game._apply_update
+
+    def leaky_update(state, net_name, grads):
+        real_update(state, net_name, grads)
+        if net_name == "r":  # phase (b) also nudges the frozen transmitter
+            state.networks.g.weights[0][0, 0] += 1e-12
+
+    monkeypatch.setattr(game, "_apply_update", leaky_update)
+    with pytest.raises(NumericError, match=r"frozen g\.W0 changed in phase \(b\)"):
+        train_step(state, batch, cfg)
 
 
 def test_compressor_steers_channel_loss_both_ways():
