@@ -119,20 +119,18 @@ class Tape:
         return self._record("const", (), value, {})
 
     def apply(self, op: str, args: list) -> Tensor:
+        return self._apply(op, args, {})
+
+    def apply_attrs(self, op: str, args: list, attrs: dict) -> Tensor:
+        return self._apply(op, args, attrs)
+
+    def _apply(self, op: str, args: list, attrs: dict) -> Tensor:
         if op not in _FORWARD:
             raise ConfigError(f"unknown op '{op}'")
         for a in args:
             if a.tape is not self:
                 raise ConfigError(f"op '{op}' given a tensor from a different tape")
-        values = [a.value for a in args]
-        out = _FORWARD[op](values, {})
-        return self._record(op, tuple(a.node_id for a in args), out, {})
-
-    def apply_attrs(self, op: str, args: list, attrs: dict) -> Tensor:
-        if op not in _FORWARD:
-            raise ConfigError(f"unknown op '{op}'")
-        values = [a.value for a in args]
-        out = _FORWARD[op](values, attrs)
+        out = _FORWARD[op]([a.value for a in args], attrs)
         return self._record(op, tuple(a.node_id for a in args), out, attrs)
 
     def mark_output(self, name: str, t: Tensor) -> Tensor:
@@ -241,11 +239,6 @@ def _fw_sum1(v, a):
     return np.sum(v[0], axis=1, keepdims=True)
 
 
-def _fw_concat(v, a):
-    _require_2d("concat", *[x.shape for x in v])
-    return np.concatenate(v, axis=1)
-
-
 def _fw_slice_cols(v, a):
     _require_2d("slice_cols", v[0].shape)
     return v[0][:, a["start"]:a["stop"]].copy()
@@ -274,7 +267,6 @@ _FORWARD = {
     "sum": _fw_sum,
     "mean0": _fw_mean0,
     "sum1": _fw_sum1,
-    "concat": _fw_concat,
     "slice_cols": _fw_slice_cols,
     "detach": _fw_detach,
 }
@@ -350,13 +342,6 @@ def _backward_one(node: Node, grad: np.ndarray, in_values: list, need: list) -> 
         return [np.broadcast_to(grad / x.shape[0], x.shape)]
     if op == "sum1":
         return [np.broadcast_to(grad, in_values[0].shape)]
-    if op == "concat":
-        grads = []
-        col = 0
-        for x in in_values:
-            grads.append(grad[:, col:col + x.shape[1]])
-            col += x.shape[1]
-        return grads
     if op == "slice_cols":
         x = in_values[0]
         g = np.zeros_like(x)
@@ -421,10 +406,6 @@ def sum_rows(t: Tensor) -> Tensor:
 def transpose(t: Tensor) -> Tensor:
     """2-D transpose as a view: the value shares memory with `t`'s value."""
     return t.tape.apply("transpose", [t])
-
-
-def concat_cols(parts: list) -> Tensor:
-    return parts[0].tape.apply("concat", parts)
 
 
 def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:

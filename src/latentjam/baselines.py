@@ -1,10 +1,11 @@
-"""KL and MMD latent regularizers sharing the f/r networks and harness.
+"""KL and MMD latent regularizers: estimators and the losses they train on.
 
 The variational path splits f's output into (mu, log sigma^2), samples by
 reparameterization, and adds the closed-form KL to N(0, I). The MMD path
 keeps f deterministic, power-normalizes its output, and penalizes the
 unbiased IMQ-kernel MMD^2 against a fresh prior sample. Both exist so the
-adversarial run can be compared against like-for-like alternatives.
+adversarial run can be compared against like-for-like alternatives; their
+(f, r) update is `game.baseline_train_step`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, adam_step, backward_grads
+from .autodiff import Tape, Tensor
 from .errors import ConfigError, ShapeError
 from .nets import BoundMlp, power_normalize
 from .rng import Rng
@@ -158,27 +159,3 @@ def baseline_losses(tape: Tape, f_bound: BoundMlp, r_bound: BoundMlp, d_batch: n
     recon = ad.mean_all(ad.square(d - d_hat))
     total = recon + reg.weight * reg_term
     return {"total": total, "recon": recon, "reg_term": reg_term, "z": z}
-
-
-def baseline_train_step(state, d_batch: np.ndarray, reg: Regularizer, P_a: float, k: int) -> None:
-    """One Adam update of (f, r) on MSE + weight * regularizer.
-
-    `state` is the shared TrainState: .networks (roles), .opt (AdamState per
-    net), .streams (named Rng streams). Mutates parameters in place.
-    """
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
-    r_b = BoundMlp(tape, state.networks.r, "r", trainable=True)
-    losses = baseline_losses(tape, f_b, r_b, d_batch, reg, P_a, k, state.streams["noise"])
-    tape.mark_output("loss", losses["total"])
-    wrt, names, owners = [], [], []
-    for bound in (f_b, r_b):
-        for pname, tensor in bound.nodes.items():
-            wrt.append(tensor)
-            names.append(pname)
-            owners.append(bound)
-    grads = backward_grads(tape, losses["total"], wrt)
-    for bound in (f_b, r_b):
-        params = {p: bound.params.array(p) for p in bound.params.array_names()}
-        gmap = {n: g for n, g, o in zip(names, grads, owners) if o is bound}
-        adam_step(params, gmap, state.opt[bound.name])

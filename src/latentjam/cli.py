@@ -192,6 +192,15 @@ def load_checkpoint(path) -> dict:
         buf = fh.read()
     if buf[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {buf[:4]!r}")
+    try:
+        return _parse_checkpoint(buf)
+    except CheckpointError:
+        raise
+    except (struct.error, ValueError) as err:  # a truncated file ends mid-field
+        raise CheckpointError(f"checkpoint {path} is truncated or corrupt: {err}") from err
+
+
+def _parse_checkpoint(buf: bytes) -> dict:
     version = struct.unpack_from("<I", buf, 4)[0]
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")

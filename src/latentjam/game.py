@@ -8,22 +8,30 @@ minimizing its data reconstruction through r. The only stable z the
 jammer can settle on is the channel game's saddle point, a diagonal
 Gaussian, which is what anchors the latent distribution.
 
-Alternation per batch: (a) `jscc_steps_per_data_step` updates of (g, h)
-against a detached z, fresh x each sub-step; (b) one update of (f, r) with
-gradients flowing through z into the frozen (g, h) channel, fresh x again.
+Alternation per batch (`train_step`): f's forward and power normalization
+are recorded once, on the tape of phase (b). (a) `jscc_steps_per_data_step`
+updates of (g, h), each on its own tape that reads z as a constant, fresh x
+each sub-step; (b) one update of (f, r) with gradients flowing through z
+into the frozen (g, h) channel, fresh x again. f is not updated in (a) and
+its forward draws no randomness, so (a) sees the z that (b) trains through.
+The none control is phase (b) without the channel term; kl and mmd
+(`baseline_train_step`) are the same (f, r) update with a regularizer in
+its place. Every update goes through one gradient-and-Adam helper.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, Tape, Tensor, adam_step, backward_grads, detach
-from .baselines import Regularizer, baseline_train_step
+from . import baselines
+from .autodiff import AdamState, Tape, Tensor, adam_step, backward_grads
+from .baselines import Regularizer
 from .data_io import BatchPlan, Dataset, batches
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MetricsReport, evaluate_latents, mse_metric
@@ -59,6 +67,12 @@ class GameConfig:
     check_gradients: bool = True
 
     def __post_init__(self):
+        for name in ("P_t", "P_a", "sigma_n_sq", "eta", "lr", "lambda_weight", "mmd_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.lr < 0 or self.epochs < 0:
+            raise ConfigError("lr and epochs must be >= 0")
         if self.P_t <= 0 or self.P_a <= 0:
             raise ConfigError("P_t and P_a must be > 0")
         if self.sigma_n_sq < 0:
@@ -90,7 +104,6 @@ class TrainState:
     streams: dict
     epoch: int = 0
     history: list = field(default_factory=list)
-    grad_buffers: dict = field(default_factory=dict)
 
 
 def init_state(config: GameConfig) -> TrainState:
@@ -153,110 +166,75 @@ def data_loss(recon_mse: Tensor, jscc_term, eta: float) -> Tensor:
 # ============================================================
 
 
-def _collect_grads(tape: Tape, loss: Tensor, bounds: list) -> dict:
-    """Gradients for every parameter of the given bound networks."""
-    wrt, keys = [], []
+def _update(state: TrainState, tape: Tape, loss: Tensor, bounds: list) -> None:
+    """One backward sweep over the bound networks' leaves, then Adam per network in order."""
+    grads = iter(backward_grads(tape, loss, [t for b in bounds for t in b.nodes.values()]))
     for b in bounds:
-        for pname, tensor in b.nodes.items():
-            wrt.append(tensor)
-            keys.append((b.name, pname))
-    grads = backward_grads(tape, loss, wrt)
-    out: dict = {}
-    for (net, pname), g in zip(keys, grads):
-        out.setdefault(net, {})[pname] = g
-    return out
+        adam_step({p: b.params.array(p) for p in b.nodes}, {p: next(grads) for p in b.nodes},
+                  state.opt[b.name])
 
 
-def _apply_update(state: TrainState, net_name: str, grads: dict) -> None:
-    params_obj = state.networks.present()[net_name]
-    params = {p: params_obj.array(p) for p in params_obj.array_names()}
-    adam_step(params, grads, state.opt[net_name])
+def _snapshot(nets: NetworkRoles, names: tuple) -> dict:
+    return {net: {p: getattr(nets, net).array(p).copy() for p in getattr(nets, net).array_names()}
+            for net in names}
 
 
-def _snapshot(params_obj) -> dict:
-    return {p: params_obj.array(p).copy() for p in params_obj.array_names()}
-
-
-def _assert_unchanged(net_name: str, params_obj, before: dict, phase: str) -> None:
-    for pname, old in before.items():
-        if not np.array_equal(params_obj.array(pname), old):
-            raise NumericError(
-                f"stop-gradient violation: frozen {net_name}.{pname} changed in phase ({phase})")
-
-
-def _assert_all_zero(net_name: str, grads: dict, phase: str) -> None:
-    for pname, g in grads.items():
-        if np.any(g):
-            raise NumericError(
-                f"stop-gradient violation: {net_name}.{pname} has nonzero gradient in phase ({phase})")
+def _assert_unchanged(nets: NetworkRoles, before: dict, phase: str) -> None:
+    for net, arrays in before.items():
+        for pname, old in arrays.items():
+            if not np.array_equal(getattr(nets, net).array(pname), old):
+                raise NumericError(
+                    f"stop-gradient violation: frozen {net}.{pname} changed in phase ({phase})")
 
 
 def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> TrainState:
-    """One adversarial alternation; see module docstring for the schedule."""
-    if config.regularizer != "aj":
-        raise ConfigError("train_step runs the adversarial game only; baselines use their own step")
+    """One aj alternation, or one none step; see the module docstring for the schedule."""
+    if config.regularizer not in ("aj", "none"):
+        raise ConfigError("train_step runs aj and none; kl and mmd use baseline_train_step")
     if d_batch.shape[1] != config.n:
         raise ShapeError(f"batch has n={d_batch.shape[1]}, config says {config.n}")
     nets = state.networks
     m = d_batch.shape[0]
-
-    # (a) auxiliary pair updates against a detached jammer
-    for _ in range(config.jscc_steps_per_data_step):
-        tape = Tape()
-        f_b = BoundMlp(tape, nets.f, "f", trainable=True)
-        g_b = BoundMlp(tape, nets.g, "g", trainable=True)
-        h_b = BoundMlp(tape, nets.h, "h", trainable=True)
-        d = tape.const(d_batch)
-        z = detach(power_normalize(f_b(d), config.P_a))
-        x = tape.const(state.streams["x"].normal((m, config.k)))
-        loss = jscc_loss(g_b, h_b, x, z, config.P_t, config.sigma_n_sq, state.streams["noise"])
-        grads = _collect_grads(tape, loss, [f_b, g_b, h_b])
-        if config.check_gradients:
-            _assert_all_zero("f", grads["f"], "a")
-        state.grad_buffers = {"f": grads["f"], "g": grads["g"], "h": grads["h"]}
-        _apply_update(state, "g", grads["g"])
-        _apply_update(state, "h", grads["h"])
-
-    # (b) compressor/reconstructor update; (g, h) frozen constants
-    # bitwise copies of the frozen pair, compared once f and r have been updated
-    frozen = ({net: _snapshot(getattr(nets, net)) for net in ("g", "h")}
-              if config.check_gradients else {})
     tape = Tape()
     f_b = BoundMlp(tape, nets.f, "f", trainable=True)
     r_b = BoundMlp(tape, nets.r, "r", trainable=True)
     d = tape.const(d_batch)
     z = power_normalize(f_b(d), config.P_a)
-    d_hat = r_b(z)
-    recon = ad.mean_all(ad.square(d - d_hat))
-    if config.eta > 0:
-        g_b = BoundMlp(tape, nets.g, "g", trainable=False)
-        h_b = BoundMlp(tape, nets.h, "h", trainable=False)
-        x = tape.const(state.streams["x"].normal((m, config.k)))
-        jt = _jscc_graph(g_b, h_b, x, z, config.P_t, config.sigma_n_sq, state.streams["noise"])
-        loss = data_loss(recon, jt, config.eta)
-    else:
-        loss = recon
-    grads = _collect_grads(tape, loss, [f_b, r_b])
-    state.grad_buffers = {"f": grads["f"], "r": grads["r"]}
-    _apply_update(state, "f", grads["f"])
-    _apply_update(state, "r", grads["r"])
-    for net_name, before in frozen.items():
-        _assert_unchanged(net_name, getattr(nets, net_name), before, "b")
+    loss = ad.mean_all(ad.square(d - r_b(z)))
+    frozen: dict = {}
+    if config.regularizer == "aj":
+        # (a) the auxiliary pair learns against f's latent, read as a constant
+        frozen = _snapshot(nets, ("f", "r")) if config.check_gradients else {}
+        for _ in range(config.jscc_steps_per_data_step):
+            tape_a = Tape()
+            g_b = BoundMlp(tape_a, nets.g, "g", trainable=True)
+            h_b = BoundMlp(tape_a, nets.h, "h", trainable=True)
+            x = tape_a.const(state.streams["x"].normal((m, config.k)))
+            jscc = jscc_loss(g_b, h_b, x, tape_a.const(z.value), config.P_t, config.sigma_n_sq,
+                             state.streams["noise"])
+            _update(state, tape_a, jscc, [g_b, h_b])
+        _assert_unchanged(nets, frozen, "a")
+        # (b) f and r learn through z into the pair, bound frozen once updated
+        frozen = _snapshot(nets, ("g", "h")) if config.check_gradients else {}
+        if config.eta > 0:
+            g_b = BoundMlp(tape, nets.g, "g", trainable=False)
+            h_b = BoundMlp(tape, nets.h, "h", trainable=False)
+            x = tape.const(state.streams["x"].normal((m, config.k)))
+            jt = _jscc_graph(g_b, h_b, x, z, config.P_t, config.sigma_n_sq, state.streams["noise"])
+            loss = data_loss(loss, jt, config.eta)
+    _update(state, tape, loss, [f_b, r_b])
+    _assert_unchanged(nets, frozen, "b")
     return state
 
 
-def _plain_autoencoder_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> None:
+def baseline_train_step(state: TrainState, d_batch: np.ndarray, reg: Regularizer,
+                        P_a: float, k: int) -> None:
+    """One Adam update of (f, r) on MSE + weight * regularizer (kl or mmd)."""
     tape = Tape()
     f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
     r_b = BoundMlp(tape, state.networks.r, "r", trainable=True)
-    d = tape.const(d_batch)
-    z = power_normalize(f_b(d), config.P_a)
-    d_hat = r_b(z)
-    loss = ad.mean_all(ad.square(d - d_hat))
-    grads = _collect_grads(tape, loss, [f_b, r_b])
-    state.grad_buffers = {"f": grads["f"], "r": grads["r"]}
-    _apply_update(state, "f", grads["f"])
-    _apply_update(state, "r", grads["r"])
+    losses = baselines.baseline_losses(tape, f_b, r_b, d_batch, reg, P_a, k, state.streams["noise"])
+    _update(state, tape, losses["total"], [f_b, r_b])
 
 
 # ============================================================
@@ -323,10 +301,8 @@ def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] 
     for epoch in range(1, config.epochs + 1):
         for step_idx, d_batch in enumerate(batches(train_ds, plan, epoch)):
             try:
-                if config.regularizer == "aj":
+                if reg is None:
                     train_step(state, d_batch, config)
-                elif config.regularizer == "none":
-                    _plain_autoencoder_step(state, d_batch, config)
                 else:
                     baseline_train_step(state, d_batch, reg, config.P_a, config.k)
             except NumericError as err:

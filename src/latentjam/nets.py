@@ -119,8 +119,7 @@ class BoundMlp:
     """One network's parameters recorded onto a tape.
 
     Trainable binding records parameters as named inputs so gradients can
-    target them; frozen binding records constants, so their gradient
-    buffers stay structurally zero.
+    target them; frozen binding records constants.
     """
 
     def __init__(self, tape: Tape, params: MlpParams, name: str, trainable: bool):

@@ -1,10 +1,15 @@
 """Shared fixtures: fabricated IDX payloads and MNIST discovery."""
 
 import os
-import struct
 
-import numpy as np
-import pytest
+# Fingerprint (i) depends on OpenBLAS's thread count as well as its build;
+# pin it before numpy loads so the frozen hashes hold whatever the caller set.
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+
+import struct  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def idx_image_bytes(pixels: np.ndarray) -> bytes:

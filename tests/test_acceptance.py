@@ -169,34 +169,41 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
 
 
 def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
-    """100 steps; f zero in phase (a), g and h bitwise unchanged in phase (b), every step."""
+    """100 steps; f and r bitwise unchanged in phase (a), g and h in phase (b), every step."""
     cfg = GameConfig(k=2, n=3, batch_size=32, seed=5, regularizer="aj",
                      jscc_hidden=8, data_hidden=16, check_gradients=True)
     ds = synth_source("gaussian", 3200, 3, seed=5)
     plan = BatchPlan(cfg.batch_size, derive_seed(cfg.seed, "data"), drop_last=True)
     state = init_state(cfg)
 
-    # g and h as each update leaves them; after the step, the last phase-(a) copy
-    after_update = {}
-    real_update = game._apply_update
+    def copies(st, nets):
+        return {net: {p: getattr(st.networks, net).array(p).copy()
+                      for p in getattr(st.networks, net).array_names()} for net in nets}
 
-    def recording_update(st, net_name, grads):
-        real_update(st, net_name, grads)
-        if net_name in ("g", "h"):
-            for net in ("g", "h"):
-                params = getattr(st.networks, net)
-                after_update[net] = {p: params.array(p).copy() for p in params.array_names()}
+    # g and h as the last phase-(a) update leaves them; f and r as phase (b) finds them
+    seen = {}
+    real_update = game._update
 
-    monkeypatch.setattr(game, "_apply_update", recording_update)
+    def recording_update(st, tape, loss, bounds):
+        names = [b.name for b in bounds]
+        if names == ["f", "r"]:
+            seen.update(copies(st, names))
+        real_update(st, tape, loss, bounds)
+        if names == ["g", "h"]:
+            seen.update(copies(st, names))
+
+    monkeypatch.setattr(game, "_update", recording_update)
     steps = 0
     for i, batch in enumerate(batches(ds, plan, epoch=1)):
+        before_step = copies(state, ("f", "r"))
         # check_gradients re-asserts both halves inside the step as well
         train_step(state, batch, cfg)
-        for net in ("g", "h"):
-            params = getattr(state.networks, net)
-            for pname, before in after_update[net].items():
-                assert np.array_equal(params.array(pname), before), \
-                    f"step {i}: {net}.{pname} changed in phase (b)"
+        after_step = copies(state, ("g", "h"))
+        for net, phase, old, new in (("f", "a", before_step, seen), ("r", "a", before_step, seen),
+                                     ("g", "b", seen, after_step), ("h", "b", seen, after_step)):
+            for pname, before in old[net].items():
+                assert np.array_equal(new[net][pname], before), \
+                    f"step {i}: {net}.{pname} changed in phase ({phase})"
 
         # independent phase (a) replica: backward through a detached z
         probe = Rng(derive_seed(cfg.seed, f"probe/{i}"))

@@ -144,10 +144,12 @@ def test_fd_check_every_op():
         -h / 2.0,
         ad.transpose(ad.transpose(h)),
     ]
-    cat = ad.concat_cols([p * 0.25 for p in parts])
-    sliced = ad.slice_cols(cat, 2, 20)
-    loss = ad.mean_all(ad.square(sliced)) + ad.sum_all(ad.mean_cols(cat)) \
-        + ad.mean_all(ad.sum_rows(cat))
+    loss = None
+    for part in parts:
+        q = part * 0.25
+        term = ad.mean_all(ad.square(ad.slice_cols(q, 1, 3))) + ad.sum_all(ad.mean_cols(q)) \
+            + ad.mean_all(ad.sum_rows(q))
+        loss = term if loss is None else loss + term
     gx, gw = backward_grads(tape, loss, [x, w])
     assert rel_err(fd_gradient(tape, loss, "x", xv), gx) <= 1e-4
     assert rel_err(fd_gradient(tape, loss, "w", wv), gw) <= 1e-4
@@ -378,6 +380,14 @@ def test_cross_tape_rejected():
     b = t2.const(np.ones((1, 1)))
     with pytest.raises(ConfigError):
         _ = a + b
+
+
+def test_cross_tape_rejected_with_attrs():
+    other = Tape().const(np.ones((2, 2)))
+    tape = Tape()
+    with pytest.raises(ConfigError, match="different tape"):
+        tape.apply_attrs("clip", [other], {"lo": -1.0, "hi": 1.0})
+    assert tape.nodes == []
 
 
 def test_unknown_op_rejected():

@@ -8,7 +8,6 @@ from latentjam.autodiff import Tape
 from latentjam.baselines import (
     Regularizer,
     baseline_losses,
-    baseline_train_step,
     kl_diag_gaussian,
     kl_diag_gaussian_graph,
     mmd_imq,
@@ -16,7 +15,7 @@ from latentjam.baselines import (
     reparameterize,
 )
 from latentjam.errors import ConfigError, ShapeError
-from latentjam.game import GameConfig, _plain_autoencoder_step, init_state
+from latentjam.game import GameConfig, baseline_train_step, init_state, train_step
 from latentjam.data_io import synth_source
 from latentjam.nets import BoundMlp
 from latentjam.rng import Rng, derive_seed
@@ -257,7 +256,7 @@ def test_zero_weight_mmd_step_equals_plain_autoencoder():
     for i in range(5):
         batch = data[32 * i:32 * (i + 1)]
         baseline_train_step(s_mmd, batch, reg, cfg_mmd.P_a, cfg_mmd.k)
-        _plain_autoencoder_step(s_none, batch, cfg_none)
+        train_step(s_none, batch, cfg_none)
     for net in ("f", "r"):
         pa = getattr(s_mmd.networks, net)
         pb = getattr(s_none.networks, net)

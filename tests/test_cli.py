@@ -302,8 +302,31 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path = tmp_path / "cp.bin"
     save_checkpoint(path, state)
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
+    with pytest.raises(CheckpointError, match="^checkpoint has 1 trailing bytes$"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", ["to_10_bytes", "5_bytes_short"])
+def test_truncated_checkpoint_is_typed(tmp_path, cut):
+    state = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4, seed=2))
+    path = tmp_path / "cp.bin"
+    save_checkpoint(path, state)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:10] if cut == "to_10_bytes" else raw[:-5])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+    assert main(["generate", str(path), "--count", "1", "--out", str(tmp_path / "g")]) == 6
+
+
+@pytest.mark.parametrize("line", ["game.P_t = nan", "game.eta = inf", "game.lr = -1",
+                                  "game.epochs = -3"])
+def test_exit_2_nonfinite_or_negative_game_value(tmp_path, line):
+    key = line.split("=")[0].strip()
+    kept = [l for l in SMALL_TRAIN.format(out=tmp_path / "bad").split("\n")
+            if not l.startswith(key + " ")]
+    cfg = write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
+    assert main(["train", cfg]) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_checkpoint_missing_file():

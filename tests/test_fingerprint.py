@@ -15,7 +15,8 @@ The hashes pin this machine's BLAS as well as the code: OpenBLAS 0.3.31
 machine. OpenBLAS picks its kernels by CPU, matrix shape, memory layout
 and thread count, and a kernel that orders a dot product differently
 moves the last bits; run (i) already hashes differently with
-OPENBLAS_NUM_THREADS=1. A mismatch on another build, CPU or thread count
+OPENBLAS_NUM_THREADS=1, so `conftest.py` pins that variable to 2 before
+numpy is imported. A mismatch on another build, CPU or thread count
 is therefore not by itself a regression. An intended change of a hash
 goes into CHANGES.md with its reason, next to the old and the new value.
 """

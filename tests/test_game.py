@@ -72,6 +72,17 @@ def test_config_validation():
         GameConfig(k=2, n=2, jscc_steps_per_data_step=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("P_t", float("nan")), ("P_a", float("inf")), ("sigma_n_sq", float("inf")),
+    ("eta", float("inf")), ("eta", float("nan")), ("lr", float("nan")),
+    ("lr", float("inf")), ("lambda_weight", float("nan")), ("mmd_scale", float("inf")),
+    ("lr", -1.0), ("epochs", -3),
+])
+def test_config_rejects_nonfinite_and_negative(field, value):
+    with pytest.raises(ConfigError, match=field):
+        GameConfig(k=2, n=4, **{field: value})
+
+
 def test_resolved_lambda_defaults():
     assert GameConfig(k=2, n=2, regularizer="kl").resolved_lambda() == 1.0
     assert GameConfig(k=2, n=2, regularizer="mmd").resolved_lambda() == 10.0
@@ -316,18 +327,34 @@ def test_phase_a_without_detach_would_leak():
     assert any(np.any(g != 0.0) for g in grads)
 
 
+def test_phase_a_update_of_frozen_pair_raises(monkeypatch):
+    cfg = small_cfg(seed=8)
+    state = init_state(cfg)
+    batch = synth_source("gaussian", 16, 3, seed=8).images
+    real_update = game._update
+
+    def leaky_update(state, tape, loss, bounds):
+        real_update(state, tape, loss, bounds)
+        if bounds[0].name == "g":  # phase (a) also nudges the compressor
+            state.networks.f.weights[0][0, 0] += 1e-12
+
+    monkeypatch.setattr(game, "_update", leaky_update)
+    with pytest.raises(NumericError, match=r"frozen f\.W0 changed in phase \(a\)"):
+        train_step(state, batch, cfg)
+
+
 def test_phase_b_update_of_frozen_pair_raises(monkeypatch):
     cfg = small_cfg(seed=8)
     state = init_state(cfg)
     batch = synth_source("gaussian", 16, 3, seed=8).images
-    real_update = game._apply_update
+    real_update = game._update
 
-    def leaky_update(state, net_name, grads):
-        real_update(state, net_name, grads)
-        if net_name == "r":  # phase (b) also nudges the frozen transmitter
+    def leaky_update(state, tape, loss, bounds):
+        real_update(state, tape, loss, bounds)
+        if bounds[0].name == "f":  # phase (b) also nudges the frozen transmitter
             state.networks.g.weights[0][0, 0] += 1e-12
 
-    monkeypatch.setattr(game, "_apply_update", leaky_update)
+    monkeypatch.setattr(game, "_update", leaky_update)
     with pytest.raises(NumericError, match=r"frozen g\.W0 changed in phase \(b\)"):
         train_step(state, batch, cfg)
 
