@@ -8,7 +8,8 @@ linear-Gaussian ground truth that validates the game independently of any
 training.
 """
 
-from .autodiff import AdamState, Tape, Tensor, adam_step, backward_grads, forward_eval
+from .autodiff import (AdamState, EagerTape, Tape, Tensor, adam_step, backward_grads,
+                       forward_eval)
 from .baselines import Regularizer, kl_diag_gaussian, mmd_imq, reparameterize
 from .data_io import BatchPlan, Dataset, batches, load_idx, synth_source
 from .errors import (CheckpointError, ConfigError, DataFormatError,
@@ -17,7 +18,7 @@ from .game import GameConfig, TrainState, channel_output, data_loss, init_state,
 from .metrics import (GaussianityStats, MetricsReport, gaussianity_report,
                       mse_metric, pearson_dpc)
 from .nets import (MlpParams, NetworkRoles, init_params, make_networks,
-                   mlp_apply, power_normalize, power_normalize_np)
+                   mlp_apply, power_normalize)
 from .oracle import (LinearStrategy, MatchingSpec, OracleSpec, isotropic_matching,
                      matching_residual, matching_samples, mc_game_value,
                      saddle_strategy, saddle_verify, scalar_saddle_distortion)

@@ -1,9 +1,14 @@
 """Minimal dense tensor engine with a recorded tape and reverse-mode gradients.
 
-A `Tape` records every op in insertion order, which is also a topological
+A `Tensor` carries its value, set when the op that made it runs. A `Tape`
+also records every op in insertion order, which is also a topological
 order, so backward is a single reverse sweep and `forward_eval` can replay
 the recorded graph against fresh input values (used for finite-difference
-checks and for bit-identical recomputation).
+checks and for bit-identical recomputation). An `EagerTape` runs the same
+graph code without recording: evaluation and generation use it, so each
+computation is defined once and inference holds no intermediate values.
+
+Each op's forward and backward rules sit together in one `_OPS` entry.
 
 Node values may share memory: `transpose` records a view of its input,
 and leaves hold the caller's arrays, so an in-place parameter update
@@ -13,12 +18,12 @@ dependence); gradients toward data constants, frozen parameters and
 detached paths are never computed.
 
 Everything is float64. NaN/Inf detection runs at every op boundary, on
-every value and every gradient, and is always on: a training failure must
-surface loudly, not corrupt the minimax dynamics downstream. The check
-reduces each array to its sum first, which is finite whenever every
-element is finite and not finite whenever any element is NaN or +-inf;
-only a non-finite sum (a bad element, or a finite array whose sum
-overflows) pays for the elementwise scan.
+every value and every gradient, recorded or not, and is always on: a
+training failure must surface loudly, not corrupt the minimax dynamics
+downstream. The check reduces each array to its sum first, which is
+finite whenever every element is finite and not finite whenever any
+element is NaN or +-inf; only a non-finite sum (a bad element, or a
+finite array whose sum overflows) pays for the elementwise scan.
 """
 
 from __future__ import annotations
@@ -35,17 +40,14 @@ from .errors import ConfigError, NumericError, ShapeError
 
 
 class Tensor:
-    """Handle to one node of a tape: shape + flat float64 data + node id."""
+    """One value of a tape: its float64 array plus its node id (None when unrecorded)."""
 
-    __slots__ = ("tape", "node_id")
+    __slots__ = ("tape", "node_id", "value")
 
-    def __init__(self, tape: "Tape", node_id: int):
+    def __init__(self, tape: "Tape", node_id, value: np.ndarray):
         self.tape = tape
         self.node_id = node_id
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.nodes[self.node_id].value
+        self.value = value
 
     @property
     def shape(self) -> tuple:
@@ -104,11 +106,9 @@ class Tape:
         self.outputs: dict[str, int] = {}
 
     def _record(self, op: str, inputs: tuple, value: np.ndarray, attrs: dict) -> Tensor:
-        value = np.asarray(value, dtype=np.float64)
-        if not _all_finite(value):
-            raise NumericError(f"non-finite value out of op '{op}' at node {len(self.nodes)}")
+        value = _checked(op, value, len(self.nodes))
         self.nodes.append(Node(op, inputs, value, attrs))
-        return Tensor(self, len(self.nodes) - 1)
+        return Tensor(self, len(self.nodes) - 1, value)
 
     def input(self, name: str, value) -> Tensor:
         """Named leaf; replay and gradients may rebind it."""
@@ -125,17 +125,35 @@ class Tape:
         return self._apply(op, args, attrs)
 
     def _apply(self, op: str, args: list, attrs: dict) -> Tensor:
-        if op not in _FORWARD:
+        if op not in _OPS:
             raise ConfigError(f"unknown op '{op}'")
         for a in args:
             if a.tape is not self:
                 raise ConfigError(f"op '{op}' given a tensor from a different tape")
-        out = _FORWARD[op]([a.value for a in args], attrs)
+        out = _OPS[op][0]([a.value for a in args], attrs)
         return self._record(op, tuple(a.node_id for a in args), out, attrs)
 
     def mark_output(self, name: str, t: Tensor) -> Tensor:
         self.outputs[name] = t.node_id
         return t
+
+
+class EagerTape(Tape):
+    """Record-free tape: each op runs and is checked at once, and nothing is kept.
+
+    Its tensors have no node, so they cannot be differentiated or replayed.
+    """
+
+    def _record(self, op: str, inputs: tuple, value: np.ndarray, attrs: dict) -> Tensor:
+        return Tensor(self, None, _checked(op, value, None))
+
+
+def _checked(op: str, value, node) -> np.ndarray:
+    value = np.asarray(value, dtype=np.float64)
+    if not _all_finite(value):
+        where = "on a record-free tape" if node is None else f"at node {node}"
+        raise NumericError(f"non-finite value out of op '{op}' {where}")
+    return value
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -154,124 +172,6 @@ def _require_2d(op, *shapes):
             raise ShapeError(f"op '{op}' needs 2-D operands, got {shapes}")
 
 
-def _fw_add(v, a):
-    return v[0] + v[1]
-
-
-def _fw_sub(v, a):
-    return v[0] - v[1]
-
-
-def _fw_mul(v, a):
-    return v[0] * v[1]
-
-
-def _fw_div(v, a):
-    return v[0] / v[1]
-
-
-def _fw_neg(v, a):
-    return -v[0]
-
-
-def _fw_matmul(v, a):
-    _require_2d("matmul", v[0].shape, v[1].shape)
-    if v[0].shape[1] != v[1].shape[0]:
-        raise ShapeError(f"op 'matmul' inner dims differ: {v[0].shape} @ {v[1].shape}")
-    return v[0] @ v[1]
-
-
-def _fw_transpose(v, a):
-    _require_2d("transpose", v[0].shape)
-    return v[0].T
-
-
-def _fw_relu(v, a):
-    return np.maximum(v[0], 0.0)
-
-
-def _fw_tanh(v, a):
-    return np.tanh(v[0])
-
-
-def _fw_sigmoid(v, a):
-    # split by sign for stability at large |x|
-    x = v[0]
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _fw_exp(v, a):
-    return np.exp(v[0])
-
-
-def _fw_square(v, a):
-    return v[0] * v[0]
-
-
-def _fw_sqrt(v, a):
-    return np.sqrt(v[0])
-
-
-def _fw_clip(v, a):
-    return np.clip(v[0], a["lo"], a["hi"])
-
-
-def _fw_mean(v, a):
-    return np.mean(v[0]).reshape(1)
-
-
-def _fw_sum(v, a):
-    return np.sum(v[0]).reshape(1)
-
-
-def _fw_mean0(v, a):
-    _require_2d("mean0", v[0].shape)
-    return np.mean(v[0], axis=0, keepdims=True)
-
-
-def _fw_sum1(v, a):
-    _require_2d("sum1", v[0].shape)
-    return np.sum(v[0], axis=1, keepdims=True)
-
-
-def _fw_slice_cols(v, a):
-    _require_2d("slice_cols", v[0].shape)
-    return v[0][:, a["start"]:a["stop"]].copy()
-
-
-def _fw_detach(v, a):
-    return v[0]
-
-
-_FORWARD = {
-    "add": _fw_add,
-    "sub": _fw_sub,
-    "mul": _fw_mul,
-    "div": _fw_div,
-    "neg": _fw_neg,
-    "matmul": _fw_matmul,
-    "transpose": _fw_transpose,
-    "relu": _fw_relu,
-    "tanh": _fw_tanh,
-    "sigmoid": _fw_sigmoid,
-    "exp": _fw_exp,
-    "square": _fw_square,
-    "sqrt": _fw_sqrt,
-    "clip": _fw_clip,
-    "mean": _fw_mean,
-    "sum": _fw_sum,
-    "mean0": _fw_mean0,
-    "sum1": _fw_sum1,
-    "slice_cols": _fw_slice_cols,
-    "detach": _fw_detach,
-}
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -283,73 +183,71 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _backward_one(node: Node, grad: np.ndarray, in_values: list, need: list) -> list:
-    """Gradients w.r.t. each input of one node; None marks a stopped path.
+def _matmul(v, a):
+    _require_2d("matmul", v[0].shape, v[1].shape)
+    if v[0].shape[1] != v[1].shape[0]:
+        raise ShapeError(f"op 'matmul' inner dims differ: {v[0].shape} @ {v[1].shape}")
+    return v[0] @ v[1]
 
-    `need[i]` says whether input i leads to a requested tensor. Binary ops
-    skip the unneeded side; the caller drops any other unneeded gradient.
-    """
-    op = node.op
-    if op == "add":
-        return [_unbroadcast(grad, in_values[0].shape) if need[0] else None,
-                _unbroadcast(grad, in_values[1].shape) if need[1] else None]
-    if op == "sub":
-        return [_unbroadcast(grad, in_values[0].shape) if need[0] else None,
-                _unbroadcast(-grad, in_values[1].shape) if need[1] else None]
-    if op == "mul":
-        return [
-            _unbroadcast(grad * in_values[1], in_values[0].shape) if need[0] else None,
-            _unbroadcast(grad * in_values[0], in_values[1].shape) if need[1] else None,
-        ]
-    if op == "div":
-        a, b = in_values
-        return [
-            _unbroadcast(grad / b, a.shape) if need[0] else None,
-            _unbroadcast(-grad * a / (b * b), b.shape) if need[1] else None,
-        ]
-    if op == "neg":
-        return [-grad]
-    if op == "matmul":
-        a, b = in_values
-        # (grad.T @ a).T equals a.T @ grad but comes out F-ordered, so a weight
-        # reached through `transpose` gets its gradient C-ordered like itself
-        return [grad @ b.T if need[0] else None, (grad.T @ a).T if need[1] else None]
-    if op == "transpose":
-        return [grad.T]
-    if op == "relu":
-        return [grad * (in_values[0] > 0.0)]
-    if op == "tanh":
-        return [grad * (1.0 - node.value * node.value)]
-    if op == "sigmoid":
-        return [grad * node.value * (1.0 - node.value)]
-    if op == "exp":
-        return [grad * node.value]
-    if op == "square":
-        return [grad * 2.0 * in_values[0]]
-    if op == "sqrt":
-        return [grad * 0.5 / node.value]
-    if op == "clip":
-        x = in_values[0]
-        inside = (x > node.attrs["lo"]) & (x < node.attrs["hi"])
-        return [grad * inside]
-    if op == "mean":
-        x = in_values[0]
-        return [np.broadcast_to(grad / x.size, x.shape)]
-    if op == "sum":
-        return [np.broadcast_to(grad, in_values[0].shape)]
-    if op == "mean0":
-        x = in_values[0]
-        return [np.broadcast_to(grad / x.shape[0], x.shape)]
-    if op == "sum1":
-        return [np.broadcast_to(grad, in_values[0].shape)]
-    if op == "slice_cols":
-        x = in_values[0]
-        g = np.zeros_like(x)
-        g[:, node.attrs["start"]:node.attrs["stop"]] = grad
-        return [g]
-    if op == "detach":
-        return [None]
-    raise ConfigError(f"no backward rule for op '{op}'")
+
+def _matrix_op(op: str, fn):
+    """Forward of a one-operand op defined on 2-D values only."""
+    def forward(v, a):
+        _require_2d(op, v[0].shape)
+        return fn(v[0], a)
+    return forward
+
+
+def _sigmoid(v, a):
+    # exp(-|x|) never overflows; per element this is 1/(1+exp(-x)) for x >= 0
+    # and exp(x)/(1+exp(x)) otherwise, the same operations as splitting by sign
+    e = np.exp(-np.abs(v[0]))
+    return np.where(v[0] >= 0, 1.0, e) / (1.0 + e)
+
+
+def _slice_cols_grad(g, v, out, a, i):
+    full = np.zeros_like(v[0])
+    full[:, a["start"]:a["stop"]] = g
+    return full
+
+
+# op -> (forward(values, attrs), backward(grad, values, out, attrs, i)). The
+# backward rule gives the gradient toward input i, or None for a stopped path;
+# it runs only for inputs that lead to a requested tensor.
+_OPS = {
+    "add": (lambda v, a: v[0] + v[1], lambda g, v, out, a, i: _unbroadcast(g, v[i].shape)),
+    "sub": (lambda v, a: v[0] - v[1],
+            lambda g, v, out, a, i: _unbroadcast(g if i == 0 else -g, v[i].shape)),
+    "mul": (lambda v, a: v[0] * v[1],
+            lambda g, v, out, a, i: _unbroadcast(g * v[1 - i], v[i].shape)),
+    "div": (lambda v, a: v[0] / v[1],
+            lambda g, v, out, a, i: _unbroadcast(g / v[1], v[0].shape) if i == 0
+            else _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape)),
+    "neg": (lambda v, a: -v[0], lambda g, v, out, a, i: -g),
+    # (g.T @ v[0]).T equals v[0].T @ g but comes out F-ordered, so a weight
+    # reached through `transpose` gets its gradient C-ordered like itself
+    "matmul": (_matmul, lambda g, v, out, a, i: g @ v[1].T if i == 0 else (g.T @ v[0]).T),
+    "transpose": (_matrix_op("transpose", lambda x, a: x.T), lambda g, v, out, a, i: g.T),
+    "relu": (lambda v, a: np.maximum(v[0], 0.0), lambda g, v, out, a, i: g * (v[0] > 0.0)),
+    "tanh": (lambda v, a: np.tanh(v[0]), lambda g, v, out, a, i: g * (1.0 - out * out)),
+    "sigmoid": (_sigmoid, lambda g, v, out, a, i: g * out * (1.0 - out)),
+    "exp": (lambda v, a: np.exp(v[0]), lambda g, v, out, a, i: g * out),
+    "square": (lambda v, a: v[0] * v[0], lambda g, v, out, a, i: g * 2.0 * v[0]),
+    "sqrt": (lambda v, a: np.sqrt(v[0]), lambda g, v, out, a, i: g * 0.5 / out),
+    "clip": (lambda v, a: np.clip(v[0], a["lo"], a["hi"]),
+             lambda g, v, out, a, i: g * ((v[0] > a["lo"]) & (v[0] < a["hi"]))),
+    "mean": (lambda v, a: np.mean(v[0]).reshape(1),
+             lambda g, v, out, a, i: np.broadcast_to(g / v[0].size, v[0].shape)),
+    "sum": (lambda v, a: np.sum(v[0]).reshape(1),
+            lambda g, v, out, a, i: np.broadcast_to(g, v[0].shape)),
+    "mean0": (_matrix_op("mean0", lambda x, a: np.mean(x, axis=0, keepdims=True)),
+              lambda g, v, out, a, i: np.broadcast_to(g / v[0].shape[0], v[0].shape)),
+    "sum1": (_matrix_op("sum1", lambda x, a: np.sum(x, axis=1, keepdims=True)),
+             lambda g, v, out, a, i: np.broadcast_to(g, v[0].shape)),
+    "slice_cols": (_matrix_op("slice_cols", lambda x, a: x[:, a["start"]:a["stop"]].copy()),
+                   _slice_cols_grad),
+    "detach": (lambda v, a: v[0], lambda g, v, out, a, i: None),
+}
 
 
 # ============================================================
@@ -431,7 +329,7 @@ def forward_eval(tape: Tape, inputs: dict) -> dict:
         elif node.op == "const":
             v = node.value
         else:
-            v = _FORWARD[node.op]([values[i] for i in node.inputs], node.attrs)
+            v = _OPS[node.op][0]([values[i] for i in node.inputs], node.attrs)
         if not _all_finite(v):
             raise NumericError(f"non-finite value out of op '{node.op}' at node {idx} during replay")
         values.append(v)
@@ -450,6 +348,8 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
     work goes into constants, frozen parameters or detached subgraphs.
     Every gradient that is computed is checked for NaN/Inf.
     """
+    if isinstance(tape, EagerTape):
+        raise ConfigError("a record-free tape keeps no graph to differentiate")
     if scalar_output.tape is not tape:
         raise ConfigError("output tensor does not belong to this tape")
     if scalar_output.value.shape != (1,):
@@ -466,12 +366,12 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
         if g is None or not marked[nid]:
             continue
         node = tape.nodes[nid]
-        need = [marked[i] for i in node.inputs]
-        if not any(need):
-            continue
         in_values = [tape.nodes[i].value for i in node.inputs]
-        for in_id, gi, wanted in zip(node.inputs, _backward_one(node, g, in_values, need), need):
-            if gi is None or not wanted:
+        for i, in_id in enumerate(node.inputs):
+            if not marked[in_id]:
+                continue
+            gi = _OPS[node.op][1](g, in_values, node.value, node.attrs, i)
+            if gi is None:
                 continue
             if not _all_finite(gi):
                 raise NumericError(f"non-finite gradient at op '{node.op}', node {nid}")

@@ -131,6 +131,16 @@ def kl_diag_gaussian_graph(mu: Tensor, log_var: Tensor) -> Tensor:
     return ad.sum_all(inner) * (0.5 / m)
 
 
+def vae_sample(head: Tensor, k: int, rng: Rng) -> tuple:
+    """(z, mu, log_var) from a 2k-wide head: z = mu + exp(log_var / 2) * fresh eps."""
+    if head.shape[1] != 2 * k:
+        raise ConfigError(f"kl path needs a 2k-wide head, got {head.shape[1]} for k={k}")
+    mu = ad.slice_cols(head, 0, k)
+    log_var = ad.clip(ad.slice_cols(head, k, 2 * k), LOG_VAR_MIN, LOG_VAR_MAX)
+    eps = head.tape.const(rng.normal(mu.shape))
+    return mu + ad.exp(log_var * 0.5) * eps, mu, log_var
+
+
 def baseline_losses(tape: Tape, f_bound: BoundMlp, r_bound: BoundMlp, d_batch: np.ndarray,
                     reg: Regularizer, P_a: float, k: int, noise_rng: Rng) -> dict:
     """Record reconstruction + weighted regularizer onto the tape.
@@ -142,13 +152,7 @@ def baseline_losses(tape: Tape, f_bound: BoundMlp, r_bound: BoundMlp, d_batch: n
     d = tape.const(d_batch)
     m = d_batch.shape[0]
     if reg.kind == "kl":
-        head = f_bound(d)
-        if head.shape[1] != 2 * k:
-            raise ConfigError(f"kl path needs a 2k-wide head, got {head.shape[1]} for k={k}")
-        mu = ad.slice_cols(head, 0, k)
-        log_var = ad.clip(ad.slice_cols(head, k, 2 * k), LOG_VAR_MIN, LOG_VAR_MAX)
-        eps = tape.const(noise_rng.normal((m, k)))
-        z = mu + ad.exp(log_var * 0.5) * eps
+        z, mu, log_var = vae_sample(f_bound(d), k, noise_rng)
         reg_term = kl_diag_gaussian_graph(mu, log_var)
     else:
         z = power_normalize(f_bound(d), P_a)

@@ -6,15 +6,17 @@ Verbs:
   generate <checkpoint> --count N --seed S --out DIR   decode prior samples
 
 Config files are flat key=value text with '#' comments and section
-prefixes, e.g. `game.eta=1.0`. Exit codes: 2 config, 3 data, 4 numeric,
-5 degenerate game, 6 checkpoint. AJ_LOG in {quiet, info, debug} sets
-verbosity.
+prefixes, e.g. `game.eta=1.0`. Exit codes: 2 config (and any shape
+mismatch that the config checks miss, printed as `shape error:`), 3 data,
+4 numeric, 5 degenerate game, 6 checkpoint. AJ_LOG in {quiet, info, debug}
+sets verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import struct
 import sys
@@ -23,7 +25,7 @@ import numpy as np
 
 from .data_io import Dataset, load_idx, synth_source
 from .errors import (CheckpointError, ConfigError, DataFormatError,
-                     DegenerateGameError, NumericError)
+                     DegenerateGameError, NumericError, ShapeError)
 from .game import GameConfig, TrainState, train
 from .metrics import CSV_HEADER
 from .nets import MlpParams, mlp_apply
@@ -77,28 +79,32 @@ def parse_config(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     sections: dict = {name: {} for name in _SCHEMA}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if "." not in key:
-                raise ConfigError(f"{path}:{lineno}: key '{key}' lacks a section prefix")
-            section, field = key.split(".", 1)
-            if section not in _SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown section '{section}'")
-            if field not in _SCHEMA[section]:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if field in sections[section]:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            caster = _SCHEMA[section][field]
-            try:
-                sections[section][field] = caster(value)
-            except ValueError as err:
-                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {err}") from err
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if "." not in key:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' lacks a section prefix")
+        section, field = key.split(".", 1)
+        if section not in _SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown section '{section}'")
+        if field not in _SCHEMA[section]:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if field in sections[section]:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+        caster = _SCHEMA[section][field]
+        try:
+            sections[section][field] = caster(value)
+        except ValueError as err:
+            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {err}") from err
     return sections
 
 
@@ -188,8 +194,11 @@ def load_checkpoint(path) -> dict:
     """Read a checkpoint into {name: MlpParams}."""
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as err:
+        raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     if buf[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {buf[:4]!r}")
     try:
@@ -219,25 +228,31 @@ def _parse_checkpoint(buf: bytes) -> dict:
         offset += 4 * ndims
         if name not in _NET_TRAITS:
             raise CheckpointError(f"unknown network name '{name}' in checkpoint")
+        if len(dims) < 2 or min(dims) < 1:
+            raise CheckpointError(f"network '{name}' has invalid layer dims {dims}")
         hidden_act, out_act, has_skip = _NET_TRAITS[name]
         weights, biases = [], []
         for d_in, d_out in zip(dims[:-1], dims[1:]):
-            need = d_out * d_in * 8
-            weights.append(np.frombuffer(buf, dtype="<f8", count=d_out * d_in,
-                                         offset=offset).reshape(d_out, d_in).copy())
-            offset += need
-            biases.append(np.frombuffer(buf, dtype="<f8", count=d_out, offset=offset).copy())
-            offset += d_out * 8
+            w, offset = _read_floats(buf, offset, (d_out, d_in))
+            b, offset = _read_floats(buf, offset, (d_out,))
+            weights.append(w)
+            biases.append(b)
         skip = None
         if has_skip:
-            d0, dL = dims[0], dims[-1]
-            skip = np.frombuffer(buf, dtype="<f8", count=dL * d0,
-                                 offset=offset).reshape(dL, d0).copy()
-            offset += dL * d0 * 8
+            skip, offset = _read_floats(buf, offset, (dims[-1], dims[0]))
         nets[name] = MlpParams(dims, weights, biases, hidden_act, out_act, skip)
     if offset != len(buf):
         raise CheckpointError(f"checkpoint has {len(buf) - offset} trailing bytes")
     return nets
+
+
+def _read_floats(buf: bytes, offset: int, shape: tuple):
+    """A copy of the float64 array of `shape` at `offset`, and the offset past it."""
+    count = math.prod(shape)
+    if offset + 8 * count > len(buf):
+        raise CheckpointError(f"checkpoint is truncated: a {shape} array runs past its end")
+    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+    return arr, offset + 8 * count
 
 
 # ============================================================
@@ -406,6 +421,9 @@ def main(argv=None) -> int:
         return run_generate(args.checkpoint, args.count, args.seed, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except ShapeError as err:
+        print(f"shape error: {err}", file=sys.stderr)
         return 2
     except DataFormatError as err:
         print(f"data error: {err}", file=sys.stderr)

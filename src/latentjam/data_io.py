@@ -39,8 +39,11 @@ class Dataset:
 def _read_file(path) -> bytes:
     if not os.path.exists(path):
         raise DataFormatError(f"data file not found: {path}")
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as err:
+        raise DataFormatError(f"cannot read data file {path}: {err}") from err
 
 
 def _u32(buf: bytes, offset: int) -> int:
@@ -56,6 +59,8 @@ def load_idx(images_path, labels_path=None, name: str = "idx", split: str = "tra
     if magic != IMAGES_MAGIC:
         raise DataFormatError(f"{images_path}: bad magic 0x{magic:08X}, expected 0x{IMAGES_MAGIC:08X}")
     count, rows, cols = _u32(buf, 4), _u32(buf, 8), _u32(buf, 12)
+    if count * rows * cols == 0:
+        raise DataFormatError(f"{images_path}: empty dataset ({count}x{rows}x{cols})")
     expected = 16 + count * rows * cols
     if len(buf) != expected:
         raise DataFormatError(f"{images_path}: length {len(buf)} != expected {expected} for {count}x{rows}x{cols}")
@@ -75,8 +80,6 @@ def load_idx(images_path, labels_path=None, name: str = "idx", split: str = "tra
         if lcount != count:
             raise DataFormatError(f"label count {lcount} != image count {count}")
         metadata["labels"] = np.frombuffer(lbuf, dtype=np.uint8, offset=8).copy()
-    if count == 0:
-        raise DataFormatError(f"{images_path}: empty dataset")
     return Dataset(images, metadata)
 
 

@@ -17,6 +17,10 @@ its forward draws no randomness, so (a) sees the z that (b) trains through.
 The none control is phase (b) without the channel term; kl and mmd
 (`baseline_train_step`) are the same (f, r) update with a regularizer in
 its place. Every update goes through one gradient-and-Adam helper.
+
+Evaluation runs the same graph code on record-free tapes: f's latent goes
+through `power_normalize` (or the shared VAE sampler for kl), the decoder
+through `mlp_apply`, and the aj channel through `_jscc_graph`.
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines
-from .autodiff import AdamState, Tape, Tensor, adam_step, backward_grads
+from .autodiff import AdamState, EagerTape, Tape, Tensor, adam_step, backward_grads
 from .baselines import Regularizer
 from .data_io import BatchPlan, Dataset, batches
 from .errors import ConfigError, NumericError, ShapeError
-from .metrics import MetricsReport, evaluate_latents, mse_metric
-from .nets import (BoundMlp, NetworkRoles, make_networks, mlp_apply,
-                   power_normalize, power_normalize_np)
+from .metrics import MIN_EVAL_ROWS, MetricsReport, evaluate_latents
+from .nets import BoundMlp, NetworkRoles, make_networks, mlp_apply, power_normalize
 from .rng import Rng, derive_seed
 
 log = logging.getLogger("latentjam")
@@ -243,29 +246,29 @@ def baseline_train_step(state: TrainState, d_batch: np.ndarray, reg: Regularizer
 
 
 def eval_latents(state: TrainState, config: GameConfig, d_eval: np.ndarray) -> np.ndarray:
-    """Latent codes as the metrics see them; normalization uses eval-batch stats."""
-    raw = mlp_apply(state.networks.f, d_eval)
+    """Latent codes as the metrics see them; normalization uses eval-batch stats.
+
+    The kl path draws through the sampler its training step uses, on the eval stream.
+    """
+    head = EagerTape().const(mlp_apply(state.networks.f, d_eval))
     if config.regularizer == "kl":
-        mu = raw[:, :config.k]
-        log_var = np.clip(raw[:, config.k:], -10.0, 10.0)
-        eps = state.streams["eval"].normal(mu.shape)
-        return mu + np.exp(0.5 * log_var) * eps
-    return power_normalize_np(raw, config.P_a)
+        return baselines.vae_sample(head, config.k, state.streams["eval"])[0].value
+    return power_normalize(head, config.P_a).value
 
 
 def evaluate(state: TrainState, config: GameConfig, d_eval: np.ndarray, epoch: int) -> MetricsReport:
+    """One evaluation pass; aj's channel MSE is `_jscc_graph` on a fresh eval-stream source."""
     z = eval_latents(state, config, d_eval)
     d_hat = mlp_apply(state.networks.r, z)
     jscc = None
     if config.regularizer == "aj":
-        m = z.shape[0]
-        x = state.streams["eval"].normal((m, config.k))
-        y = power_normalize_np(mlp_apply(state.networks.g, x), config.P_t)
-        y_hat = y + z
-        if config.sigma_n_sq > 0:
-            y_hat = y_hat + np.sqrt(config.sigma_n_sq) * state.streams["eval"].normal(y.shape)
-        x_hat = mlp_apply(state.networks.h, y_hat)
-        jscc = mse_metric(x, x_hat)
+        tape = EagerTape()
+        g_b = BoundMlp(tape, state.networks.g, "g", trainable=False)
+        h_b = BoundMlp(tape, state.networks.h, "h", trainable=False)
+        x = tape.const(state.streams["eval"].normal((z.shape[0], config.k)))
+        jt = _jscc_graph(g_b, h_b, x, tape.const(z), config.P_t, config.sigma_n_sq,
+                         state.streams["eval"])
+        jscc = float(jt.value[0])
     return evaluate_latents(epoch, d_eval, d_hat, z, jscc)
 
 
@@ -294,6 +297,10 @@ def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] 
     if train_images.shape[0] < config.batch_size:
         raise ConfigError(
             f"batch_size {config.batch_size} exceeds training rows {train_images.shape[0]}")
+    rows = eval_images.shape[0]
+    if config.epochs > 0 and (rows < MIN_EVAL_ROWS or rows <= config.k):
+        raise ConfigError(f"evaluation needs at least {MIN_EVAL_ROWS} rows and more than "
+                          f"k={config.k}, got {rows}")
     state = init_state(config)
     train_ds = Dataset(train_images, dict(dataset.metadata))
     plan = BatchPlan(config.batch_size, derive_seed(config.seed, "data"), drop_last=True)
@@ -309,7 +316,10 @@ def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] 
                 raise NumericError(f"epoch {epoch}, step {step_idx}: {err}") from err
         state.epoch = epoch
         if epoch % eval_every == 0 or epoch == config.epochs:
-            report = evaluate(state, config, eval_images, epoch)
+            try:
+                report = evaluate(state, config, eval_images, epoch)
+            except NumericError as err:
+                raise NumericError(f"epoch {epoch}, evaluation: {err}") from err
             state.history.append(report)
             log.info("epoch %d: data_mse=%.5f dpc=%.4f%s", epoch, report.data_mse, report.dpc,
                      "" if report.jscc_mse is None else f" jscc_mse={report.jscc_mse:.4f}")

@@ -18,6 +18,7 @@ from scipy.special import ndtr
 from .errors import ShapeError
 
 CSV_HEADER = "epoch,data_mse,jscc_mse,dpc,mean_skew_abs,mean_exkurt_abs,mean_ks,mean_norm,mean_power"
+MIN_EVAL_ROWS = 100  # fewest latent rows the Gaussianity report accepts
 
 
 def mse_metric(d: np.ndarray, d_hat: np.ndarray) -> float:
@@ -71,8 +72,8 @@ def gaussianity_report(latents: np.ndarray) -> GaussianityStats:
     isolates shape mismatch from location and scale.
     """
     z = np.asarray(latents, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 100:
-        raise ShapeError(f"gaussianity_report expects [m >= 100, k], got {z.shape}")
+    if z.ndim != 2 or z.shape[0] < MIN_EVAL_ROWS:
+        raise ShapeError(f"gaussianity_report expects [m >= {MIN_EVAL_ROWS}, k], got {z.shape}")
     m, k = z.shape
     skew = np.full(k, np.nan)
     exkurt = np.full(k, np.nan)

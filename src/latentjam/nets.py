@@ -3,6 +3,10 @@
 Roles: compressor/jammer f (n -> k), reconstructor r (k -> n), transmitter
 g (k -> k), receiver h (k -> k). g and h carry a linear skip path from
 input to output alongside the MLP stack; f and r are plain MLPs.
+
+Training and inference run the same graph code: `mlp_apply` is
+`mlp_forward_graph` on a record-free tape, and evaluation power-normalizes
+with `power_normalize` on such a tape, so there is no numpy twin.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import EagerTape, Tape, Tensor
 from .errors import ConfigError, ShapeError
 from .rng import Rng
 
@@ -137,8 +141,8 @@ class BoundMlp:
 
 def mlp_forward_graph(bound: BoundMlp, x: Tensor) -> Tensor:
     p = bound.params
-    if x.shape[1] != p.in_dim:
-        raise ShapeError(f"net '{bound.name}' expects input dim {p.in_dim}, got {x.shape}")
+    if len(x.shape) != 2 or x.shape[1] != p.in_dim:
+        raise ShapeError(f"net '{bound.name}' expects [batch, {p.in_dim}] input, got {x.shape}")
     act = _HIDDEN_ACTS[p.hidden_activation]
     h = x
     last = len(p.weights) - 1
@@ -153,22 +157,9 @@ def mlp_forward_graph(bound: BoundMlp, x: Tensor) -> Tensor:
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Plain numpy forward pass for inference; mirrors mlp_forward_graph."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.in_dim:
-        raise ShapeError(f"expected [batch, {params.in_dim}] input, got {x.shape}")
-    h = x
-    last = len(params.weights) - 1
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ W.T + b
-        if i < last:
-            h = np.maximum(h, 0.0) if params.hidden_activation == "relu" else np.tanh(h)
-    if params.skip is not None:
-        h = h + x @ params.skip.T
-    if params.output_activation == "sigmoid":
-        h = np.where(h >= 0, 1.0 / (1.0 + np.exp(-np.abs(h))),
-                     np.exp(-np.abs(h)) / (1.0 + np.exp(-np.abs(h))))
-    return h
+    """Inference forward pass: the graph forward on a record-free tape."""
+    tape = EagerTape()
+    return mlp_forward_graph(BoundMlp(tape, params, "net", trainable=False), tape.const(x)).value
 
 
 POWER_EPS = 1e-5
@@ -185,16 +176,6 @@ def power_normalize(z: Tensor, target_power: float) -> Tensor:
     centered = z - ad.mean_cols(z)
     var = ad.mean_cols(ad.square(centered))
     return centered * (np.sqrt(target_power) / ad.sqrt(var + POWER_EPS))
-
-
-def power_normalize_np(z: np.ndarray, target_power: float) -> np.ndarray:
-    """Numpy twin of power_normalize for evaluation paths."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] < 2:
-        raise ShapeError(f"power_normalize needs batch >= 2, got shape {z.shape}")
-    centered = z - z.mean(axis=0, keepdims=True)
-    var = np.mean(centered * centered, axis=0, keepdims=True)
-    return centered * (np.sqrt(target_power) / np.sqrt(var + POWER_EPS))
 
 
 def make_networks(k: int, n: int, jscc_hidden: int, regularizer: str, rng: Rng,

@@ -1,4 +1,4 @@
-"""Shared fixtures: fabricated IDX payloads and MNIST discovery."""
+"""Shared fixtures: fabricated IDX payloads, record-free normalization, MNIST discovery."""
 
 import os
 
@@ -10,6 +10,19 @@ import struct  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from latentjam.autodiff import EagerTape  # noqa: E402
+from latentjam.nets import power_normalize  # noqa: E402
+
+# Property tests draw the same examples on every run, so tier-1 stays deterministic.
+settings.register_profile("fixed", derandomize=True, database=None, deadline=None)
+settings.load_profile("fixed")
+
+
+def normalized(z, target_power):
+    """power_normalize run on a record-free tape, as evaluation runs it."""
+    return power_normalize(EagerTape().const(z), target_power).value
 
 
 def idx_image_bytes(pixels: np.ndarray) -> bytes:

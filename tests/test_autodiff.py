@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from latentjam import autodiff as ad
-from latentjam.autodiff import AdamState, Tape, adam_step, backward_grads, forward_eval
+from latentjam.autodiff import AdamState, EagerTape, Tape, adam_step, backward_grads, forward_eval
 from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.rng import Rng
 
@@ -213,8 +213,8 @@ def _unpruned_grads(tape, out, wrt):
         if nid not in acc or not node.inputs:
             continue
         in_values = [tape.nodes[i].value for i in node.inputs]
-        need = [True] * len(node.inputs)
-        for in_id, gi in zip(node.inputs, ad._backward_one(node, acc[nid], in_values, need)):
+        for i, in_id in enumerate(node.inputs):
+            gi = ad._OPS[node.op][1](acc[nid], in_values, node.value, node.attrs, i)
             if gi is not None:
                 acc[in_id] = gi if in_id not in acc else acc[in_id] + gi
     return [acc.get(t.node_id, np.zeros(t.shape)) for t in wrt]
@@ -305,6 +305,28 @@ def test_replay_rejects_nonfinite():
             forward_eval(tape, {"x": np.array([[-1.0]])})
 
 
+def _split_by_sign_sigmoid(x):
+    """Reference: the exact formula for each sign, by masked gather and scatter."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(10000, 784), (128, 784), (7, 3), (1, 1)])
+def test_sigmoid_equals_split_by_sign_reference(shape):
+    base = Rng(31).normal(shape)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        for x in (base * scale, (base * scale).T):
+            got = ad.sigmoid(EagerTape().const(x)).value
+            assert np.array_equal(got, _split_by_sign_sigmoid(x)), (shape, scale)
+    extremes = np.array([[0.0, -0.0, -745.5, 745.5, -800.0, 800.0, 1e-300, -1e-300]])
+    got = ad.sigmoid(EagerTape().const(extremes)).value
+    assert np.array_equal(got, _split_by_sign_sigmoid(extremes))
+
+
 # ============================================================
 # Error contracts
 # ============================================================
@@ -342,6 +364,28 @@ def test_nonfinite_forward_value_names_op_and_node(bad):
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"op 'div' at node 3"):
             _ = num / den
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_nonfinite_value_on_record_free_tape_names_op(bad):
+    tape = EagerTape()
+    message = r"^non-finite value out of op '{}' on a record-free tape$"
+    with pytest.raises(NumericError, match=message.format("const")):
+        tape.const(np.array([1.0, bad]))
+    num = tape.const(np.array([1.0, np.copysign(1.0, bad) if np.isinf(bad) else 0.0]))
+    den = tape.const(np.array([1.0, 0.0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=message.format("div")):
+            _ = num / den
+
+
+def test_record_free_tape_keeps_no_graph():
+    tape = EagerTape()
+    x = tape.const(np.array([[3.0]]))
+    y = ad.sum_all(ad.square(x))
+    assert y.value[0] == 9.0 and y.node_id is None and tape.nodes == []
+    with pytest.raises(ConfigError, match="record-free"):
+        backward_grads(tape, y, [x])
 
 
 @pytest.mark.parametrize("bad", _NONFINITE)

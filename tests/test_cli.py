@@ -14,7 +14,8 @@ from latentjam.cli import (
     save_checkpoint,
     write_pgm,
 )
-from latentjam.errors import CheckpointError, ConfigError
+from latentjam import cli, game
+from latentjam.errors import CheckpointError, ConfigError, ShapeError
 from latentjam.game import GameConfig, init_state
 from latentjam.metrics import CSV_HEADER
 
@@ -327,6 +328,38 @@ def test_exit_2_nonfinite_or_negative_game_value(tmp_path, line):
     cfg = write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
     assert main(["train", cfg]) == 2
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("count, k", [(60, 2), (150, 200)])
+def test_exit_2_before_training_when_evaluation_cannot_score(tmp_path, monkeypatch, count, k):
+    monkeypatch.setattr(game, "train_step", None)  # any training step would fail loudly
+    out = tmp_path / "small"
+    text = SMALL_TRAIN.format(out=out).replace("data.count = 256", f"data.count = {count}")
+    cfg = write_cfg(tmp_path, text.replace("game.k = 2", f"game.k = {k}"))
+    assert main(["train", cfg]) == 2
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["invalid_utf8", "directory"])
+def test_exit_2_unreadable_config(tmp_path, kind, capsys):
+    if kind == "invalid_utf8":
+        path = write_cfg(tmp_path, "game.k = 2\n")
+        with open(path, "ab") as fh:
+            fh.write(b"# \xff\n")
+    else:
+        path = str(tmp_path)
+    assert main(["train", path]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
+
+
+def test_exit_2_on_shape_error(tmp_path, monkeypatch, capsys):
+    def misshapen(*args, **kwargs):
+        raise ShapeError("op 'matmul' inner dims differ")
+
+    monkeypatch.setattr(cli, "train", misshapen)
+    cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=tmp_path / "shape"))
+    assert main(["train", cfg]) == 2
+    assert capsys.readouterr().err == "shape error: op 'matmul' inner dims differ\n"
 
 
 def test_checkpoint_missing_file():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import normalized
 from latentjam import autodiff as ad
 from latentjam import game
 from latentjam.autodiff import Tape, backward_grads, detach, forward_eval
@@ -27,7 +28,6 @@ from latentjam.nets import (
     MlpParams,
     mlp_apply,
     power_normalize,
-    power_normalize_np,
 )
 from latentjam.rng import Rng, derive_seed
 
@@ -423,10 +423,27 @@ def test_train_eval_schedule():
 
 def test_train_rewraps_numeric_errors_with_position():
     cfg = small_cfg(lr=1e150, epochs=1)
-    ds = synth_source("gaussian", 64, 3, seed=3)
+    ds = synth_source("gaussian", 128, 3, seed=3)  # 64 rows are too few to evaluate
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="epoch 1, step"):
             train(cfg, ds)
+
+
+def test_train_rewraps_evaluation_numeric_errors_with_epoch(monkeypatch):
+    real_evaluate = game.evaluate
+
+    def overflowing(state, config, d_eval, epoch):
+        r = state.networks.r
+        r.biases[0][:] = 10.0  # every hidden unit of r is active
+        r.weights[-1][:] = 1e308  # so each decoder pre-activation overflows
+        return real_evaluate(state, config, d_eval, epoch)
+
+    monkeypatch.setattr(game, "evaluate", overflowing)
+    ds = synth_source("gaussian", 128, 3, seed=3)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=r"^epoch 1, evaluation: non-finite value out of "
+                                               r"op 'matmul' on a record-free tape$"):
+            train(small_cfg(epochs=1), ds)
 
 
 def test_train_eta_zero_matches_plain_autoencoder_bitwise():
@@ -516,11 +533,11 @@ def test_adversarial_game_converges_to_linear_saddle_level():
             if steps >= 500:
                 break
             train_step(state, d_batch, cfg)
-            z = power_normalize_np(mlp_apply(state.networks.f, d_batch), cfg.P_a)
+            z = normalized(mlp_apply(state.networks.f, d_batch), cfg.P_a)
             d_hat = mlp_apply(state.networks.r, z)
             mse_hist.append(mse_metric(d_batch, d_hat))
             x = state.streams["eval"].normal((d_batch.shape[0], cfg.k))
-            y = power_normalize_np(mlp_apply(state.networks.g, x), cfg.P_t)
+            y = normalized(mlp_apply(state.networks.g, x), cfg.P_t)
             x_hat = mlp_apply(state.networks.h, y + z)
             jscc_hist.append(mse_metric(x, x_hat))
             steps += 1
@@ -538,7 +555,7 @@ def test_adversarial_game_converges_to_linear_saddle_level():
     # trained jammer output sits on the power constraint up to the eps law:
     # mean z^2 per coordinate is exactly P_a * v / (v + eps) for raw variance v
     raw = mlp_apply(state.networks.f, ds.images[:2000])
-    z = power_normalize_np(raw, cfg.P_a)
+    z = normalized(raw, cfg.P_a)
     v = raw.var(axis=0)
     expected = float(np.mean(cfg.P_a * v / (v + 1e-5)))
     assert abs(float(np.mean(z * z)) - expected) < 1e-12

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import normalized
 from latentjam.autodiff import Tape, backward_grads
 from latentjam import autodiff as ad
-from latentjam.errors import ConfigError, ShapeError
+from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.nets import (POWER_EPS, BoundMlp, MlpParams, init_params,
-                            make_networks, mlp_apply, power_normalize,
-                            power_normalize_np)
+                            make_networks, mlp_apply, mlp_forward_graph,
+                            power_normalize)
 from latentjam.rng import Rng
 
 
@@ -98,7 +99,7 @@ def test_skip_with_zero_mlp_is_pure_linear_map():
     assert np.array_equal(mlp_apply(p, x), x @ skip.T)
 
 
-def test_graph_forward_matches_numpy_forward_bitwise():
+def test_record_free_forward_equals_recorded_bitwise():
     for seed, out_act, use_skip in ((3, "identity", False), (4, "sigmoid", False),
                                     (5, "identity", True)):
         p = init_params([4, 6, 3], Rng(seed), output_activation=out_act,
@@ -106,14 +107,31 @@ def test_graph_forward_matches_numpy_forward_bitwise():
         x = Rng(seed + 100).normal((5, 4))
         tape = Tape()
         bound = BoundMlp(tape, p, "net", trainable=False)
-        graph_out = bound(tape.const(x)).value
-        assert np.array_equal(graph_out, mlp_apply(p, x))
+        recorded = bound(tape.const(x)).value
+        assert len(tape.nodes) > 0
+        assert np.array_equal(mlp_apply(p, x), recorded)
 
 
 def test_forward_shape_error():
     p = linear_net(np.eye(2))
     with pytest.raises(ShapeError):
         mlp_apply(p, np.ones((3, 5)))
+
+
+def test_forward_of_1d_input_is_shape_error():
+    p = linear_net(np.eye(2))
+    with pytest.raises(ShapeError, match=r"expects \[batch, 2\] input, got \(2,\)"):
+        mlp_apply(p, np.ones(2))
+    tape = Tape()
+    with pytest.raises(ShapeError):
+        mlp_forward_graph(BoundMlp(tape, p, "net", trainable=True), tape.const(np.ones(2)))
+
+
+def test_forward_overflow_names_the_op_on_record_free_tape():
+    p = linear_net(np.full((1, 2), 1e300))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="^non-finite value out of op 'matmul' on a record"):
+            mlp_apply(p, np.full((1, 2), 1e300))
 
 
 # ============================================================
@@ -124,54 +142,55 @@ def test_forward_shape_error():
 def test_power_normalize_two_point_example():
     # values {0, 2}: mean 1, biased variance 1, so outputs are -+1/sqrt(1+eps)
     z = np.array([[0.0], [2.0]])
-    out = power_normalize_np(z, 1.0)
+    out = normalized(z, 1.0)
     expected = np.array([[-1.0], [1.0]]) / np.sqrt(1.0 + POWER_EPS)
     assert np.allclose(out, expected, rtol=0, atol=1e-15)
 
 
 def test_power_normalize_standardized_input_nearly_unchanged():
     z = np.array([[-1.0, 1.0], [1.0, -1.0]])  # zero mean, unit variance
-    out = power_normalize_np(z, 1.0)
+    out = normalized(z, 1.0)
     assert np.max(np.abs(out - z)) <= 1e-5
 
 
 def test_power_normalize_constant_coordinate_maps_to_zero():
     # dyadic constant: the mean is exact, so the column collapses to exact zeros
     z = np.column_stack([np.full(8, 4.0), np.arange(8.0)])
-    out = power_normalize_np(z, 1.0)
+    out = normalized(z, 1.0)
     assert np.array_equal(out[:, 0], np.zeros(8))
     # non-dyadic constant: centering leaves ~1 ulp, eps keeps the output tiny
     z2 = np.column_stack([np.full(8, 3.7), np.arange(8.0)])
-    out2 = power_normalize_np(z2, 1.0)
+    out2 = normalized(z2, 1.0)
     assert np.max(np.abs(out2[:, 0])) < 1e-12
 
 
 def test_power_normalize_moment_invariants():
     z = Rng(6).normal((512, 4)) * 2.0 + 0.3  # healthy variance, offset mean
-    out = power_normalize_np(z, 1.0)
+    out = normalized(z, 1.0)
     assert np.max(np.abs(out.mean(axis=0))) <= 1e-8
     assert np.max(np.abs(out.var(axis=0) - 1.0)) <= 2e-5
 
 
 def test_power_normalize_target_power():
     z = Rng(7).normal((512, 3)) * 3.0
-    out = power_normalize_np(z, 2.5)
+    out = normalized(z, 2.5)
     assert np.max(np.abs(out.var(axis=0) - 2.5)) <= 5e-5
 
 
 def test_power_normalize_affine_invariance():
     # the residual difference is the eps term, ~ eps/(2 var) * |out| ~ 2e-9 here
     z = Rng(8).normal((256, 3)) * 100.0
-    out1 = power_normalize_np(z, 1.0)
-    out2 = power_normalize_np(3.0 * z - 50.0, 1.0)
+    out1 = normalized(z, 1.0)
+    out2 = normalized(3.0 * z - 50.0, 1.0)
     assert np.max(np.abs(out1 - out2)) <= 1e-8
 
 
-def test_power_normalize_graph_matches_numpy():
+def test_power_normalize_record_free_equals_recorded():
     z = Rng(9).normal((64, 5))
     tape = Tape()
     out = power_normalize(tape.const(z), 1.0)
-    assert np.array_equal(out.value, power_normalize_np(z, 1.0))
+    assert len(tape.nodes) > 0
+    assert np.array_equal(normalized(z, 1.0), out.value)
 
 
 def test_power_normalize_is_differentiable():
@@ -186,7 +205,7 @@ def test_power_normalize_is_differentiable():
 
 def test_power_normalize_batch_of_one_rejected():
     with pytest.raises(ShapeError):
-        power_normalize_np(np.ones((1, 2)), 1.0)
+        normalized(np.ones((1, 2)), 1.0)
     tape = Tape()
     with pytest.raises(ShapeError):
         power_normalize(tape.const(np.ones((1, 2))), 1.0)
