@@ -26,7 +26,7 @@ import numpy as np
 from .data_io import Dataset, load_idx, synth_source
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)
-from .game import GameConfig, TrainState, train
+from .game import GameConfig, TrainState, check_training_inputs, train
 from .metrics import CSV_HEADER
 from .nets import MlpParams, mlp_apply
 from .oracle import (OracleSpec, isotropic_matching, matching_residual,
@@ -303,11 +303,12 @@ def run_experiment(config_path) -> int:
     if "k" not in fields:
         raise ConfigError("game.k is required")
     config = GameConfig(**fields)
+    eval_every = run_cfg.get("eval_every", 1)
+    check_training_inputs(config, dataset, eval_dataset, eval_every)
     out_dir = run_cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved-config.txt"), "w", encoding="utf-8") as fh:
         fh.write(_resolved_config_text(config, data_cfg, run_cfg))
-    eval_every = run_cfg.get("eval_every", 1)
     state = train(config, dataset, eval_dataset, eval_every=eval_every)
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -284,15 +284,15 @@ def split_eval(dataset: Dataset, eval_dataset: Optional[Dataset]):
     return dataset.images, dataset.images[:min(count, 1000)]
 
 
-def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] = None,
-          eval_every: int = 1) -> TrainState:
-    """Shuffled mini-batch epochs with a MetricsReport per evaluated epoch."""
+def check_training_inputs(config: GameConfig, dataset: Dataset,
+                          eval_dataset: Optional[Dataset] = None, eval_every: int = 1):
+    """Reject inputs `train` cannot run on; returns the (train, eval) image split."""
+    if eval_every < 1:
+        raise ConfigError("eval_every must be >= 1")
     if dataset.count == 0:
         raise ConfigError("dataset is empty")
     if float(dataset.images.min()) < 0.0 or float(dataset.images.max()) > 1.0:
         raise ConfigError("dataset values must lie in [0, 1]")
-    if eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
     train_images, eval_images = split_eval(dataset, eval_dataset)
     if train_images.shape[0] < config.batch_size:
         raise ConfigError(
@@ -301,6 +301,13 @@ def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] 
     if config.epochs > 0 and (rows < MIN_EVAL_ROWS or rows <= config.k):
         raise ConfigError(f"evaluation needs at least {MIN_EVAL_ROWS} rows and more than "
                           f"k={config.k}, got {rows}")
+    return train_images, eval_images
+
+
+def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] = None,
+          eval_every: int = 1) -> TrainState:
+    """Shuffled mini-batch epochs with a MetricsReport per evaluated epoch."""
+    train_images, eval_images = check_training_inputs(config, dataset, eval_dataset, eval_every)
     state = init_state(config)
     train_ds = Dataset(train_images, dict(dataset.metadata))
     plan = BatchPlan(config.batch_size, derive_seed(config.seed, "data"), drop_last=True)

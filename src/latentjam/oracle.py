@@ -135,7 +135,7 @@ def _draw_jammer(spec: OracleSpec, strategy: LinearStrategy, shape, rng: Rng) ->
         # The certificate form beta*(n - x) realized with the jammer's own
         # independent draws; in law this is N(0, beta^2 (sigma_n^2 + sigma_x^2)).
         x_own = np.sqrt(spec.sigma_x_sq) * rng.normal(shape)
-        n_own = np.sqrt(spec.sigma_n_sq) * rng.normal(shape)
+        n_own = np.sqrt(spec.sigma_n_sq) * rng.normal(shape) if spec.sigma_n_sq > 0 else 0.0
         return param * (n_own - x_own)
     raise ConfigError(f"unknown jammer family '{family}'")
 
@@ -305,13 +305,43 @@ def matching_samples(spec: OracleSpec, jammer: tuple, samples: int, seed: int):
     return x, n + z
 
 
-def _log_cf_slope(column: np.ndarray, t: float, h: float) -> complex:
-    """Central difference of log E[exp(i w column)] at w = t."""
-    f_hi = np.mean(np.exp(1j * (t + h) * column))
-    f_lo = np.mean(np.exp(1j * (t - h) * column))
-    if abs(f_hi) < 0.1 or abs(f_lo) < 0.1:
-        raise NumericError(f"characteristic function magnitude below 0.1 near w={t}; grid too wide")
-    return (np.log(f_hi) - np.log(f_lo)) / (2.0 * h)
+def _cis(arg: np.ndarray) -> np.ndarray:
+    """exp(i arg) from one real cosine and one real sine."""
+    out = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _log_cf_slopes(column: np.ndarray, radii, h: float) -> list:
+    """Central differences of log E[exp(i w column)] at w = t for each t in radii.
+
+    By angle addition exp(i(t + h)x) = exp(itx) exp(ihx) and exp(i(t - h)x) =
+    exp(itx) conj(exp(ihx)), so each mean is one complex dot product (the four
+    real products cos tx cos hx, sin tx sin hx, sin tx cos hx, cos tx sin hx).
+    exp(itx) steps from the previous radius by the same product with exp(igx),
+    whose cosine and sine are evaluated only when the gap g changes.
+    """
+    n = column.size
+    e_h = _cis(h * column)
+    e_t, e_gap, t_prev, g_prev = np.ones(n, dtype=np.complex128), None, 0.0, None
+    slopes = []
+    for t in radii:
+        if t != t_prev:
+            if t - t_prev != g_prev:
+                g_prev = t - t_prev
+                e_gap = _cis(g_prev * column)
+            e_t *= e_gap
+            t_prev = t
+        if t == 0:
+            f_hi = complex(e_h.mean())
+            f_lo = f_hi.conjugate()
+        else:
+            f_hi, f_lo = complex(e_t @ e_h) / n, complex(np.vdot(e_h, e_t)) / n
+        if abs(f_hi) < 0.1 or abs(f_lo) < 0.1:
+            raise NumericError(f"characteristic function magnitude below 0.1 near w={t}; grid too wide")
+        slopes.append((np.log(f_hi) - np.log(f_lo)) / (2.0 * h))
+    return slopes
 
 
 def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
@@ -320,7 +350,11 @@ def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
 
     A = Sigma Q_X^T X and B = Q_Z^T (N+Z); both log-CFs are quadratic with
     ratio exactly S when the jammer-plus-noise is Gaussian matched to the
-    source, so the residual is a direct linearity-of-estimation probe.
+    source, so the residual is a direct linearity-of-estimation probe. The
+    log-CF slopes are central differences of step h. The empirical CF at
+    t +- h is built by angle addition from cos and sin of tx and hx, one
+    complex dot product each and no complex exponential; at t = 0 the value
+    at -h is the conjugate of the value at +h.
     """
     x = np.asarray(samples_x, dtype=np.float64)
     zn = np.asarray(samples_zn, dtype=np.float64)
@@ -332,8 +366,8 @@ def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
     h = matching.step
     worst = 0.0
     for i in range(a.shape[1]):
-        for t in matching.radii:
-            lhs = _log_cf_slope(a[:, i], t, h)
-            rhs = _log_cf_slope(b[:, i], t, h)
-            worst = max(worst, abs(lhs - s[i] * rhs))
+        lhs = _log_cf_slopes(a[:, i], matching.radii, h)
+        rhs = _log_cf_slopes(b[:, i], matching.radii, h)
+        for l_t, r_t in zip(lhs, rhs):
+            worst = max(worst, abs(l_t - s[i] * r_t))
     return worst

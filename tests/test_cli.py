@@ -340,6 +340,21 @@ def test_exit_2_before_training_when_evaluation_cannot_score(tmp_path, monkeypat
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("lines", [
+    ["data.count = 60"],
+    ["data.count = 150", "game.k = 200"],
+    ["game.batch_size = 512"],
+    ["run.eval_every = 0"],
+], ids=["60-rows", "k-200-on-150-rows", "batch-over-rows", "eval-every-0"])
+def test_rejected_dataset_leaves_no_output_dir(tmp_path, lines):
+    keys = {line.split("=")[0].strip() for line in lines}
+    out = tmp_path / "rejected"
+    kept = [l for l in SMALL_TRAIN.format(out=out).split("\n")
+            if l.split("=")[0].strip() not in keys]
+    assert main(["train", write_cfg(tmp_path, "\n".join(kept + lines) + "\n")]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["invalid_utf8", "directory"])
 def test_exit_2_unreadable_config(tmp_path, kind, capsys):
     if kind == "invalid_utf8":

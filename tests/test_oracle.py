@@ -18,7 +18,7 @@ from latentjam.oracle import (
     saddle_verify,
     scalar_saddle_distortion,
 )
-from latentjam.rng import derive_seed
+from latentjam.rng import Rng, derive_seed
 
 
 # ============================================================
@@ -190,6 +190,30 @@ def test_mc_scaled_source_jammer_achieves_saddle_value():
     assert abs(gauss.value - d_star) / d_star < 0.01
 
 
+def test_scaled_source_row_without_channel_noise_rebuilt_from_its_streams(monkeypatch):
+    # at sigma_n^2 = 0 the jammer is beta * (0 - x_own): one normal draw per entry
+    spec = OracleSpec(2.0, 1.0, 1.0, 0.0, k=2)
+    beta = spec.theoretical_beta(0.5)
+    strategy = LinearStrategy(0.7, "optimal", ("scaled_source", beta))
+    draws = []
+    real_normal = Rng.normal
+
+    def counted_normal(self, shape=()):
+        draws.append(shape)
+        return real_normal(self, shape)
+
+    monkeypatch.setattr(Rng, "normal", counted_normal)
+    res = mc_game_value(spec, strategy, 40_000, seed=11)
+    monkeypatch.undo()
+    assert draws == [(20_000, 2), (20_000, 2)]
+    rng = Rng(11)
+    x = np.sqrt(2.0) * rng.spawn("x").normal((20_000, 2))
+    z = beta * (0.0 - np.sqrt(2.0) * rng.spawn("z").normal((20_000, 2)))
+    gamma = resolve_decoder_gain(spec, strategy)
+    err = x - gamma * (0.7 * x + z)
+    assert res.value == float((err * err).mean())
+
+
 def test_mc_multidim_row_split():
     spec = OracleSpec(k=8)
     res = mc_game_value(spec, saddle_strategy(spec), 80_000, seed=6)
@@ -340,6 +364,50 @@ def test_matching_cf_magnitude_guard():
     x, zn = matching_samples(spec, ("gaussian", spec.P_a), 200_000, seed=2)
     with pytest.raises(NumericError, match="0.1"):
         matching_residual(x, zn, wide)
+
+
+def _reference_log_cf_slope(column, t, h):
+    """Complex-exponential central difference of log E[exp(i w column)] at w = t."""
+    f_hi = np.mean(np.exp(1j * (t + h) * column))
+    f_lo = np.mean(np.exp(1j * (t - h) * column))
+    return (np.log(f_hi) - np.log(f_lo)) / (2.0 * h)
+
+
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("radii", [(0.0, 0.3, 0.75, 1.0), (0.0,)], ids=["grid", "origin"])
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_matching_residual_matches_complex_exponential_reference(family, radii):
+    spec = OracleSpec(1.0, 1.0, 1.0, 0.0, k=2)
+    m = MatchingSpec(sigma=np.array([0.8, 1.3]), lambda_x=np.array([1.0, 0.7]),
+                     lambda_z=np.array([1.2, 0.9]), q_x=_rotation(0.3), q_z=_rotation(1.1),
+                     radii=radii)
+    x, zn = matching_samples(spec, (family, spec.P_a), 200_000, seed=5)
+    x = x + np.array([0.1, -0.2])  # a nonzero mean gives the slope at t = 0 a real size
+    a = (x @ m.q_x) * m.sigma
+    b = zn @ m.q_z
+    expected = max(abs(_reference_log_cf_slope(a[:, i], t, m.step)
+                       - m.s_diag[i] * _reference_log_cf_slope(b[:, i], t, m.step))
+                   for i in range(2) for t in m.radii)
+    got = matching_residual(x, zn, m)
+    assert abs(got - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("wide", ["source", "noise"])
+def test_matching_cf_magnitude_guard_either_block_rotated(wide):
+    spec = OracleSpec(1.0, 1.0, 1.0, 0.0, k=2)
+    m = MatchingSpec(sigma=np.array([0.8, 1.3]), lambda_x=np.ones(2), lambda_z=np.ones(2),
+                     q_x=_rotation(0.3), q_z=_rotation(1.1))
+    x, zn = matching_samples(spec, ("gaussian", spec.P_a), 200_000, seed=2)
+    if wide == "source":
+        x = 6.0 * x
+    else:
+        zn = 6.0 * zn
+    with pytest.raises(NumericError, match="0.1"):
+        matching_residual(x, zn, m)
 
 
 def test_matching_separates_families_consistently():
