@@ -9,6 +9,9 @@ graph code without recording: evaluation and generation use it, so each
 computation is defined once and inference holds no intermediate values.
 
 Each op's forward and backward rules sit together in one `_OPS` entry.
+A dense layer is one `affine` node, x @ w.T + b: one kept value and one
+finiteness check per layer, with the value and gradients of
+`x @ transpose(w) + b` bit for bit.
 
 Node values may share memory: `transpose` records a view of its input,
 and leaves hold the caller's arrays, so an in-place parameter update
@@ -24,6 +27,10 @@ downstream. The check reduces each array to its sum first, which is
 finite whenever every element is finite and not finite whenever any
 element is NaN or +-inf; only a non-finite sum (a bad element, or a
 finite array whose sum overflows) pays for the elementwise scan.
+
+`adam_step` runs the whole-array Adam formula on cache-sized blocks of
+axis-0 slices, with the same operations in the same order per element, so
+its bits are those of the whole-array formula.
 """
 
 from __future__ import annotations
@@ -190,6 +197,20 @@ def _matmul(v, a):
     return v[0] @ v[1]
 
 
+def _affine(v, a):
+    x, w, b = v
+    _require_2d("affine", x.shape, w.shape)
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"op 'affine' inner dims differ: {x.shape} @ {w.shape}.T")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"op 'affine' needs a bias of shape ({w.shape[0]},), got {b.shape}")
+    # the product keeps the transposed view: a C-ordered copy of w.T can run
+    # another BLAS kernel and move the last bits
+    out = x @ w.T
+    out += b
+    return out
+
+
 def _matrix_op(op: str, fn):
     """Forward of a one-operand op defined on 2-D values only."""
     def forward(v, a):
@@ -228,6 +249,9 @@ _OPS = {
     # reached through `transpose` gets its gradient C-ordered like itself
     "matmul": (_matmul, lambda g, v, out, a, i: g @ v[1].T if i == 0 else (g.T @ v[0]).T),
     "transpose": (_matrix_op("transpose", lambda x, a: x.T), lambda g, v, out, a, i: g.T),
+    # x @ w.T + b; bit for bit the value and gradients of x @ transpose(w) + b
+    "affine": (_affine, lambda g, v, out, a, i: g @ v[1] if i == 0 else g.T @ v[0] if i == 1
+               else g.sum(axis=0)),
     "relu": (lambda v, a: np.maximum(v[0], 0.0), lambda g, v, out, a, i: g * (v[0] > 0.0)),
     "tanh": (lambda v, a: np.tanh(v[0]), lambda g, v, out, a, i: g * (1.0 - out * out)),
     "sigmoid": (_sigmoid, lambda g, v, out, a, i: g * out * (1.0 - out)),
@@ -253,6 +277,11 @@ _OPS = {
 # ============================================================
 # Public graph functions
 # ============================================================
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One dense layer, x @ w.T + b, as one node; w is (out, in) and b is (out,)."""
+    return x.tape.apply("affine", [x, w, b])
 
 
 def relu(t: Tensor) -> Tensor:
@@ -319,13 +348,20 @@ def forward_eval(tape: Tape, inputs: dict) -> dict:
     """Replay the tape with rebound named inputs; returns marked outputs.
 
     With inputs identical to the recorded ones, outputs are bit-identical
-    to the recorded values (same ops, same order, same dtype).
+    to the recorded values (same ops, same order, same dtype). A name that
+    matches no input node raises `ConfigError`; a rebound value must keep
+    its recorded shape, else `ShapeError`.
     """
+    unknown = set(inputs) - {node.attrs["name"] for node in tape.nodes if node.op == "input"}
+    if unknown:
+        raise ConfigError(f"replay given values for unknown inputs {sorted(unknown)}")
     values: list[np.ndarray] = []
     for idx, node in enumerate(tape.nodes):
         if node.op == "input":
             name = node.attrs["name"]
             v = np.asarray(inputs.get(name, node.value), dtype=np.float64)
+            if v.shape != node.value.shape:
+                raise ShapeError(f"input '{name}' recorded as {node.value.shape}, rebound as {v.shape}")
         elif node.op == "const":
             v = node.value
         else:
@@ -395,6 +431,10 @@ def _depends_on(tape: Tape, wrt_ids: set, last: int) -> list:
 # ============================================================
 
 
+# elements per Adam block: 128 KiB of float64, so a block's six operands fit in a 2 MiB L2
+_ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamState:
     """Moment buffers plus hyperparameters for one family of parameters."""
@@ -409,11 +449,18 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One Adam update with bias correction; params are updated in place."""
+    """One Adam update with bias correction; params are updated in place.
+
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as 14 elementwise
+    operations per block of about `_ADAM_BLOCK` elements, in that order.
+    """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    # a row wider than a block is a block of its own
+    size = max([_ADAM_BLOCK, *(p[0].size for p in params.values())])
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -424,9 +471,22 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         v = state.second_moment.get(name)
         if v is None:
             v = state.second_moment[name] = np.zeros_like(p)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        step = max(1, _ADAM_BLOCK // p[0].size)
+        for lo in range(0, p.shape[0], step):
+            pb, gb, mb, vb = p[lo:lo + step], g[lo:lo + step], m[lo:lo + step], v[lo:lo + step]
+            a, b = (s[:pb.size].reshape(pb.shape) for s in (scratch_a, scratch_b))
+            mb *= state.beta1
+            np.multiply(gb, 1.0 - state.beta1, out=a)
+            mb += a
+            vb *= state.beta2
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - state.beta2
+            vb += a
+            np.divide(mb, bc1, out=a)
+            a *= state.lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += state.epsilon
+            a /= b
+            pb -= a
     return params

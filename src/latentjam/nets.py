@@ -147,7 +147,7 @@ def mlp_forward_graph(bound: BoundMlp, x: Tensor) -> Tensor:
     h = x
     last = len(p.weights) - 1
     for i in range(len(p.weights)):
-        h = h @ ad.transpose(bound.nodes[f"W{i}"]) + bound.nodes[f"b{i}"]
+        h = ad.affine(h, bound.nodes[f"W{i}"], bound.nodes[f"b{i}"])
         if i < last:
             h = act(h)
     if p.skip is not None:

@@ -130,9 +130,11 @@ def test_fd_check_every_op():
     rng = Rng(77)
     xv = 0.4 * rng.normal((4, 3)) + 0.1
     wv = 0.5 * rng.normal((3, 3))
+    bv = 0.3 * rng.normal((3,))
     tape = Tape()
     x = tape.input("x", xv)
     w = tape.input("w", wv)
+    b = tape.input("b", bv)
     h = x @ w + 1.0
     parts = [
         ad.relu(h + 3.0),          # shifted well clear of zero
@@ -143,6 +145,7 @@ def test_fd_check_every_op():
         ad.clip(h, -10.0, 10.0),
         -h / 2.0,
         ad.transpose(ad.transpose(h)),
+        ad.affine(h, w, b) - h,
     ]
     loss = None
     for part in parts:
@@ -150,9 +153,13 @@ def test_fd_check_every_op():
         term = ad.mean_all(ad.square(ad.slice_cols(q, 1, 3))) + ad.sum_all(ad.mean_cols(q)) \
             + ad.mean_all(ad.sum_rows(q))
         loss = term if loss is None else loss + term
-    gx, gw = backward_grads(tape, loss, [x, w])
+    # a new op cannot land without a finite-difference check; detach has its own tests
+    unchecked = set(ad._OPS) - {"detach"} - {node.op for node in tape.nodes}
+    assert not unchecked, sorted(unchecked)
+    gx, gw, gb = backward_grads(tape, loss, [x, w, b])
     assert rel_err(fd_gradient(tape, loss, "x", xv), gx) <= 1e-4
     assert rel_err(fd_gradient(tape, loss, "w", wv), gw) <= 1e-4
+    assert rel_err(fd_gradient(tape, loss, "b", bv), gb) <= 1e-4
 
 
 def test_fd_check_random_small_mlps():
@@ -257,6 +264,49 @@ def test_transposed_weight_gradient_is_c_contiguous():
     assert gw.shape == (3, 7) and gw.flags["C_CONTIGUOUS"]
 
 
+@pytest.mark.parametrize("m,n,d", [(128, 784, 512), (128, 64, 8)])
+def test_affine_equals_transpose_matmul_add_chain(m, n, d):
+    rng = Rng(37)
+    values = {"x": rng.normal((m, n)), "w": rng.normal((d, n)) / np.sqrt(n), "b": rng.normal((d,))}
+
+    def record(fused):
+        tape = Tape()
+        ins = {name: tape.input(name, v) for name, v in values.items()}
+        out = ad.affine(ins["x"], ins["w"], ins["b"]) if fused \
+            else ins["x"] @ ad.transpose(ins["w"]) + ins["b"]
+        tape.mark_output("out", out)
+        loss = tape.mark_output("loss", ad.mean_all(ad.square(ad.tanh(out))))
+        return tape, ins, out, loss
+
+    tape, ins, out, loss = record(fused=True)
+    ref_tape, ref_ins, ref_out, ref_loss = record(fused=False)
+    assert [node.op for node in tape.nodes].count("affine") == 1
+    assert np.array_equal(out.value, ref_out.value)
+    for subset in (["x", "w", "b"], ["x"], ["w"], ["b"], ["x", "w"], ["x", "b"], ["w", "b"]):
+        got = backward_grads(tape, loss, [ins[name] for name in subset])
+        want = backward_grads(ref_tape, ref_loss, [ref_ins[name] for name in subset])
+        for name, g, ref in zip(subset, got, want):
+            assert np.array_equal(g, ref), (subset, name)
+            assert g.flags["C_CONTIGUOUS"] == ref.flags["C_CONTIGUOUS"], (subset, name)
+    replayed = forward_eval(tape, values)
+    assert np.array_equal(replayed["out"], out.value)
+    assert np.array_equal(replayed["loss"], loss.value)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape,match", [
+    ((4, 3), (2, 5), (2,), "inner dims"),
+    ((4, 3), (2, 3), (3,), "bias"),
+    ((4, 3), (2, 3), (1, 2), "bias"),
+    ((3,), (2, 3), (2,), "2-D"),
+])
+def test_affine_shape_errors(x_shape, w_shape, b_shape, match):
+    tape = Tape()
+    x, w, b = (tape.const(np.ones(s)) for s in (x_shape, w_shape, b_shape))
+    with pytest.raises(ShapeError, match=f"op 'affine'.*{match}"):
+        ad.affine(x, w, b)
+    assert len(tape.nodes) == 3
+
+
 # ============================================================
 # Replay
 # ============================================================
@@ -294,6 +344,24 @@ def test_replay_with_new_input():
     tape.mark_output("y", y)
     out = forward_eval(tape, {"x": np.array([[3.0, 4.0]])})["y"]
     assert out[0] == 25.0
+
+
+def test_replay_rejects_unknown_input_name():
+    tape = Tape()
+    x = tape.input("x", np.array([[1.0, 2.0]]))
+    tape.mark_output("y", ad.sum_all(ad.square(x)))
+    with pytest.raises(ConfigError, match=r"unknown inputs \['X'\]"):
+        forward_eval(tape, {"x": np.array([[3.0, 4.0]]), "X": np.array([[3.0, 4.0]])})
+
+
+def test_replay_rejects_rebound_shape():
+    # (4, 3) would broadcast against the recorded (3,) and replay silently
+    tape = Tape()
+    x = tape.const(np.ones((4, 3)))
+    b = tape.input("b", np.zeros(3))
+    tape.mark_output("y", ad.sum_all(x + b))
+    with pytest.raises(ShapeError, match=r"'b' recorded as \(3,\), rebound as \(4, 3\)"):
+        forward_eval(tape, {"b": np.zeros((4, 3))})
 
 
 def test_replay_rejects_nonfinite():
@@ -490,3 +558,42 @@ def test_adam_moments_match_param_shapes():
     adam_step(p, g, state)
     assert state.first_moment["w"].shape == (2, 3)
     assert state.second_moment["b"].shape == (3,)
+
+
+def _adam_reference(p, m, v, g, t, lr, beta1, beta2, eps):
+    """The whole-array Adam update that the blocked `adam_step` must reproduce bit for bit."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+
+
+# block edges: one element, one block less one, exactly one, one more, the f and r
+# weights, and a single row wider than a block
+_ADAM_SHAPES = [(1,), (16383,), (16384,), (16385,), (512, 784), (784, 512), (1, 20000)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("grad_kind", ["C", "F", "broadcast"])
+def test_blocked_adam_equals_whole_array_reference(order, grad_kind):
+    rng = Rng(41)
+    names = [f"p{i}" for i in range(len(_ADAM_SHAPES))]
+    params = {name: np.asarray(rng.normal(s), order=order) for name, s in zip(names, _ADAM_SHAPES)}
+    ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    state = AdamState(lr=3e-3)
+    for t in range(1, 5):
+        grads = {}
+        for name, shape in zip(names, _ADAM_SHAPES):
+            if grad_kind == "broadcast":
+                g = np.broadcast_to(rng.normal((1,) + shape[1:]), shape)
+            else:
+                g = np.asarray(rng.normal(shape), order=grad_kind)
+            grads[name] = g
+            _adam_reference(*ref[name], g, t, state.lr, state.beta1, state.beta2, state.epsilon)
+        adam_step(params, grads, state)
+        for name in names:
+            p_ref, m_ref, v_ref = ref[name]
+            assert np.array_equal(params[name], p_ref), (t, name)
+            assert np.array_equal(state.first_moment[name], m_ref), (t, name)
+            assert np.array_equal(state.second_moment[name], v_ref), (t, name)

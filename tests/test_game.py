@@ -442,7 +442,7 @@ def test_train_rewraps_evaluation_numeric_errors_with_epoch(monkeypatch):
     ds = synth_source("gaussian", 128, 3, seed=3)
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match=r"^epoch 1, evaluation: non-finite value out of "
-                                               r"op 'matmul' on a record-free tape$"):
+                                               r"op 'affine' on a record-free tape$"):
             train(small_cfg(epochs=1), ds)
 
 

@@ -130,7 +130,7 @@ def test_forward_of_1d_input_is_shape_error():
 def test_forward_overflow_names_the_op_on_record_free_tape():
     p = linear_net(np.full((1, 2), 1e300))
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericError, match="^non-finite value out of op 'matmul' on a record"):
+        with pytest.raises(NumericError, match="^non-finite value out of op 'affine' on a record"):
             mlp_apply(p, np.full((1, 2), 1e300))
 
 
