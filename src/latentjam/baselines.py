@@ -1,45 +1,25 @@
-"""KL and MMD latent regularizers: estimators and the losses they train on.
+"""KL and MMD latent regularizers: estimators and their graph builders.
 
 The variational path splits f's output into (mu, log sigma^2), samples by
 reparameterization, and adds the closed-form KL to N(0, I). The MMD path
 keeps f deterministic, power-normalizes its output, and penalizes the
 unbiased IMQ-kernel MMD^2 against a fresh prior sample. Both exist so the
-adversarial run can be compared against like-for-like alternatives; their
-(f, r) update is `game.baseline_train_step`.
+adversarial run can be compared against like-for-like alternatives: each
+is a regularizer term in `game.train_step`'s (f, r) update. The numpy
+estimators are the references the graph builders are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .nets import BoundMlp, power_normalize
 from .rng import Rng
 
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
-
-
-@dataclass
-class Regularizer:
-    """kind "kl" or "mmd", its weight, and the IMQ kernel constant."""
-
-    kind: str
-    weight: float
-    mmd_scale: Optional[float] = None  # resolved to 2k when unset
-
-    def __post_init__(self):
-        if self.kind not in ("kl", "mmd"):
-            raise ConfigError(f"unknown regularizer kind '{self.kind}'")
-        if self.weight < 0:
-            raise ConfigError("regularizer weight must be >= 0")
-        if self.mmd_scale is not None and self.mmd_scale <= 0:
-            raise ConfigError("IMQ kernel constant must be > 0")
 
 
 # ============================================================
@@ -139,27 +119,3 @@ def vae_sample(head: Tensor, k: int, rng: Rng) -> tuple:
     log_var = ad.clip(ad.slice_cols(head, k, 2 * k), LOG_VAR_MIN, LOG_VAR_MAX)
     eps = head.tape.const(rng.normal(mu.shape))
     return mu + ad.exp(log_var * 0.5) * eps, mu, log_var
-
-
-def baseline_losses(tape: Tape, f_bound: BoundMlp, r_bound: BoundMlp, d_batch: np.ndarray,
-                    reg: Regularizer, P_a: float, k: int, noise_rng: Rng) -> dict:
-    """Record reconstruction + weighted regularizer onto the tape.
-
-    Returns tensors: total, recon, reg_term, z. The kl path leaves z
-    unnormalized (the KL already anchors its scale); the mmd path
-    power-normalizes z exactly like the adversarial run.
-    """
-    d = tape.const(d_batch)
-    m = d_batch.shape[0]
-    if reg.kind == "kl":
-        z, mu, log_var = vae_sample(f_bound(d), k, noise_rng)
-        reg_term = kl_diag_gaussian_graph(mu, log_var)
-    else:
-        z = power_normalize(f_bound(d), P_a)
-        scale = reg.mmd_scale if reg.mmd_scale is not None else 2.0 * k
-        prior = tape.const(noise_rng.normal((m, k)))
-        reg_term = mmd_imq_graph(z, prior, scale)
-    d_hat = r_bound(z)
-    recon = ad.mean_all(ad.square(d - d_hat))
-    total = recon + reg.weight * reg_term
-    return {"total": total, "recon": recon, "reg_term": reg_term, "z": z}

@@ -15,6 +15,7 @@ sets verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -28,7 +29,7 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)
 from .game import GameConfig, TrainState, check_training_inputs, train
 from .metrics import CSV_HEADER
-from .nets import MlpParams, mlp_apply
+from .nets import ROLE_TRAITS, MlpParams, mlp_apply
 from .oracle import (OracleSpec, isotropic_matching, matching_residual,
                      matching_samples, mc_game_value, saddle_strategy,
                      saddle_verify, scalar_saddle_distortion)
@@ -134,18 +135,8 @@ def _load_datasets(data_cfg: dict, game_seed: int):
 
 def _resolved_config_text(config: GameConfig, data_cfg: dict, run_cfg: dict) -> str:
     lines = ["# resolved configuration, every default materialized"]
-    game_fields = {
-        "k": config.k, "n": config.n, "P_t": config.P_t, "P_a": config.P_a,
-        "sigma_n_sq": config.sigma_n_sq, "eta": config.eta,
-        "regularizer": config.regularizer, "batch_size": config.batch_size,
-        "epochs": config.epochs, "lr": config.lr,
-        "jscc_steps_per_data_step": config.jscc_steps_per_data_step,
-        "seed": config.seed, "jscc_hidden": config.jscc_hidden,
-        "data_hidden": config.data_hidden,
-        "lambda_weight": config.resolved_lambda(),
-        "mmd_scale": config.mmd_scale if config.mmd_scale is not None else 2.0 * config.k,
-        "check_gradients": str(config.check_gradients).lower(),
-    }
+    game_fields = dataclasses.asdict(config)
+    game_fields["check_gradients"] = str(config.check_gradients).lower()
     for key in sorted(game_fields):
         lines.append(f"game.{key}={game_fields[key]}")
     for key in sorted(data_cfg):
@@ -158,14 +149,6 @@ def _resolved_config_text(config: GameConfig, data_cfg: dict, run_cfg: dict) -> 
 # ============================================================
 # Checkpoints
 # ============================================================
-
-_NET_TRAITS = {
-    # hidden activation, output activation, has linear skip
-    "f": ("relu", "identity", False),
-    "r": ("relu", "sigmoid", False),
-    "g": ("relu", "identity", True),
-    "h": ("relu", "identity", True),
-}
 
 
 def save_checkpoint(path, state: TrainState) -> None:
@@ -226,11 +209,11 @@ def _parse_checkpoint(buf: bytes) -> dict:
         offset += 4
         dims = list(struct.unpack_from(f"<{ndims}I", buf, offset))
         offset += 4 * ndims
-        if name not in _NET_TRAITS:
+        if name not in ROLE_TRAITS:
             raise CheckpointError(f"unknown network name '{name}' in checkpoint")
         if len(dims) < 2 or min(dims) < 1:
             raise CheckpointError(f"network '{name}' has invalid layer dims {dims}")
-        hidden_act, out_act, has_skip = _NET_TRAITS[name]
+        hidden_act, out_act, has_skip = ROLE_TRAITS[name]
         weights, biases = [], []
         for d_in, d_out in zip(dims[:-1], dims[1:]):
             w, offset = _read_floats(buf, offset, (d_out, d_in))

@@ -14,9 +14,10 @@ updates of (g, h), each on its own tape that reads z as a constant, fresh x
 each sub-step; (b) one update of (f, r) with gradients flowing through z
 into the frozen (g, h) channel, fresh x again. f is not updated in (a) and
 its forward draws no randomness, so (a) sees the z that (b) trains through.
-The none control is phase (b) without the channel term; kl and mmd
-(`baseline_train_step`) are the same (f, r) update with a regularizer in
-its place. Every update goes through one gradient-and-Adam helper.
+The none control is phase (b) without the channel term; kl and mmd are
+the same (f, r) update with `lambda_weight` times their regularizer in its
+place, so all four regularizers share one step. Every update goes through
+one gradient-and-Adam helper.
 
 Evaluation runs the same graph code on record-free tapes: f's latent goes
 through `power_normalize` (or the shared VAE sampler for kl), the decoder
@@ -35,7 +36,6 @@ import numpy as np
 from . import autodiff as ad
 from . import baselines
 from .autodiff import AdamState, EagerTape, Tape, Tensor, adam_step, backward_grads
-from .baselines import Regularizer
 from .data_io import BatchPlan, Dataset, batches
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MIN_EVAL_ROWS, MetricsReport, evaluate_latents
@@ -65,14 +65,18 @@ class GameConfig:
     seed: int = 0
     jscc_hidden: int = 64
     data_hidden: int = 512
-    lambda_weight: Optional[float] = None  # kl -> 1.0, mmd -> 10.0 when unset
+    lambda_weight: Optional[float] = None  # kl -> 1.0, else 10.0 when unset
     mmd_scale: Optional[float] = None      # -> 2k when unset
     check_gradients: bool = True
 
     def __post_init__(self):
+        if self.lambda_weight is None:
+            self.lambda_weight = 1.0 if self.regularizer == "kl" else 10.0
+        if self.mmd_scale is None:
+            self.mmd_scale = 2.0 * self.k
         for name in ("P_t", "P_a", "sigma_n_sq", "eta", "lr", "lambda_weight", "mmd_scale"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr < 0 or self.epochs < 0:
             raise ConfigError("lr and epochs must be >= 0")
@@ -90,14 +94,10 @@ class GameConfig:
             raise ConfigError(f"regularizer must be one of {REGULARIZERS}")
         if self.jscc_steps_per_data_step < 1:
             raise ConfigError("jscc_steps_per_data_step must be >= 1")
-
-    def resolved_lambda(self) -> float:
-        if self.lambda_weight is not None:
-            return self.lambda_weight
-        return 1.0 if self.regularizer == "kl" else 10.0
-
-    def make_regularizer(self) -> Regularizer:
-        return Regularizer(self.regularizer, self.resolved_lambda(), self.mmd_scale)
+        if self.lambda_weight < 0:
+            raise ConfigError("lambda_weight must be >= 0")
+        if self.mmd_scale <= 0:
+            raise ConfigError("mmd_scale must be > 0")
 
 
 @dataclass
@@ -191,9 +191,7 @@ def _assert_unchanged(nets: NetworkRoles, before: dict, phase: str) -> None:
 
 
 def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> TrainState:
-    """One aj alternation, or one none step; see the module docstring for the schedule."""
-    if config.regularizer not in ("aj", "none"):
-        raise ConfigError("train_step runs aj and none; kl and mmd use baseline_train_step")
+    """One (f, r) update for any regularizer; see the module docstring for the schedule."""
     if d_batch.shape[1] != config.n:
         raise ShapeError(f"batch has n={d_batch.shape[1]}, config says {config.n}")
     nets = state.networks
@@ -202,8 +200,19 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
     f_b = BoundMlp(tape, nets.f, "f", trainable=True)
     r_b = BoundMlp(tape, nets.r, "r", trainable=True)
     d = tape.const(d_batch)
-    z = power_normalize(f_b(d), config.P_a)
+    reg = None
+    # kl and mmd record the regularizer before r(z): backward sums z's gradients in this order
+    if config.regularizer == "kl":
+        z, mu, log_var = baselines.vae_sample(f_b(d), config.k, state.streams["noise"])
+        reg = baselines.kl_diag_gaussian_graph(mu, log_var)
+    else:
+        z = power_normalize(f_b(d), config.P_a)
+        if config.regularizer == "mmd":
+            prior = tape.const(state.streams["noise"].normal((m, config.k)))
+            reg = baselines.mmd_imq_graph(z, prior, config.mmd_scale)
     loss = ad.mean_all(ad.square(d - r_b(z)))
+    if reg is not None:
+        loss = loss + config.lambda_weight * reg
     frozen: dict = {}
     if config.regularizer == "aj":
         # (a) the auxiliary pair learns against f's latent, read as a constant
@@ -228,16 +237,6 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
     _update(state, tape, loss, [f_b, r_b])
     _assert_unchanged(nets, frozen, "b")
     return state
-
-
-def baseline_train_step(state: TrainState, d_batch: np.ndarray, reg: Regularizer,
-                        P_a: float, k: int) -> None:
-    """One Adam update of (f, r) on MSE + weight * regularizer (kl or mmd)."""
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
-    r_b = BoundMlp(tape, state.networks.r, "r", trainable=True)
-    losses = baselines.baseline_losses(tape, f_b, r_b, d_batch, reg, P_a, k, state.streams["noise"])
-    _update(state, tape, losses["total"], [f_b, r_b])
 
 
 # ============================================================
@@ -311,14 +310,10 @@ def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] 
     state = init_state(config)
     train_ds = Dataset(train_images, dict(dataset.metadata))
     plan = BatchPlan(config.batch_size, derive_seed(config.seed, "data"), drop_last=True)
-    reg = config.make_regularizer() if config.regularizer in ("kl", "mmd") else None
     for epoch in range(1, config.epochs + 1):
         for step_idx, d_batch in enumerate(batches(train_ds, plan, epoch)):
             try:
-                if reg is None:
-                    train_step(state, d_batch, config)
-                else:
-                    baseline_train_step(state, d_batch, reg, config.P_a, config.k)
+                train_step(state, d_batch, config)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}, step {step_idx}: {err}") from err
         state.epoch = epoch

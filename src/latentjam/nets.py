@@ -178,19 +178,24 @@ def power_normalize(z: Tensor, target_power: float) -> Tensor:
     return centered * (np.sqrt(target_power) / ad.sqrt(var + POWER_EPS))
 
 
+# hidden activation, output activation, linear skip; the checkpoint reader uses these too
+ROLE_TRAITS = {
+    "f": ("relu", "identity", False),
+    "r": ("relu", "sigmoid", False),
+    "g": ("relu", "identity", True),
+    "h": ("relu", "identity", True),
+}
+
+
 def make_networks(k: int, n: int, jscc_hidden: int, regularizer: str, rng: Rng,
                   data_hidden: int = 512) -> NetworkRoles:
-    """Default architecture for one run.
+    """Default architecture for one run, with each role's traits from ROLE_TRAITS.
 
-    f: [n, data_hidden, k_out] relu, identity out (k_out = 2k for the
-    variational head, else k); r: [k, data_hidden, n] relu, sigmoid out;
-    g, h: [k, jscc_hidden, k] relu, identity out, with linear skip.
+    f: [n, data_hidden, k_out] (k_out = 2k for the variational head, else
+    k); r: [k, data_hidden, n]; g, h: [k, jscc_hidden, k], only for aj.
     """
-    f_out = 2 * k if regularizer == "kl" else k
-    f = init_params([n, data_hidden, f_out], rng.spawn("init/f"))
-    r = init_params([k, data_hidden, n], rng.spawn("init/r"), output_activation="sigmoid")
+    dims = {"f": [n, data_hidden, 2 * k if regularizer == "kl" else k], "r": [k, data_hidden, n]}
     if regularizer == "aj":
-        g = init_params([k, jscc_hidden, k], rng.spawn("init/g"), linear_skip=True)
-        h = init_params([k, jscc_hidden, k], rng.spawn("init/h"), linear_skip=True)
-        return NetworkRoles(f, r, g, h)
-    return NetworkRoles(f, r)
+        dims["g"] = dims["h"] = [k, jscc_hidden, k]
+    return NetworkRoles(**{role: init_params(d, rng.spawn(f"init/{role}"), *ROLE_TRAITS[role])
+                           for role, d in dims.items()})

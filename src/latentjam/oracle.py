@@ -124,20 +124,25 @@ def resolve_decoder_gain(spec: OracleSpec, strategy: LinearStrategy) -> float:
     return float(strategy.decoder_gain)
 
 
-def _draw_jammer(spec: OracleSpec, strategy: LinearStrategy, shape, rng: Rng) -> np.ndarray:
-    family, param = strategy.jammer
+def _draw_game(spec: OracleSpec, jammer: tuple, shape, rng: Rng):
+    """Source x, fixed noise n (0.0 when sigma_n^2 = 0) and jammer z from streams x, n, z."""
+    x = np.sqrt(spec.sigma_x_sq) * rng.spawn("x").normal(shape)
+    n = np.sqrt(spec.sigma_n_sq) * rng.spawn("n").normal(shape) if spec.sigma_n_sq > 0 else 0.0
+    family, param = jammer
+    z_rng = rng.spawn("z")
     if family == "gaussian":
-        return np.sqrt(param) * rng.normal(shape)
-    if family == "uniform":
-        half = np.sqrt(3.0 * param)
-        return half * (2.0 * rng.uniform(shape) - 1.0)
-    if family == "scaled_source":
+        z = np.sqrt(param) * z_rng.normal(shape)
+    elif family == "uniform":
+        z = np.sqrt(3.0 * param) * (2.0 * z_rng.uniform(shape) - 1.0)
+    elif family == "scaled_source":
         # The certificate form beta*(n - x) realized with the jammer's own
         # independent draws; in law this is N(0, beta^2 (sigma_n^2 + sigma_x^2)).
-        x_own = np.sqrt(spec.sigma_x_sq) * rng.normal(shape)
-        n_own = np.sqrt(spec.sigma_n_sq) * rng.normal(shape) if spec.sigma_n_sq > 0 else 0.0
-        return param * (n_own - x_own)
-    raise ConfigError(f"unknown jammer family '{family}'")
+        x_own = np.sqrt(spec.sigma_x_sq) * z_rng.normal(shape)
+        n_own = np.sqrt(spec.sigma_n_sq) * z_rng.normal(shape) if spec.sigma_n_sq > 0 else 0.0
+        z = param * (n_own - x_own)
+    else:
+        raise ConfigError(f"unknown jammer family '{family}'")
+    return x, n, z
 
 
 def mc_game_value(spec: OracleSpec, strategy: LinearStrategy, samples: int, seed: int) -> McResult:
@@ -145,12 +150,7 @@ def mc_game_value(spec: OracleSpec, strategy: LinearStrategy, samples: int, seed
     if samples < 10_000:
         raise ConfigError(f"mc_game_value needs >= 1e4 samples, got {samples}")
     strategy.check_feasible(spec)
-    rng = Rng(seed)
-    rows = max(2, samples // spec.k)
-    shape = (rows, spec.k)
-    x = np.sqrt(spec.sigma_x_sq) * rng.spawn("x").normal(shape)
-    n = np.sqrt(spec.sigma_n_sq) * rng.spawn("n").normal(shape) if spec.sigma_n_sq > 0 else 0.0
-    z = _draw_jammer(spec, strategy, shape, rng.spawn("z"))
+    x, n, z = _draw_game(spec, strategy.jammer, (max(2, samples // spec.k), spec.k), Rng(seed))
     gamma = resolve_decoder_gain(spec, strategy)
     err = x - gamma * (strategy.encoder_gain * x + n + z)
     sq = (err * err).ravel()
@@ -290,18 +290,9 @@ def isotropic_matching(spec: OracleSpec, kappa: Optional[float] = None,
 
 def matching_samples(spec: OracleSpec, jammer: tuple, samples: int, seed: int):
     """Draw (X, N+Z) sample blocks for matching_residual."""
-    rng = Rng(seed)
-    shape = (samples, spec.k)
-    x = np.sqrt(spec.sigma_x_sq) * rng.spawn("x").normal(shape)
-    n = np.sqrt(spec.sigma_n_sq) * rng.spawn("n").normal(shape) if spec.sigma_n_sq > 0 else 0.0
-    family, param = jammer
-    if family == "gaussian":
-        z = np.sqrt(param) * rng.spawn("z").normal(shape)
-    elif family == "uniform":
-        half = np.sqrt(3.0 * param)
-        z = half * (2.0 * rng.spawn("z").uniform(shape) - 1.0)
-    else:
-        raise ConfigError(f"unknown jammer family '{family}' for matching samples")
+    if jammer[0] not in ("gaussian", "uniform"):
+        raise ConfigError(f"unknown jammer family '{jammer[0]}' for matching samples")
+    x, n, z = _draw_game(spec, jammer, (samples, spec.k), Rng(seed))
     return x, n + z
 
 

@@ -1,23 +1,22 @@
-"""KL and MMD regularizers: estimators, graph twins, and the shared step."""
+"""KL and MMD regularizers: estimators, graph builders, and their training step."""
 
 import numpy as np
 import pytest
 
 from latentjam import autodiff as ad
-from latentjam.autodiff import Tape
+from latentjam.autodiff import EagerTape, Tape
 from latentjam.baselines import (
-    Regularizer,
-    baseline_losses,
     kl_diag_gaussian,
     kl_diag_gaussian_graph,
     mmd_imq,
     mmd_imq_graph,
     reparameterize,
+    vae_sample,
 )
 from latentjam.errors import ConfigError, ShapeError
-from latentjam.game import GameConfig, baseline_train_step, init_state, train_step
+from latentjam.game import GameConfig, init_state, train_step
 from latentjam.data_io import synth_source
-from latentjam.nets import BoundMlp
+from latentjam.nets import mlp_apply
 from latentjam.rng import Rng, derive_seed
 
 
@@ -197,51 +196,13 @@ def test_kl_graph_gradient_wrt_mu():
 
 
 def test_regularizer_validation():
-    with pytest.raises(ConfigError):
-        Regularizer("vae", 1.0)
-    with pytest.raises(ConfigError):
-        Regularizer("kl", -1.0)
-    with pytest.raises(ConfigError):
-        Regularizer("mmd", 1.0, mmd_scale=0.0)
-    assert Regularizer("mmd", 2.0).mmd_scale is None
-
-
-def test_baseline_losses_kl_head_width_guard():
-    config = GameConfig(k=2, n=4, regularizer="mmd", seed=0)  # mmd head is k wide
-    state = init_state(config)
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=False)
-    r_b = BoundMlp(tape, state.networks.r, "r", trainable=False)
-    batch = synth_source("gaussian", 8, 4, seed=0).images
-    with pytest.raises(ConfigError, match="2k"):
-        baseline_losses(tape, f_b, r_b, batch, Regularizer("kl", 1.0), 1.0, 2,
-                        state.streams["noise"])
-
-
-def test_baseline_losses_zero_weight_total_equals_recon():
-    config = GameConfig(k=2, n=4, regularizer="kl", seed=1)
-    state = init_state(config)
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=False)
-    r_b = BoundMlp(tape, state.networks.r, "r", trainable=False)
-    batch = synth_source("gaussian", 16, 4, seed=1).images
-    out = baseline_losses(tape, f_b, r_b, batch, Regularizer("kl", 0.0), 1.0, 2,
-                          state.streams["noise"])
-    assert float(np.asarray(out["total"].value).ravel()[0]) == \
-        float(np.asarray(out["recon"].value).ravel()[0])
-
-
-def test_baseline_losses_kl_latent_width():
-    config = GameConfig(k=3, n=5, regularizer="kl", seed=2)
-    state = init_state(config)
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=False)
-    r_b = BoundMlp(tape, state.networks.r, "r", trainable=False)
-    batch = synth_source("gaussian", 8, 5, seed=2).images
-    out = baseline_losses(tape, f_b, r_b, batch, Regularizer("kl", 1.0), 1.0, 3,
-                          state.streams["noise"])
-    assert out["z"].shape == (8, 3)
-    assert float(np.asarray(out["reg_term"].value).ravel()[0]) >= 0.0
+    with pytest.raises(ConfigError, match="regularizer"):
+        GameConfig(k=2, n=2, regularizer="vae")
+    with pytest.raises(ConfigError, match="lambda_weight"):
+        GameConfig(k=2, n=2, regularizer="kl", lambda_weight=-1.0)
+    with pytest.raises(ConfigError, match="mmd_scale"):
+        GameConfig(k=2, n=2, regularizer="mmd", mmd_scale=0.0)
+    assert GameConfig(k=3, n=2, regularizer="mmd", lambda_weight=2.0).mmd_scale == 6.0
 
 
 def test_zero_weight_mmd_step_equals_plain_autoencoder():
@@ -252,10 +213,9 @@ def test_zero_weight_mmd_step_equals_plain_autoencoder():
     s_mmd = init_state(cfg_mmd)
     s_none = init_state(cfg_none)
     data = synth_source("gaussian", 256, 6, seed=5).images
-    reg = cfg_mmd.make_regularizer()
     for i in range(5):
         batch = data[32 * i:32 * (i + 1)]
-        baseline_train_step(s_mmd, batch, reg, cfg_mmd.P_a, cfg_mmd.k)
+        train_step(s_mmd, batch, cfg_mmd)
         train_step(s_none, batch, cfg_none)
     for net in ("f", "r"):
         pa = getattr(s_mmd.networks, net)
@@ -264,20 +224,22 @@ def test_zero_weight_mmd_step_equals_plain_autoencoder():
             assert np.array_equal(pa.array(name), pb.array(name)), f"{net}.{name} diverged"
 
 
+def kl_objective(state, config, batch, rng):
+    """recon + weight * KL for one batch, from the numpy KL and record-free forwards."""
+    z, mu, log_var = vae_sample(EagerTape().const(mlp_apply(state.networks.f, batch)),
+                                config.k, rng)
+    recon = float(np.mean((batch - mlp_apply(state.networks.r, z.value)) ** 2))
+    return recon + config.lambda_weight * kl_diag_gaussian(mu.value, log_var.value)
+
+
 def test_baseline_training_reduces_loss():
     config = GameConfig(k=2, n=4, regularizer="kl", batch_size=32, seed=6,
                         data_hidden=32, jscc_hidden=8, lambda_weight=0.1)
     state = init_state(config)
     data = synth_source("gaussian", 640, 4, seed=6).images
-    reg = config.make_regularizer()
     totals = []
     for i in range(20):
-        batch = data[32 * (i % 20):32 * ((i % 20) + 1)]
-        tape = Tape()
-        f_b = BoundMlp(tape, state.networks.f, "f", trainable=False)
-        r_b = BoundMlp(tape, state.networks.r, "r", trainable=False)
-        probe = baseline_losses(tape, f_b, r_b, batch, reg, config.P_a, config.k,
-                                Rng(derive_seed(6, f"probe/{i}")))
-        totals.append(float(np.asarray(probe["total"].value).ravel()[0]))
-        baseline_train_step(state, batch, reg, config.P_a, config.k)
+        batch = data[32 * i:32 * (i + 1)]
+        totals.append(kl_objective(state, config, batch, Rng(derive_seed(6, f"probe/{i}"))))
+        train_step(state, batch, config)
     assert np.mean(totals[-5:]) < totals[0]

@@ -157,16 +157,19 @@ def test_train_verb_without_channel_term(tmp_path):
 
 
 def test_resolved_config_reproduces_run(tmp_path):
-    out1 = tmp_path / "out1"
-    out2 = tmp_path / "out2"
-    cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=out1))
-    assert main(["train", cfg]) == 0
-    resolved = (out1 / "resolved-config.txt").read_text()
-    rerun = resolved.replace(f"run.output_dir={out1}", f"run.output_dir={out2}")
-    cfg2 = write_cfg(tmp_path, rerun, name="rerun.cfg")
-    assert main(["train", cfg2]) == 0
-    assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
-    assert (out1 / "checkpoint.bin").read_bytes() == (out2 / "checkpoint.bin").read_bytes()
+    for reg in ("aj", "kl", "mmd"):
+        out1 = tmp_path / f"{reg}-1"
+        out2 = tmp_path / f"{reg}-2"
+        cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=out1) + f"game.regularizer = {reg}\n")
+        assert main(["train", cfg]) == 0
+        resolved = (out1 / "resolved-config.txt").read_text()
+        assert "game.lambda_weight=" in resolved and "game.mmd_scale=4.0" in resolved
+        rerun = resolved.replace(f"run.output_dir={out1}", f"run.output_dir={out2}")
+        cfg2 = write_cfg(tmp_path, rerun, name="rerun.cfg")
+        assert main(["train", cfg2]) == 0
+        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+        assert (out1 / "checkpoint.bin").read_bytes() == (out2 / "checkpoint.bin").read_bytes()
+        assert (out2 / "resolved-config.txt").read_text() == rerun
 
 
 def test_train_verb_rejects_mismatched_width(tmp_path):
@@ -282,20 +285,28 @@ def test_oracle_verb_requires_section(tmp_path):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    state = init_state(GameConfig(k=2, n=5, jscc_hidden=4, data_hidden=8, seed=7))
-    path = tmp_path / "cp.bin"
-    save_checkpoint(path, state)
-    assert path.read_bytes()[:4] == CHECKPOINT_MAGIC
-    nets = load_checkpoint(path)
-    assert set(nets) == {"f", "r", "g", "h"}
-    for name, params in state.networks.present().items():
-        loaded = nets[name]
-        assert loaded.layer_dims == list(params.layer_dims)
-        for pname in params.array_names():
-            assert np.array_equal(loaded.array(pname), params.array(pname)), f"{name}.{pname}"
-    sidecar = (tmp_path / "cp.bin.txt").read_text().strip().split("\n")
-    total_arrays = sum(len(p.array_names()) for p in state.networks.present().values())
-    assert len(sidecar) == total_arrays
+    for reg in ("aj", "kl", "mmd", "none"):
+        state = init_state(GameConfig(k=2, n=5, jscc_hidden=4, data_hidden=8, seed=7,
+                                      regularizer=reg))
+        path = tmp_path / f"{reg}.bin"
+        save_checkpoint(path, state)
+        assert path.read_bytes()[:4] == CHECKPOINT_MAGIC
+        nets = load_checkpoint(path)
+        present = state.networks.present()
+        assert sorted(nets) == sorted(present)
+        assert len(present) == (4 if reg == "aj" else 2)
+        for name, params in present.items():
+            loaded = nets[name]
+            assert loaded.layer_dims == list(params.layer_dims)
+            assert loaded.hidden_activation == params.hidden_activation
+            assert loaded.output_activation == params.output_activation
+            assert (loaded.skip is None) == (params.skip is None)
+            assert loaded.array_names() == params.array_names()
+            for pname in params.array_names():
+                a, b = params.array(pname), loaded.array(pname)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"{reg}.{name}.{pname}"
+        sidecar = (tmp_path / f"{reg}.bin.txt").read_text().strip().split("\n")
+        assert len(sidecar) == sum(len(p.array_names()) for p in present.values())
 
 
 def test_checkpoint_trailing_bytes(tmp_path):
@@ -345,7 +356,11 @@ def test_exit_2_before_training_when_evaluation_cannot_score(tmp_path, monkeypat
     ["data.count = 150", "game.k = 200"],
     ["game.batch_size = 512"],
     ["run.eval_every = 0"],
-], ids=["60-rows", "k-200-on-150-rows", "batch-over-rows", "eval-every-0"])
+    ["game.regularizer = kl", "game.lambda_weight = -1"],
+    ["game.regularizer = mmd", "game.mmd_scale = 0"],
+    ["game.lambda_weight = -1"],
+], ids=["60-rows", "k-200-on-150-rows", "batch-over-rows", "eval-every-0",
+        "kl-negative-weight", "mmd-zero-scale", "aj-negative-weight"])
 def test_rejected_dataset_leaves_no_output_dir(tmp_path, lines):
     keys = {line.split("=")[0].strip() for line in lines}
     out = tmp_path / "rejected"

@@ -76,19 +76,20 @@ def test_config_validation():
     ("P_t", float("nan")), ("P_a", float("inf")), ("sigma_n_sq", float("inf")),
     ("eta", float("inf")), ("eta", float("nan")), ("lr", float("nan")),
     ("lr", float("inf")), ("lambda_weight", float("nan")), ("mmd_scale", float("inf")),
-    ("lr", -1.0), ("epochs", -3),
+    ("lr", -1.0), ("epochs", -3), ("lambda_weight", -1.0), ("mmd_scale", 0.0),
 ])
 def test_config_rejects_nonfinite_and_negative(field, value):
     with pytest.raises(ConfigError, match=field):
         GameConfig(k=2, n=4, **{field: value})
 
 
-def test_resolved_lambda_defaults():
-    assert GameConfig(k=2, n=2, regularizer="kl").resolved_lambda() == 1.0
-    assert GameConfig(k=2, n=2, regularizer="mmd").resolved_lambda() == 10.0
-    assert GameConfig(k=2, n=2, regularizer="mmd", lambda_weight=0.25).resolved_lambda() == 0.25
-    reg = GameConfig(k=2, n=2, regularizer="kl", lambda_weight=3.0).make_regularizer()
-    assert reg.kind == "kl" and reg.weight == 3.0
+def test_regularizer_defaults():
+    assert GameConfig(k=2, n=2, regularizer="kl").lambda_weight == 1.0
+    assert GameConfig(k=2, n=2, regularizer="mmd").lambda_weight == 10.0
+    assert GameConfig(k=2, n=2, regularizer="aj").lambda_weight == 10.0
+    assert GameConfig(k=2, n=2, regularizer="mmd", lambda_weight=0.25).lambda_weight == 0.25
+    assert GameConfig(k=3, n=2, regularizer="mmd").mmd_scale == 6.0
+    assert GameConfig(k=3, n=2, regularizer="mmd", mmd_scale=0.5).mmd_scale == 0.5
 
 
 # ============================================================
@@ -239,10 +240,10 @@ def snapshot(networks):
     return out
 
 
-def test_train_step_rejects_baseline_configs():
+def test_train_step_rejects_kl_without_a_2k_head():
     cfg = small_cfg(regularizer="kl")
-    state = init_state(small_cfg())
-    with pytest.raises(ConfigError):
+    state = init_state(small_cfg())  # aj's f has a k-wide head
+    with pytest.raises(ConfigError, match="2k-wide head"):
         train_step(state, np.zeros((16, 3)), cfg)
 
 
