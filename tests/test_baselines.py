@@ -205,6 +205,15 @@ def test_regularizer_validation():
     assert GameConfig(k=3, n=2, regularizer="mmd", lambda_weight=2.0).mmd_scale == 6.0
 
 
+def test_baseline_losses_kl_head_width_guard():
+    config = GameConfig(k=2, n=4, regularizer="mmd", seed=0)  # mmd head is k wide
+    state = init_state(config)
+    batch = synth_source("gaussian", 8, 4, seed=0).images
+    head = EagerTape().const(mlp_apply(state.networks.f, batch))
+    with pytest.raises(ConfigError, match="2k"):
+        vae_sample(head, config.k, Rng(0))
+
+
 def test_zero_weight_mmd_step_equals_plain_autoencoder():
     # prior draws advance the noise stream but must not touch the update
     kwargs = dict(k=2, n=6, batch_size=32, seed=9, data_hidden=16, jscc_hidden=8)

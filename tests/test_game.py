@@ -240,7 +240,7 @@ def snapshot(networks):
     return out
 
 
-def test_train_step_rejects_kl_without_a_2k_head():
+def test_train_step_rejects_baseline_configs():
     cfg = small_cfg(regularizer="kl")
     state = init_state(small_cfg())  # aj's f has a k-wide head
     with pytest.raises(ConfigError, match="2k-wide head"):
