@@ -220,10 +220,12 @@ def _matrix_op(op: str, fn):
 
 
 def _sigmoid(v, a):
-    # exp(-|x|) never overflows; per element this is 1/(1+exp(-x)) for x >= 0
-    # and exp(x)/(1+exp(x)) otherwise, the same operations as splitting by sign
-    e = np.exp(-np.abs(v[0]))
-    return np.where(v[0] >= 0, 1.0, e) / (1.0 + e)
+    # exp(-|x|) never overflows; per element this is 1/(1+exp(-x)) for x >= 0 and
+    # exp(x)/(1+exp(x)) otherwise, the operations of splitting by sign, in two buffers
+    e = np.abs(v[0])
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(v[0] >= 0, 1.0, e)
+    return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
 def _slice_cols_grad(g, v, out, a, i):
@@ -448,19 +450,34 @@ class AdamState:
     second_moment: dict = field(default_factory=dict)
 
 
+def _adam_ops(state: AdamState, bc1: float, bc2: float, p, g, m, v, a, b) -> None:
+    """The 14 operations of one update, in place on p, m and v; a and b are scratch like p."""
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=a)
+    m += a
+    v *= state.beta2
+    np.multiply(g, g, out=a)
+    a *= 1.0 - state.beta2
+    v += a
+    np.divide(m, bc1, out=a)
+    a *= state.lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    a /= b
+    p -= a
+
+
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     """One Adam update with bias correction; params are updated in place.
 
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as 14 elementwise
-    operations per block of about `_ADAM_BLOCK` elements, in that order.
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as 14 elementwise operations,
+    in that order, per block of about `_ADAM_BLOCK` elements or on a smaller whole array.
     """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    # a row wider than a block is a block of its own
-    size = max([_ADAM_BLOCK, *(p[0].size for p in params.values())])
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -471,22 +488,13 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         v = state.second_moment.get(name)
         if v is None:
             v = state.second_moment[name] = np.zeros_like(p)
+        if p.size <= _ADAM_BLOCK:
+            _adam_ops(state, bc1, bc2, p, g, m, v, np.empty_like(p), np.empty_like(p))
+            continue
+        scratch = np.empty((2, max(_ADAM_BLOCK, p[0].size)))  # a wide row is a block of its own
         step = max(1, _ADAM_BLOCK // p[0].size)
         for lo in range(0, p.shape[0], step):
             pb, gb, mb, vb = p[lo:lo + step], g[lo:lo + step], m[lo:lo + step], v[lo:lo + step]
-            a, b = (s[:pb.size].reshape(pb.shape) for s in (scratch_a, scratch_b))
-            mb *= state.beta1
-            np.multiply(gb, 1.0 - state.beta1, out=a)
-            mb += a
-            vb *= state.beta2
-            np.multiply(gb, gb, out=a)
-            a *= 1.0 - state.beta2
-            vb += a
-            np.divide(mb, bc1, out=a)
-            a *= state.lr
-            np.divide(vb, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += state.epsilon
-            a /= b
-            pb -= a
+            a, b = (s[:pb.size].reshape(pb.shape) for s in scratch)
+            _adam_ops(state, bc1, bc2, pb, gb, mb, vb, a, b)
     return params

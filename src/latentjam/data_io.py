@@ -94,18 +94,20 @@ def synth_source(kind: str, count: int, n: int, seed: int, params=None) -> Datas
     params = dict(params or {})
     rng = Rng(derive_seed(seed, f"synth/{kind}"))
     if kind == "gaussian":
-        x = 0.5 + 0.15 * rng.normal((count, n))
+        x = rng.normal((count, n))
+        np.add(np.multiply(x, 0.15, out=x), 0.5, out=x)
     elif kind == "mixture":
         centers = np.asarray(params.get("centers", (0.25, 0.75)), dtype=np.float64)
         scale = float(params.get("scale", 0.1))
         which = (rng.uniform((count,)) * len(centers)).astype(np.int64)
         which = np.minimum(which, len(centers) - 1)
-        x = centers[which][:, None] + scale * rng.normal((count, n))
+        x = rng.normal((count, n))
+        np.add(np.multiply(x, scale, out=x), centers[which][:, None], out=x)
     elif kind == "uniform":
         x = rng.uniform((count, n))
     else:
         raise ConfigError(f"unknown synthetic source kind '{kind}'")
-    images = np.clip(x, 0.0, 1.0)
+    images = np.clip(x, 0.0, 1.0, out=x)
     side = int(np.sqrt(n))
     rows, cols = (side, side) if side * side == n else (1, n)
     return Dataset(images, {"name": f"synth-{kind}", "rows": rows, "cols": cols,

@@ -108,14 +108,12 @@ def init_params(layer_dims, rng: Rng, hidden_activation: str = "relu",
         raise ConfigError(f"unknown output activation '{output_activation}'")
     weights, biases = [], []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = np.sqrt(6.0 / (d_in + d_out))
-        weights.append(bound * (2.0 * rng.uniform((d_out, d_in)) - 1.0))
+        weights.append(rng.symmetric((d_out, d_in), np.sqrt(6.0 / (d_in + d_out))))
         biases.append(np.zeros(d_out))
     skip = None
     if linear_skip:
         d0, dL = layer_dims[0], layer_dims[-1]
-        bound = np.sqrt(6.0 / (d0 + dL))
-        skip = bound * (2.0 * rng.uniform((dL, d0)) - 1.0)
+        skip = rng.symmetric((dL, d0), np.sqrt(6.0 / (d0 + dL)))
     return MlpParams(list(layer_dims), weights, biases, hidden_activation, output_activation, skip)
 
 

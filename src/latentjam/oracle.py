@@ -124,22 +124,26 @@ def resolve_decoder_gain(spec: OracleSpec, strategy: LinearStrategy) -> float:
     return float(strategy.decoder_gain)
 
 
+def _scaled(draws: np.ndarray, scale) -> np.ndarray:
+    return np.multiply(draws, scale, out=draws)
+
+
 def _draw_game(spec: OracleSpec, jammer: tuple, shape, rng: Rng):
     """Source x, fixed noise n (0.0 when sigma_n^2 = 0) and jammer z from streams x, n, z."""
-    x = np.sqrt(spec.sigma_x_sq) * rng.spawn("x").normal(shape)
-    n = np.sqrt(spec.sigma_n_sq) * rng.spawn("n").normal(shape) if spec.sigma_n_sq > 0 else 0.0
+    x = _scaled(rng.spawn("x").normal(shape), np.sqrt(spec.sigma_x_sq))
+    n = _scaled(rng.spawn("n").normal(shape), np.sqrt(spec.sigma_n_sq)) if spec.sigma_n_sq > 0 else 0.0
     family, param = jammer
     z_rng = rng.spawn("z")
     if family == "gaussian":
-        z = np.sqrt(param) * z_rng.normal(shape)
+        z = _scaled(z_rng.normal(shape), np.sqrt(param))
     elif family == "uniform":
-        z = np.sqrt(3.0 * param) * (2.0 * z_rng.uniform(shape) - 1.0)
+        z = z_rng.symmetric(shape, np.sqrt(3.0 * param))
     elif family == "scaled_source":
         # The certificate form beta*(n - x) realized with the jammer's own
         # independent draws; in law this is N(0, beta^2 (sigma_n^2 + sigma_x^2)).
-        x_own = np.sqrt(spec.sigma_x_sq) * z_rng.normal(shape)
-        n_own = np.sqrt(spec.sigma_n_sq) * z_rng.normal(shape) if spec.sigma_n_sq > 0 else 0.0
-        z = param * (n_own - x_own)
+        x_own = _scaled(z_rng.normal(shape), np.sqrt(spec.sigma_x_sq))
+        n_own = _scaled(z_rng.normal(shape), np.sqrt(spec.sigma_n_sq)) if spec.sigma_n_sq > 0 else 0.0
+        z = _scaled(np.subtract(n_own, x_own, out=x_own), param)
     else:
         raise ConfigError(f"unknown jammer family '{family}'")
     return x, n, z

@@ -7,6 +7,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "2"
 
 import struct  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
@@ -23,6 +24,17 @@ settings.load_profile("fixed")
 def normalized(z, target_power):
     """power_normalize run on a record-free tape, as evaluation runs it."""
     return power_normalize(EagerTape().const(z), target_power).value
+
+
+def traced_peak_ratio(fn) -> float:
+    """Peak bytes `tracemalloc` sees while `fn()` runs, over the bytes of the array it returns."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
 
 
 def idx_image_bytes(pixels: np.ndarray) -> bytes:

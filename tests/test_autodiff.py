@@ -11,9 +11,11 @@ effectively absolute at 1e-9 precision.
 import numpy as np
 import pytest
 
+from conftest import traced_peak_ratio
 from latentjam import autodiff as ad
 from latentjam.autodiff import AdamState, EagerTape, Tape, adam_step, backward_grads, forward_eval
 from latentjam.errors import ConfigError, NumericError, ShapeError
+from latentjam.game import GameConfig, init_state
 from latentjam.rng import Rng
 
 FD_STEP = 1e-5
@@ -386,13 +388,21 @@ def _split_by_sign_sigmoid(x):
 @pytest.mark.parametrize("shape", [(10000, 784), (128, 784), (7, 3), (1, 1)])
 def test_sigmoid_equals_split_by_sign_reference(shape):
     base = Rng(31).normal(shape)
-    for scale in (1e-3, 1.0, 30.0, 800.0):
-        for x in (base * scale, (base * scale).T):
+    for i, scale in enumerate((1e-3, 1.0, 30.0, 800.0)):
+        # each scale takes every fourth row, so the (10000, 784) case costs two full passes
+        rows = base[i::4] if len(base) >= 4 else base
+        for x in (rows * scale, (rows * scale).T):
             got = ad.sigmoid(EagerTape().const(x)).value
             assert np.array_equal(got, _split_by_sign_sigmoid(x)), (shape, scale)
     extremes = np.array([[0.0, -0.0, -745.5, 745.5, -800.0, 800.0, 1e-300, -1e-300]])
     got = ad.sigmoid(EagerTape().const(extremes)).value
     assert np.array_equal(got, _split_by_sign_sigmoid(extremes))
+
+
+def test_sigmoid_forward_memory():
+    # the out-of-place forward held three arrays of the value's size at its peak
+    x = Rng(32).normal((1000, 784))
+    assert traced_peak_ratio(lambda: ad.sigmoid(EagerTape().const(x)).value) < 2.5
 
 
 # ============================================================
@@ -574,17 +584,15 @@ def _adam_reference(p, m, v, g, t, lr, beta1, beta2, eps):
 _ADAM_SHAPES = [(1,), (16383,), (16384,), (16385,), (512, 784), (784, 512), (1, 20000)]
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("grad_kind", ["C", "F", "broadcast"])
-def test_blocked_adam_equals_whole_array_reference(order, grad_kind):
+def _assert_adam_matches_reference(shapes, order="C", grad_kind="C"):
     rng = Rng(41)
-    names = [f"p{i}" for i in range(len(_ADAM_SHAPES))]
-    params = {name: np.asarray(rng.normal(s), order=order) for name, s in zip(names, _ADAM_SHAPES)}
+    names = [f"p{i}" for i in range(len(shapes))]
+    params = {name: np.asarray(rng.normal(s), order=order) for name, s in zip(names, shapes)}
     ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     state = AdamState(lr=3e-3)
     for t in range(1, 5):
         grads = {}
-        for name, shape in zip(names, _ADAM_SHAPES):
+        for name, shape in zip(names, shapes):
             if grad_kind == "broadcast":
                 g = np.broadcast_to(rng.normal((1,) + shape[1:]), shape)
             else:
@@ -597,3 +605,19 @@ def test_blocked_adam_equals_whole_array_reference(order, grad_kind):
             assert np.array_equal(params[name], p_ref), (t, name)
             assert np.array_equal(state.first_moment[name], m_ref), (t, name)
             assert np.array_equal(state.second_moment[name], v_ref), (t, name)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("grad_kind", ["C", "F", "broadcast"])
+def test_blocked_adam_equals_whole_array_reference(order, grad_kind):
+    _assert_adam_matches_reference(_ADAM_SHAPES, order, grad_kind)
+
+
+def test_adam_at_comparison_shapes_equals_whole_array_reference():
+    # every parameter of the n=8 comparison fits in one block;
+    # an MNIST-shape (512, 784) weight spans 26
+    config = GameConfig(k=2, n=8, data_hidden=64, jscc_hidden=64)
+    shapes = [params.array(name).shape for params in init_state(config).networks.present().values()
+              for name in params.array_names()]
+    assert max(np.prod(s) for s in shapes) <= 16384
+    _assert_adam_matches_reference(shapes + [(512, 784)])

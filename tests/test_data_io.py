@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import idx_image_bytes, idx_label_bytes
+from conftest import idx_image_bytes, idx_label_bytes, traced_peak_ratio
 from latentjam.data_io import BatchPlan, batches, epoch_permutation, load_idx, synth_source
 from latentjam.errors import ConfigError, DataFormatError
 
@@ -118,6 +118,12 @@ def test_synth_kind_isolated_streams():
     a = synth_source("gaussian", 100, 4, seed=3)
     b = synth_source("uniform", 100, 4, seed=3)
     assert not np.array_equal(a.images, b.images)
+
+
+def test_synth_memory_is_about_the_images():
+    # scaling, shifting and clipping the draws out of place peaked at 4.0x the images
+    ratio = traced_peak_ratio(lambda: synth_source("mixture", 1001, 784, seed=0).images)
+    assert ratio < 2.0
 
 
 def test_synth_unknown_kind():
