@@ -20,13 +20,19 @@ nodes that depend on a requested tensor (a `detach` node cuts that
 dependence); gradients toward data constants, frozen parameters and
 detached paths are never computed.
 
-Everything is float64. NaN/Inf detection runs at every op boundary, on
+A recorded tape has one dtype, float64 unless given: its leaves, scalar
+constants, replay inputs and gradients are cast to it, so every value and
+gradient stays in it. Training records float32 tapes; finite-difference
+checks use the float64 default. An `EagerTape` casts nothing: float32
+parameters meet float64 data inside an op, where numpy promotes, so
+evaluation runs in float64. NaN/Inf detection runs at every op boundary, on
 every value and every gradient, recorded or not, and is always on: a
 training failure must surface loudly, not corrupt the minimax dynamics
 downstream. The check reduces each array to its sum first, which is
 finite whenever every element is finite and not finite whenever any
 element is NaN or +-inf; only a non-finite sum (a bad element, or a
-finite array whose sum overflows) pays for the elementwise scan.
+finite array whose sum overflows, as a float32 sum does past about 3.4e38)
+pays for the elementwise scan.
 
 `adam_step` runs the whole-array Adam formula on cache-sized blocks of
 axis-0 slices, with the same operations in the same order per element, so
@@ -47,7 +53,7 @@ from .errors import ConfigError, NumericError, ShapeError
 
 
 class Tensor:
-    """One value of a tape: its float64 array plus its node id (None when unrecorded)."""
+    """One value of a tape: its array (in the tape's dtype when recorded) and node id or None."""
 
     __slots__ = ("tape", "node_id", "value")
 
@@ -64,7 +70,7 @@ class Tensor:
     def _lift(self, other) -> "Tensor":
         if isinstance(other, Tensor):
             return other
-        return self.tape.const(np.asarray(other, dtype=np.float64))
+        return self.tape.const(other)
 
     def __add__(self, other):
         return self.tape.apply("add", [self, self._lift(other)])
@@ -108,7 +114,8 @@ class Node:
 class Tape:
     """Recorded computation graph; insertion order is topological order."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = dtype
         self.nodes: list[Node] = []
         self.outputs: dict[str, int] = {}
 
@@ -118,12 +125,12 @@ class Tape:
         return Tensor(self, len(self.nodes) - 1, value)
 
     def input(self, name: str, value) -> Tensor:
-        """Named leaf; replay and gradients may rebind it."""
-        return self._record("input", (), value, {"name": name})
+        """Named leaf, cast to the tape's dtype; replay and gradients may rebind it."""
+        return self._record("input", (), np.asarray(value, dtype=self.dtype), {"name": name})
 
     def const(self, value) -> Tensor:
-        """Unnamed leaf, fixed across replays."""
-        return self._record("const", (), value, {})
+        """Unnamed leaf, cast to the tape's dtype and fixed across replays."""
+        return self._record("const", (), np.asarray(value, dtype=self.dtype), {})
 
     def apply(self, op: str, args: list) -> Tensor:
         return self._apply(op, args, {})
@@ -148,15 +155,18 @@ class Tape:
 class EagerTape(Tape):
     """Record-free tape: each op runs and is checked at once, and nothing is kept.
 
-    Its tensors have no node, so they cannot be differentiated or replayed.
+    Its tensors have no node, so they cannot be differentiated or replayed. Its
+    dtype is None: leaves keep their own dtype, and mixed operands promote.
     """
+
+    def __init__(self, dtype=None):
+        super().__init__(dtype)
 
     def _record(self, op: str, inputs: tuple, value: np.ndarray, attrs: dict) -> Tensor:
         return Tensor(self, None, _checked(op, value, None))
 
 
-def _checked(op: str, value, node) -> np.ndarray:
-    value = np.asarray(value, dtype=np.float64)
+def _checked(op: str, value: np.ndarray, node) -> np.ndarray:
     if not _all_finite(value):
         where = "on a record-free tape" if node is None else f"at node {node}"
         raise NumericError(f"non-finite value out of op '{op}' {where}")
@@ -361,7 +371,7 @@ def forward_eval(tape: Tape, inputs: dict) -> dict:
     for idx, node in enumerate(tape.nodes):
         if node.op == "input":
             name = node.attrs["name"]
-            v = np.asarray(inputs.get(name, node.value), dtype=np.float64)
+            v = np.asarray(inputs.get(name, node.value), dtype=tape.dtype)
             if v.shape != node.value.shape:
                 raise ShapeError(f"input '{name}' recorded as {node.value.shape}, rebound as {v.shape}")
         elif node.op == "const":
@@ -398,7 +408,7 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
 
     out_id = scalar_output.node_id
     marked = _depends_on(tape, {t.node_id for t in wrt}, out_id)
-    acc: dict[int, np.ndarray] = {out_id: np.ones(1)}
+    acc: dict[int, np.ndarray] = {out_id: np.ones(1, dtype=tape.dtype)}
     for nid in range(out_id, -1, -1):
         g = acc.get(nid)
         if g is None or not marked[nid]:
@@ -415,7 +425,7 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
                 raise NumericError(f"non-finite gradient at op '{node.op}', node {nid}")
             prev = acc.get(in_id)
             acc[in_id] = gi if prev is None else prev + gi
-    return [acc[t.node_id] if t.node_id in acc else np.zeros(t.value.shape) for t in wrt]
+    return [acc[t.node_id] if t.node_id in acc else np.zeros(t.shape, tape.dtype) for t in wrt]
 
 
 def _depends_on(tape: Tape, wrt_ids: set, last: int) -> list:
@@ -433,7 +443,7 @@ def _depends_on(tape: Tape, wrt_ids: set, last: int) -> list:
 # ============================================================
 
 
-# elements per Adam block: 128 KiB of float64, so a block's six operands fit in a 2 MiB L2
+# elements per Adam block: 64 KiB of float32, so a block's six operands fit in a 2 MiB L2
 _ADAM_BLOCK = 16384
 
 
@@ -451,10 +461,13 @@ class AdamState:
 
 
 def _adam_ops(state: AdamState, bc1: float, bc2: float, p, g, m, v, a, b) -> None:
-    """The 14 operations of one update, in place on p, m and v; a and b are scratch like p."""
+    """The 17 operations of one update, in place on p, m and v; a and b are scratch like p.
+    A subnormal m becomes 0: where gradients stop, m would stick at the smallest subnormal
+    (times beta1 it rounds to itself) and slow every operation on it many times over."""
     m *= state.beta1
     np.multiply(g, 1.0 - state.beta1, out=a)
     m += a
+    m *= np.abs(m, out=a) >= np.finfo(m.dtype).tiny
     v *= state.beta2
     np.multiply(g, g, out=a)
     a *= 1.0 - state.beta2
@@ -471,7 +484,7 @@ def _adam_ops(state: AdamState, bc1: float, bc2: float, p, g, m, v, a, b) -> Non
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     """One Adam update with bias correction; params are updated in place.
 
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as 14 elementwise operations,
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as 17 elementwise operations,
     in that order, per block of about `_ADAM_BLOCK` elements or on a smaller whole array.
     """
     state.step_count += 1
@@ -491,7 +504,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         if p.size <= _ADAM_BLOCK:
             _adam_ops(state, bc1, bc2, p, g, m, v, np.empty_like(p), np.empty_like(p))
             continue
-        scratch = np.empty((2, max(_ADAM_BLOCK, p[0].size)))  # a wide row is a block of its own
+        # scratch like p; a wide row is a block of its own
+        scratch = np.empty((2, max(_ADAM_BLOCK, p[0].size)), dtype=p.dtype)
         step = max(1, _ADAM_BLOCK // p[0].size)
         for lo in range(0, p.shape[0], step):
             pb, gb, mb, vb = p[lo:lo + step], g[lo:lo + step], m[lo:lo + step], v[lo:lo + step]

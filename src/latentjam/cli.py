@@ -29,7 +29,7 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)
 from .game import GameConfig, TrainState, check_training_inputs, train
 from .metrics import CSV_HEADER
-from .nets import ROLE_TRAITS, MlpParams, mlp_apply
+from .nets import ROLE_TRAITS, TRAIN_DTYPE, MlpParams, mlp_apply
 from .oracle import (OracleSpec, isotropic_matching, matching_residual,
                      matching_samples, mc_game_value, saddle_strategy,
                      saddle_verify, scalar_saddle_distortion)
@@ -38,7 +38,8 @@ from .rng import Rng, derive_seed
 log = logging.getLogger("latentjam")
 
 CHECKPOINT_MAGIC = b"AJLK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 held float64 arrays; there is no reader for it
+_PAYLOAD = TRAIN_DTYPE.newbyteorder("<")  # arrays in the training precision, little-endian
 
 # ============================================================
 # Config parsing
@@ -138,7 +139,8 @@ def _resolved_config_text(config: GameConfig, data_cfg: dict, run_cfg: dict) -> 
     game_fields = dataclasses.asdict(config)
     game_fields["check_gradients"] = str(config.check_gradients).lower()
     for key in sorted(game_fields):
-        lines.append(f"game.{key}={game_fields[key]}")
+        if game_fields[key] is not None:  # a setting this regularizer does not read
+            lines.append(f"game.{key}={game_fields[key]}")
     for key in sorted(data_cfg):
         lines.append(f"data.{key}={data_cfg[key]}")
     for key in sorted(run_cfg):
@@ -167,7 +169,7 @@ def save_checkpoint(path, state: TrainState) -> None:
                 fh.write(struct.pack("<I", d))
             for pname in params.array_names():
                 arr = params.array(pname)
-                fh.write(arr.astype("<f8").tobytes())
+                fh.write(np.asarray(arr, dtype=_PAYLOAD).tobytes())
                 sidecar.append(f"{name} {pname} {'x'.join(str(s) for s in arr.shape)}")
     with open(str(path) + ".txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(sidecar) + "\n")
@@ -230,12 +232,12 @@ def _parse_checkpoint(buf: bytes) -> dict:
 
 
 def _read_floats(buf: bytes, offset: int, shape: tuple):
-    """A copy of the float64 array of `shape` at `offset`, and the offset past it."""
-    count = math.prod(shape)
-    if offset + 8 * count > len(buf):
+    """A TRAIN_DTYPE copy of the array of `shape` at `offset`, and the offset past it."""
+    end = offset + _PAYLOAD.itemsize * math.prod(shape)
+    if end > len(buf):
         raise CheckpointError(f"checkpoint is truncated: a {shape} array runs past its end")
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-    return arr, offset + 8 * count
+    arr = np.frombuffer(buf, dtype=_PAYLOAD, count=math.prod(shape), offset=offset)
+    return arr.reshape(shape).astype(TRAIN_DTYPE), end
 
 
 # ============================================================
@@ -277,6 +279,9 @@ def run_experiment(config_path) -> int:
     game_cfg, data_cfg, run_cfg = sections["game"], sections["data"], sections["run"]
     if "output_dir" not in run_cfg:
         raise ConfigError("run.output_dir is required")
+    batch_size = game_cfg.get("batch_size", GameConfig.batch_size)
+    if data_cfg.get("kind") == "synth" and batch_size > data_cfg.get("count", batch_size):
+        raise ConfigError(f"batch_size {batch_size} exceeds data.count={data_cfg['count']}")
     dataset, eval_dataset = _load_datasets(data_cfg, game_cfg.get("seed", 0))
     n = dataset.n
     if "n" in game_cfg and game_cfg["n"] != n:

@@ -39,7 +39,7 @@ from .autodiff import AdamState, EagerTape, Tape, Tensor, adam_step, backward_gr
 from .data_io import BatchPlan, Dataset, batches
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MIN_EVAL_ROWS, MetricsReport, evaluate_latents
-from .nets import BoundMlp, NetworkRoles, make_networks, mlp_apply, power_normalize
+from .nets import TRAIN_DTYPE, BoundMlp, NetworkRoles, make_networks, mlp_apply, power_normalize
 from .rng import Rng, derive_seed
 
 log = logging.getLogger("latentjam")
@@ -65,18 +65,25 @@ class GameConfig:
     seed: int = 0
     jscc_hidden: int = 64
     data_hidden: int = 512
-    lambda_weight: Optional[float] = None  # kl -> 1.0, else 10.0 when unset
-    mmd_scale: Optional[float] = None      # -> 2k when unset
+    lambda_weight: Optional[float] = None  # kl -> 1.0, mmd -> 10.0 when unset; else unset
+    mmd_scale: Optional[float] = None      # mmd -> 2k when unset; else unset
     check_gradients: bool = True
 
     def __post_init__(self):
-        if self.lambda_weight is None:
+        if self.regularizer not in REGULARIZERS:
+            raise ConfigError(f"regularizer must be one of {REGULARIZERS}")
+        reads = {"lambda_weight": self.regularizer in ("kl", "mmd"),
+                 "mmd_scale": self.regularizer == "mmd"}
+        for name, read in reads.items():
+            if not read and getattr(self, name) is not None:
+                raise ConfigError(f"{name} has no effect with regularizer '{self.regularizer}'")
+        if reads["lambda_weight"] and self.lambda_weight is None:
             self.lambda_weight = 1.0 if self.regularizer == "kl" else 10.0
-        if self.mmd_scale is None:
+        if reads["mmd_scale"] and self.mmd_scale is None:
             self.mmd_scale = 2.0 * self.k
         for name in ("P_t", "P_a", "sigma_n_sq", "eta", "lr", "lambda_weight", "mmd_scale"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr < 0 or self.epochs < 0:
             raise ConfigError("lr and epochs must be >= 0")
@@ -90,13 +97,11 @@ class GameConfig:
             raise ConfigError("k and n must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.regularizer not in REGULARIZERS:
-            raise ConfigError(f"regularizer must be one of {REGULARIZERS}")
         if self.jscc_steps_per_data_step < 1:
             raise ConfigError("jscc_steps_per_data_step must be >= 1")
-        if self.lambda_weight < 0:
+        if reads["lambda_weight"] and self.lambda_weight < 0:
             raise ConfigError("lambda_weight must be >= 0")
-        if self.mmd_scale <= 0:
+        if reads["mmd_scale"] and self.mmd_scale <= 0:
             raise ConfigError("mmd_scale must be > 0")
 
 
@@ -196,7 +201,7 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
         raise ShapeError(f"batch has n={d_batch.shape[1]}, config says {config.n}")
     nets = state.networks
     m = d_batch.shape[0]
-    tape = Tape()
+    tape = Tape(TRAIN_DTYPE)
     f_b = BoundMlp(tape, nets.f, "f", trainable=True)
     r_b = BoundMlp(tape, nets.r, "r", trainable=True)
     d = tape.const(d_batch)
@@ -218,7 +223,7 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
         # (a) the auxiliary pair learns against f's latent, read as a constant
         frozen = _snapshot(nets, ("f", "r")) if config.check_gradients else {}
         for _ in range(config.jscc_steps_per_data_step):
-            tape_a = Tape()
+            tape_a = Tape(TRAIN_DTYPE)
             g_b = BoundMlp(tape_a, nets.g, "g", trainable=True)
             h_b = BoundMlp(tape_a, nets.h, "h", trainable=True)
             x = tape_a.const(state.streams["x"].normal((m, config.k)))

@@ -21,6 +21,9 @@ from .autodiff import EagerTape, Tape, Tensor
 from .errors import ConfigError, ShapeError
 from .rng import Rng
 
+# the one training precision: parameters, Adam moments and training tapes
+TRAIN_DTYPE = np.dtype(np.float32)
+
 _HIDDEN_ACTS = {"relu": ad.relu, "tanh": ad.tanh}
 _OUTPUT_ACTS = {"identity": None, "sigmoid": ad.sigmoid}
 
@@ -97,9 +100,19 @@ class NetworkRoles:
         return nets
 
 
+def _uniform_weights(rng: Rng, shape: tuple, half_width: float) -> np.ndarray:
+    """`rng.symmetric(shape, half_width)` in TRAIN_DTYPE, drawn a block of rows at a time
+    (its values do not depend on call sizes), so no float64 copy of the whole matrix exists."""
+    out = np.empty(shape, TRAIN_DTYPE)
+    rows = max(1, 16384 // shape[1])
+    for lo in range(0, shape[0], rows):
+        out[lo:lo + rows] = rng.symmetric(out[lo:lo + rows].shape, half_width)
+    return out
+
+
 def init_params(layer_dims, rng: Rng, hidden_activation: str = "relu",
                 output_activation: str = "identity", linear_skip: bool = False) -> MlpParams:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, all in TRAIN_DTYPE."""
     if not layer_dims or any(d <= 0 for d in layer_dims):
         raise ConfigError(f"layer_dims must be nonempty and positive, got {layer_dims}")
     if hidden_activation not in _HIDDEN_ACTS:
@@ -108,12 +121,12 @@ def init_params(layer_dims, rng: Rng, hidden_activation: str = "relu",
         raise ConfigError(f"unknown output activation '{output_activation}'")
     weights, biases = [], []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(rng.symmetric((d_out, d_in), np.sqrt(6.0 / (d_in + d_out))))
-        biases.append(np.zeros(d_out))
+        weights.append(_uniform_weights(rng, (d_out, d_in), np.sqrt(6.0 / (d_in + d_out))))
+        biases.append(np.zeros(d_out, TRAIN_DTYPE))
     skip = None
     if linear_skip:
         d0, dL = layer_dims[0], layer_dims[-1]
-        skip = rng.symmetric((dL, d0), np.sqrt(6.0 / (d0 + dL)))
+        skip = _uniform_weights(rng, (dL, d0), np.sqrt(6.0 / (d0 + dL)))
     return MlpParams(list(layer_dims), weights, biases, hidden_activation, output_activation, skip)
 
 

@@ -104,6 +104,8 @@ def _fd_against_analytic(tape, loss, bound_list):
     checked only on the parameters its training phase actually updates.
     """
     tape.mark_output("fd_loss", loss)
+    # the differences need the tape's float64 default, whatever the parameters' dtype
+    assert {node.value.dtype for node in tape.nodes} == {np.dtype(np.float64)}
     worst = 0.0
     for b in bound_list:
         names = list(b.nodes)

@@ -584,24 +584,25 @@ def _adam_reference(p, m, v, g, t, lr, beta1, beta2, eps):
 _ADAM_SHAPES = [(1,), (16383,), (16384,), (16385,), (512, 784), (784, 512), (1, 20000)]
 
 
-def _assert_adam_matches_reference(shapes, order="C", grad_kind="C"):
+def _assert_adam_matches_reference(shapes, order="C", grad_kind="C", dtype=np.float64):
     rng = Rng(41)
     names = [f"p{i}" for i in range(len(shapes))]
-    params = {name: np.asarray(rng.normal(s), order=order) for name, s in zip(names, shapes)}
+    params = {name: np.asarray(rng.normal(s), dtype, order=order) for name, s in zip(names, shapes)}
     ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     state = AdamState(lr=3e-3)
     for t in range(1, 5):
         grads = {}
         for name, shape in zip(names, shapes):
             if grad_kind == "broadcast":
-                g = np.broadcast_to(rng.normal((1,) + shape[1:]), shape)
+                g = np.broadcast_to(rng.normal((1,) + shape[1:]).astype(dtype), shape)
             else:
-                g = np.asarray(rng.normal(shape), order=grad_kind)
+                g = np.asarray(rng.normal(shape), dtype, order=grad_kind)
             grads[name] = g
             _adam_reference(*ref[name], g, t, state.lr, state.beta1, state.beta2, state.epsilon)
         adam_step(params, grads, state)
         for name in names:
             p_ref, m_ref, v_ref = ref[name]
+            assert params[name].dtype == state.first_moment[name].dtype == dtype, (t, name)
             assert np.array_equal(params[name], p_ref), (t, name)
             assert np.array_equal(state.first_moment[name], m_ref), (t, name)
             assert np.array_equal(state.second_moment[name], v_ref), (t, name)
@@ -611,6 +612,25 @@ def _assert_adam_matches_reference(shapes, order="C", grad_kind="C"):
 @pytest.mark.parametrize("grad_kind", ["C", "F", "broadcast"])
 def test_blocked_adam_equals_whole_array_reference(order, grad_kind):
     _assert_adam_matches_reference(_ADAM_SHAPES, order, grad_kind)
+
+
+@pytest.mark.parametrize("grad_kind", ["C", "broadcast"])
+def test_blocked_adam_equals_whole_array_reference_in_float32(grad_kind):
+    # training's precision: the scratch must be float32 too, or the steps round twice
+    _assert_adam_matches_reference(_ADAM_SHAPES, "C", grad_kind, np.float32)
+
+
+def test_adam_sets_subnormal_first_moments_to_zero():
+    # with no gradient, m decays by beta1 each step; times beta1 the smallest subnormal
+    # rounds back to itself, so m would otherwise stay subnormal (and slow) for good
+    tiny, smallest = np.finfo(np.float32).tiny, np.float32(2.0 ** -149)
+    p = {"w": np.ones(3, np.float32)}
+    state = AdamState()
+    state.first_moment["w"] = np.array([tiny, smallest, 1e-3], np.float32)
+    state.second_moment["w"] = np.ones(3, np.float32)
+    assert smallest * np.float32(state.beta1) == smallest
+    adam_step(p, {"w": np.zeros(3, np.float32)}, state)
+    assert np.array_equal(state.first_moment["w"], [0.0, 0.0, np.float32(1e-3) * np.float32(0.9)])
 
 
 def test_adam_at_comparison_shapes_equals_whole_array_reference():

@@ -18,6 +18,7 @@ from latentjam import cli, game
 from latentjam.errors import CheckpointError, ConfigError, ShapeError
 from latentjam.game import GameConfig, init_state
 from latentjam.metrics import CSV_HEADER
+from latentjam.nets import TRAIN_DTYPE
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -163,7 +164,10 @@ def test_resolved_config_reproduces_run(tmp_path):
         cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=out1) + f"game.regularizer = {reg}\n")
         assert main(["train", cfg]) == 0
         resolved = (out1 / "resolved-config.txt").read_text()
-        assert "game.lambda_weight=" in resolved and "game.mmd_scale=4.0" in resolved
+        # each regularizer's resolved config lists the settings its step reads, and only those
+        assert ("game.lambda_weight=" in resolved) == (reg in ("kl", "mmd"))
+        assert ("game.mmd_scale=" in resolved) == (reg == "mmd")
+        assert reg != "mmd" or "game.mmd_scale=4.0" in resolved
         rerun = resolved.replace(f"run.output_dir={out1}", f"run.output_dir={out2}")
         cfg2 = write_cfg(tmp_path, rerun, name="rerun.cfg")
         assert main(["train", cfg2]) == 0
@@ -236,6 +240,20 @@ def test_exit_6_checkpoint_tampering(tmp_path):
                  "--out", str(tmp_path / "g2")]) == 6
 
 
+def test_exit_6_names_a_version_1_checkpoint(tmp_path, capsys):
+    # version 1 stored float64 arrays; there is no reader for it
+    state = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4, seed=0))
+    path = tmp_path / "cp.bin"
+    save_checkpoint(path, state)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=r"^checkpoint version 1 unsupported \(expected 2\)$"):
+        load_checkpoint(path)
+    assert main(["generate", str(path), "--count", "1", "--out", str(tmp_path / "g")]) == 6
+    assert "checkpoint version 1 unsupported" in capsys.readouterr().err
+
+
 def test_exit_2_bad_log_level(tmp_path, monkeypatch):
     monkeypatch.setenv("AJ_LOG", "bogus")
     out = tmp_path / "log"
@@ -304,6 +322,7 @@ def test_checkpoint_roundtrip(tmp_path):
             assert loaded.array_names() == params.array_names()
             for pname in params.array_names():
                 a, b = params.array(pname), loaded.array(pname)
+                assert a.dtype == b.dtype == TRAIN_DTYPE, f"{reg}.{name}.{pname}"
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"{reg}.{name}.{pname}"
         sidecar = (tmp_path / f"{reg}.bin.txt").read_text().strip().split("\n")
         assert len(sidecar) == sum(len(p.array_names()) for p in present.values())
@@ -367,6 +386,15 @@ def test_rejected_dataset_leaves_no_output_dir(tmp_path, lines):
     kept = [l for l in SMALL_TRAIN.format(out=out).split("\n")
             if l.split("=")[0].strip() not in keys]
     assert main(["train", write_cfg(tmp_path, "\n".join(kept + lines) + "\n")]) == 2
+    assert not out.exists()
+
+
+def test_batch_over_synthetic_count_rejected_before_data_is_made(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "synth_source", None)  # making the dataset would fail loudly
+    out = tmp_path / "big-batch"
+    text = SMALL_TRAIN.format(out=out).replace("game.batch_size = 32", "game.batch_size = 1000000000")
+    assert main(["train", write_cfg(tmp_path, text)]) == 2
+    assert "batch_size 1000000000 exceeds data.count=256" in capsys.readouterr().err
     assert not out.exists()
 
 

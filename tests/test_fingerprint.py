@@ -10,9 +10,9 @@ history:
      `demos/baseline_comparison.py` configuration (n=8, k=2, hidden 64,
      two auxiliary updates per step).
 
-The hashes pin this machine's BLAS as well as the code: OpenBLAS 0.3.31
-(scipy-openblas, Haswell kernels) at its default of 2 threads on a 2-core
-machine. OpenBLAS picks its kernels by CPU, matrix shape, memory layout
+Training runs in float32, so the hashes pin this machine's BLAS as well as
+the code: the float32 (sgemm) kernels of OpenBLAS 0.3.31 (scipy-openblas,
+Haswell) at its default of 2 threads on a 2-core machine. OpenBLAS picks its kernels by CPU, matrix shape, memory layout
 and thread count, and a kernel that orders a dot product differently
 moves the last bits; run (i) already hashes differently with
 OPENBLAS_NUM_THREADS=1, so `conftest.py` pins that variable to 2 before
@@ -28,8 +28,8 @@ import numpy as np
 from latentjam.data_io import BatchPlan, batches, synth_source
 from latentjam.game import GameConfig, init_state, train, train_step
 
-HASH_MNIST_STEPS = "0a1298970620f4604a3654351c74a82be27768c3e10589cf6b7915e75d593ac0"
-HASH_COMPARISON = "1aa9b985d7d5d4b001583510685a7ba0a28b3e52cbaee54b17e90a97375a80b6"
+HASH_MNIST_STEPS = "245eadf74e399e98e42a2b454846284446ab9677d3a21dbf54639f50021c0f10"
+HASH_COMPARISON = "836773095a854f30dd7f6d50c3de945b6ff8b3967200e8a677db72cc89f6b41d"
 
 
 def _fingerprint(state) -> str:

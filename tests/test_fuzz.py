@@ -8,7 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import idx_image_bytes
-from latentjam.cli import _SCHEMA, load_checkpoint, parse_config, save_checkpoint
+from latentjam.cli import (_SCHEMA, CHECKPOINT_VERSION, load_checkpoint, parse_config,
+                           save_checkpoint)
 from latentjam.data_io import IMAGES_MAGIC, LABELS_MAGIC, load_idx
 from latentjam.errors import CheckpointError, ConfigError, DataFormatError
 from latentjam.game import GameConfig, init_state
@@ -146,8 +147,8 @@ def test_load_checkpoint_on_mutated_files(fuzz_dir, valid_checkpoint, edits):
 def test_load_checkpoint_rejects_degenerate_layer_dims(tmp_path, name, dims):
     # a file consistent with its own dims, down to its last byte
     floats = sum(d_out * d_in + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
-    payload = (b"AJLK" + struct.pack("<III", 1, 1, len(name)) + name
-               + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + bytes(8 * floats))
+    payload = (b"AJLK" + struct.pack("<III", CHECKPOINT_VERSION, 1, len(name)) + name
+               + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + bytes(4 * floats))
     path = tmp_path / "degenerate.bin"
     path.write_bytes(payload)
     with pytest.raises(CheckpointError, match="invalid layer dims"):

@@ -1,7 +1,10 @@
 """Adversarial game: losses, alternation schedule, and the training loop."""
 
+import copy
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import normalized
 from latentjam import autodiff as ad
@@ -79,17 +82,31 @@ def test_config_validation():
     ("lr", -1.0), ("epochs", -3), ("lambda_weight", -1.0), ("mmd_scale", 0.0),
 ])
 def test_config_rejects_nonfinite_and_negative(field, value):
+    # mmd reads every one of these fields
     with pytest.raises(ConfigError, match=field):
-        GameConfig(k=2, n=4, **{field: value})
+        GameConfig(k=2, n=4, regularizer="mmd", **{field: value})
 
 
 def test_regularizer_defaults():
     assert GameConfig(k=2, n=2, regularizer="kl").lambda_weight == 1.0
     assert GameConfig(k=2, n=2, regularizer="mmd").lambda_weight == 10.0
-    assert GameConfig(k=2, n=2, regularizer="aj").lambda_weight == 10.0
+    for reg in ("aj", "none"):  # no default is materialized for a setting the step never reads
+        cfg = GameConfig(k=2, n=2, regularizer=reg)
+        assert cfg.lambda_weight is None and cfg.mmd_scale is None
+    assert GameConfig(k=2, n=2, regularizer="kl").mmd_scale is None
     assert GameConfig(k=2, n=2, regularizer="mmd", lambda_weight=0.25).lambda_weight == 0.25
     assert GameConfig(k=3, n=2, regularizer="mmd").mmd_scale == 6.0
     assert GameConfig(k=3, n=2, regularizer="mmd", mmd_scale=0.5).mmd_scale == 0.5
+
+
+@pytest.mark.parametrize("reg, field", [
+    ("aj", "lambda_weight"), ("none", "lambda_weight"), ("aj", "mmd_scale"),
+    ("none", "mmd_scale"), ("kl", "mmd_scale"),
+])
+def test_config_rejects_settings_the_step_never_reads(reg, field):
+    # any value, even a valid one, is a setting with no effect
+    with pytest.raises(ConfigError, match=f"^{field} has no effect with regularizer '{reg}'$"):
+        GameConfig(k=2, n=4, regularizer=reg, **{field: 1.0})
 
 
 # ============================================================
@@ -337,7 +354,8 @@ def test_phase_a_update_of_frozen_pair_raises(monkeypatch):
     def leaky_update(state, tape, loss, bounds):
         real_update(state, tape, loss, bounds)
         if bounds[0].name == "g":  # phase (a) also nudges the compressor
-            state.networks.f.weights[0][0, 0] += 1e-12
+            w = state.networks.f.weights[0]
+            w[0, 0] = np.nextafter(w[0, 0], np.inf)  # the smallest step its dtype can take
 
     monkeypatch.setattr(game, "_update", leaky_update)
     with pytest.raises(NumericError, match=r"frozen f\.W0 changed in phase \(a\)"):
@@ -353,7 +371,8 @@ def test_phase_b_update_of_frozen_pair_raises(monkeypatch):
     def leaky_update(state, tape, loss, bounds):
         real_update(state, tape, loss, bounds)
         if bounds[0].name == "f":  # phase (b) also nudges the frozen transmitter
-            state.networks.g.weights[0][0, 0] += 1e-12
+            w = state.networks.g.weights[0]
+            w[0, 0] = np.nextafter(w[0, 0], np.inf)  # the smallest step its dtype can take
 
     monkeypatch.setattr(game, "_update", leaky_update)
     with pytest.raises(NumericError, match=r"frozen g\.W0 changed in phase \(b\)"):
@@ -433,18 +452,17 @@ def test_train_rewraps_numeric_errors_with_position():
 def test_train_rewraps_evaluation_numeric_errors_with_epoch(monkeypatch):
     real_evaluate = game.evaluate
 
-    def overflowing(state, config, d_eval, epoch):
-        r = state.networks.r
-        r.biases[0][:] = 10.0  # every hidden unit of r is active
-        r.weights[-1][:] = 1e308  # so each decoder pre-activation overflows
+    def infinite_decoder(state, config, d_eval, epoch):
+        # float32 weights cannot overflow evaluation's float64 products, so the decoder's
+        # last weights are made infinite and binding them fails
+        state.networks.r.weights[-1][:] = np.inf
         return real_evaluate(state, config, d_eval, epoch)
 
-    monkeypatch.setattr(game, "evaluate", overflowing)
+    monkeypatch.setattr(game, "evaluate", infinite_decoder)
     ds = synth_source("gaussian", 128, 3, seed=3)
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericError, match=r"^epoch 1, evaluation: non-finite value out of "
-                                               r"op 'affine' on a record-free tape$"):
-            train(small_cfg(epochs=1), ds)
+    with pytest.raises(NumericError, match=r"^epoch 1, evaluation: non-finite value out of "
+                                           r"op 'const' on a record-free tape$"):
+        train(small_cfg(epochs=1), ds)
 
 
 def test_train_eta_zero_matches_plain_autoencoder_bitwise():
@@ -513,6 +531,75 @@ def test_evaluate_jscc_field_presence():
 
 
 # ============================================================
+# Precision: float32 training, float64 evaluation
+# ============================================================
+
+
+def _ref_mlp(params, x):
+    """float64 numpy forward pass, written from the MlpParams layout."""
+    h = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w.astype(np.float64).T + b
+        if i < len(params.weights) - 1:
+            h = np.maximum(h, 0.0)
+    if params.skip is not None:
+        h = h + x @ params.skip.astype(np.float64).T
+    return expit(h) if params.output_activation == "sigmoid" else h
+
+
+@pytest.mark.parametrize("reg", ["aj", "kl", "mmd", "none"])
+def test_training_is_float32_and_evaluation_float64(monkeypatch, reg):
+    cfg = GameConfig(k=2, n=784, batch_size=16, seed=12, regularizer=reg, jscc_hidden=8,
+                     data_hidden=32)  # f.W0 and r.W1 take Adam's blocked path
+    state = init_state(cfg)
+    data = synth_source("mixture", 216, 784, seed=12).images
+    tapes, grads, adam_operands = [], [], []
+    real_update, real_grads, real_ops = game._update, game.backward_grads, ad._adam_ops
+
+    def update(state, tape, loss, bounds):
+        tapes.append(tape)
+        real_update(state, tape, loss, bounds)
+
+    def backward(*args):
+        out = real_grads(*args)
+        grads.extend(out)
+        return out
+
+    def adam_ops(state, bc1, bc2, *arrays):  # p, g, m, v and the two scratch arrays
+        adam_operands.extend(arrays)
+        real_ops(state, bc1, bc2, *arrays)
+
+    monkeypatch.setattr(game, "_update", update)
+    monkeypatch.setattr(game, "backward_grads", backward)
+    monkeypatch.setattr(ad, "_adam_ops", adam_ops)
+    train_step(state, data[:16], cfg)
+    f32 = {np.dtype(np.float32)}
+    assert len(tapes) == (2 if reg == "aj" else 1)
+    assert {node.value.dtype for tape in tapes for node in tape.nodes} == f32
+    assert grads and {g.dtype for g in grads} == f32
+    assert adam_operands and {a.dtype for a in adam_operands} == f32
+    for name, params in state.networks.present().items():
+        opt = state.opt[name]
+        moments = [*opt.first_moment.values(), *opt.second_moment.values()]
+        assert len(moments) == 2 * len(params.array_names())
+        assert {params.array(p).dtype for p in params.array_names()} == f32
+        assert {m.dtype for m in moments} == f32
+
+    d_eval = data[16:]
+    sampler = copy.deepcopy(state.streams["eval"])  # kl's latent is drawn from this stream
+    report = evaluate(state, cfg, d_eval, epoch=1)
+    head = _ref_mlp(state.networks.f, d_eval)
+    if reg == "kl":
+        log_var = np.clip(head[:, 2:], -10.0, 10.0)
+        z = head[:, :2] + np.exp(0.5 * log_var) * sampler.normal((d_eval.shape[0], 2))
+    else:
+        centered = head - head.mean(axis=0)
+        z = centered / np.sqrt((centered * centered).mean(axis=0) + 1e-5)
+    expected = float(np.mean((d_eval - _ref_mlp(state.networks.r, z)) ** 2))
+    assert abs(report.data_mse - expected) <= 1e-9 * expected
+
+
+# ============================================================
 # 500-step convergence regression
 # ============================================================
 
@@ -550,8 +637,8 @@ def test_adversarial_game_converges_to_linear_saddle_level():
     assert all(0.4 <= w <= 0.65 for w in wins_j[1:]), wins_j
     assert abs(wins_j[-1] - 0.5) < 0.1, wins_j
     # measured once for this seed and pinned; loosen only with a ledger entry
-    assert np.allclose(wins_j, [1.3666, 0.498, 0.5324, 0.4998, 0.5099], atol=1e-3)
-    assert np.allclose(wins_m, [0.01407, 0.01093, 0.0051, 0.00281, 0.00102], atol=1e-4)
+    assert np.allclose(wins_j, [1.3665, 0.4905, 0.5362, 0.5008, 0.5110], atol=1e-3)
+    assert np.allclose(wins_m, [0.01406, 0.01136, 0.0054, 0.00293, 0.00102], atol=1e-4)
 
     # trained jammer output sits on the power constraint up to the eps law:
     # mean z^2 per coordinate is exactly P_a * v / (v + eps) for raw variance v
@@ -561,3 +648,4 @@ def test_adversarial_game_converges_to_linear_saddle_level():
     expected = float(np.mean(cfg.P_a * v / (v + 1e-5)))
     assert abs(float(np.mean(z * z)) - expected) < 1e-12
     assert cfg.P_a * 0.99 <= float(np.mean(z * z)) <= cfg.P_a + 1e-12
+
