@@ -159,8 +159,8 @@ class EagerTape(Tape):
     dtype is None: leaves keep their own dtype, and mixed operands promote.
     """
 
-    def __init__(self, dtype=None):
-        super().__init__(dtype)
+    def __init__(self):
+        super().__init__(None)
 
     def _record(self, op: str, inputs: tuple, value: np.ndarray, attrs: dict) -> Tensor:
         return Tensor(self, None, _checked(op, value, None))

@@ -65,8 +65,8 @@ class GameConfig:
     seed: int = 0
     jscc_hidden: int = 64
     data_hidden: int = 512
-    lambda_weight: Optional[float] = None  # kl -> 1.0, mmd -> 10.0 when unset; else unset
-    mmd_scale: Optional[float] = None      # mmd -> 2k when unset; else unset
+    lambda_weight: Optional[float] = None  # kl -> 1.0, mmd -> 10.0 when unset; else checked, then ignored
+    mmd_scale: Optional[float] = None      # mmd -> 2k when unset; else checked, then ignored
     check_gradients: bool = True
 
     def __post_init__(self):
@@ -74,9 +74,6 @@ class GameConfig:
             raise ConfigError(f"regularizer must be one of {REGULARIZERS}")
         reads = {"lambda_weight": self.regularizer in ("kl", "mmd"),
                  "mmd_scale": self.regularizer == "mmd"}
-        for name, read in reads.items():
-            if not read and getattr(self, name) is not None:
-                raise ConfigError(f"{name} has no effect with regularizer '{self.regularizer}'")
         if reads["lambda_weight"] and self.lambda_weight is None:
             self.lambda_weight = 1.0 if self.regularizer == "kl" else 10.0
         if reads["mmd_scale"] and self.mmd_scale is None:
@@ -99,10 +96,13 @@ class GameConfig:
             raise ConfigError("batch_size must be >= 2")
         if self.jscc_steps_per_data_step < 1:
             raise ConfigError("jscc_steps_per_data_step must be >= 1")
-        if reads["lambda_weight"] and self.lambda_weight < 0:
+        if self.lambda_weight is not None and self.lambda_weight < 0:
             raise ConfigError("lambda_weight must be >= 0")
-        if reads["mmd_scale"] and self.mmd_scale <= 0:
+        if self.mmd_scale is not None and self.mmd_scale <= 0:
             raise ConfigError("mmd_scale must be > 0")
+        for name, read in reads.items():
+            if not read:  # a valid value the step never reads is accepted and ignored
+                setattr(self, name, None)
 
 
 @dataclass

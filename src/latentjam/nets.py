@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import EagerTape, Tape, Tensor
 from .errors import ConfigError, ShapeError
-from .rng import Rng
+from .rng import _BLOCK, Rng
 
 # the one training precision: parameters, Adam moments and training tapes
 TRAIN_DTYPE = np.dtype(np.float32)
@@ -104,7 +104,7 @@ def _uniform_weights(rng: Rng, shape: tuple, half_width: float) -> np.ndarray:
     """`rng.symmetric(shape, half_width)` in TRAIN_DTYPE, drawn a block of rows at a time
     (its values do not depend on call sizes), so no float64 copy of the whole matrix exists."""
     out = np.empty(shape, TRAIN_DTYPE)
-    rows = max(1, 16384 // shape[1])
+    rows = max(1, _BLOCK // shape[1])
     for lo in range(0, shape[0], rows):
         out[lo:lo + rows] = rng.symmetric(out[lo:lo + rows].shape, half_width)
     return out

@@ -574,6 +574,7 @@ def _adam_reference(p, m, v, g, t, lr, beta1, beta2, eps):
     """The whole-array Adam update that the blocked `adam_step` must reproduce bit for bit."""
     m *= beta1
     m += (1.0 - beta1) * g
+    m[np.abs(m) < np.finfo(m.dtype).tiny] = 0
     v *= beta2
     v += (1.0 - beta2) * (g * g)
     p -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)

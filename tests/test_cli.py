@@ -176,6 +176,22 @@ def test_resolved_config_reproduces_run(tmp_path):
         assert (out2 / "resolved-config.txt").read_text() == rerun
 
 
+def test_unread_settings_in_a_resolved_config_are_ignored(tmp_path):
+    # resolved configs that list every field for every regularizer still run, and
+    # train exactly as the same config without the fields the step never reads
+    base = tmp_path / "base"
+    plain = write_cfg(tmp_path, SMALL_TRAIN.format(out=base) + "game.regularizer = aj\n")
+    assert main(["train", plain]) == 0
+    listed = tmp_path / "listed"
+    cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=listed) + "game.regularizer = aj\n"
+                    "game.lambda_weight = 10.0\ngame.mmd_scale = 4.0\n", name="listed.cfg")
+    assert main(["train", cfg]) == 0
+    assert (base / "metrics.csv").read_bytes() == (listed / "metrics.csv").read_bytes()
+    assert (base / "checkpoint.bin").read_bytes() == (listed / "checkpoint.bin").read_bytes()
+    resolved = (listed / "resolved-config.txt").read_text()
+    assert "game.lambda_weight=" not in resolved and "game.mmd_scale=" not in resolved
+
+
 def test_train_verb_rejects_mismatched_width(tmp_path):
     out = tmp_path / "mismatch"
     cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=out) + "game.n = 5\n")

@@ -103,10 +103,13 @@ def test_regularizer_defaults():
     ("aj", "lambda_weight"), ("none", "lambda_weight"), ("aj", "mmd_scale"),
     ("none", "mmd_scale"), ("kl", "mmd_scale"),
 ])
-def test_config_rejects_settings_the_step_never_reads(reg, field):
-    # any value, even a valid one, is a setting with no effect
-    with pytest.raises(ConfigError, match=f"^{field} has no effect with regularizer '{reg}'$"):
-        GameConfig(k=2, n=4, regularizer=reg, **{field: 1.0})
+def test_config_ignores_settings_the_step_never_reads(reg, field):
+    # a valid value is accepted and left unset, so a resolved config that lists it
+    # still runs and the re-resolved config omits it; an invalid one is still refused
+    for value in (1.0, 10.0):
+        assert getattr(GameConfig(k=2, n=4, regularizer=reg, **{field: value}), field) is None
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got inf$"):
+        GameConfig(k=2, n=4, regularizer=reg, **{field: float("inf")})
 
 
 # ============================================================
