@@ -174,8 +174,10 @@ def _checked(op: str, value: np.ndarray, node) -> np.ndarray:
 
 
 def _all_finite(x: np.ndarray) -> bool:
-    """Elementwise finiteness, decided by one reduction unless it overflows."""
-    return bool(np.isfinite(x.sum())) or bool(np.all(np.isfinite(x)))
+    """Elementwise finiteness, decided by one x . x unless it overflows: unlike a sum, x . x
+    never meets inf - inf, and `np.vdot` emits no floating-point warning, so a failure only raises."""
+    v = x.ravel("K")
+    return bool(np.isfinite(np.vdot(v, v))) or bool(np.all(np.isfinite(x)))
 
 
 # ============================================================

@@ -27,6 +27,31 @@ _BLOCK = 16384
 # (i+1) * _GOLDEN mod 2^64 for i < _BLOCK; a block's counter words are one add away
 _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
+# cos and sin at j * _ARC, j = 0.._TURN: j * _HI is exact (40 bits), j * (_ARC - _HI) < 4e-12
+_TURN, _ARC = 1024, 2.0 * np.pi / 1024
+_J, _HI = np.arange(_TURN + 1.0), round(_ARC * 2.0 ** 47) / 2.0 ** 47
+_COS, _SIN = np.cos(_J * _HI), np.sin(_J * _HI)
+_COS, _SIN = _COS - _J * (_ARC - _HI) * _SIN, _SIN + _J * (_ARC - _HI) * _COS
+
+
+def _cos_sin_turn(t, cos, idx, p, q, r) -> None:
+    """cos(2 pi t) into `cos` and sin(2 pi t) into `t`, t in [0, 1); `idx` (intp), `p`, `q`, `r` scratch.
+
+    2 pi t = j * _ARC + d, |d| <= pi/1024: the table gives j's part, Taylor polynomials give cos d - 1
+    and sin d (first dropped terms below 1e-17), and angle addition joins them."""
+    np.add(np.multiply(t, float(_TURN), out=p), 0.5, out=idx, casting="unsafe")  # t >= 0: floor
+    np.multiply(np.subtract(p, idx, out=p), _ARC, out=p)  # d
+    np.square(p, out=q)
+    np.add(np.multiply(np.subtract(np.multiply(q, 1 / 120, out=t), 1 / 6, out=t), q, out=t), 1.0, out=t)
+    p *= t  # sin d
+    q *= np.subtract(np.multiply(q, 1 / 24, out=t), 0.5, out=t)  # cos d - 1
+    # j is in [0, _TURN]; mode "wrap" never wraps it, and unlike "raise" writes to `out` unbuffered
+    c, s = np.take(_COS, idx, out=r, mode="wrap"), np.take(_SIN, idx, out=t, mode="wrap")
+    np.add(np.multiply(c, q, out=cos), c, out=cos)  # c cos d
+    np.add(np.multiply(s, q, out=q), s, out=q)  # s cos d
+    np.subtract(cos, np.multiply(s, p, out=t), out=cos)
+    np.add(q, np.multiply(c, p, out=p), out=t)
+
 
 def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, in place on a uint64 array; `tmp` is scratch of its shape."""
@@ -55,7 +80,9 @@ class Rng:
     also on call sizes: n values take m = ceil(n/2) pairs, u1 from the call's
     first m counters and u2 from the next m, and come out as every r*cos(theta)
     and then every r*sin(theta), cut to n. A call's memory is its output plus
-    a few blocks of scratch.
+    a few blocks of scratch. theta = 2 pi u2, whose cos and sin `_cos_sin_turn`
+    makes from a 1025-entry table built with `np.cos` and `np.sin` (their only use
+    of libm; r uses `np.log`) and short polynomials, within 1e-15 of libm's.
     """
 
     def __init__(self, seed: int):
@@ -106,14 +133,14 @@ class Rng:
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         pairs = (n + 1) // 2
         u = self.uniform((2 * pairs,))
+        scratch = [np.empty(min(pairs, _BLOCK), dtype=dt) for dt in (float, np.intp, float, float, float)]
         for lo in range(0, pairs, _BLOCK):
             a, b = u[lo:min(lo + _BLOCK, pairs)], u[pairs + lo:pairs + lo + _BLOCK]
+            _cos_sin_turn(b, *(x[:a.size] for x in scratch))  # theta = 2 pi u2; b is now sin(theta)
             np.log(np.subtract(1.0, a, out=a), out=a)  # 1 - u1 is in (0, 1], so the log is finite
             np.sqrt(np.multiply(a, -2.0, out=a), out=a)  # r
-            b *= 2.0 * np.pi  # theta
-            cos = np.cos(b)  # block-sized scratch: a and b are both still needed
-            np.multiply(np.sin(b, out=b), a, out=b)  # r sin(theta)
-            a *= cos  # r cos(theta)
+            b *= a  # r sin(theta)
+            a *= scratch[0][:a.size]  # r cos(theta)
         return u[:n].reshape(shape) if shape else u[0]
 
     def permutation(self, n: int) -> np.ndarray:

@@ -8,6 +8,8 @@ raw relative error would be meaningless. Below the floor the comparison is
 effectively absolute at 1e-9 precision.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -455,6 +457,21 @@ def test_nonfinite_value_on_record_free_tape_names_op(bad):
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=message.format("div")):
             _ = num / den
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finiteness_check_warns_of_nothing(dtype):
+    # a sum would meet inf - inf in the first array and overflow on the finite second
+    # one, and numpy warns of both
+    big = np.finfo(dtype).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape = Tape(dtype)
+        with pytest.raises(NumericError, match=r"op 'input' at node 0"):
+            tape.input("x", np.array([np.inf, -np.inf, 1.0]))
+        assert tape.const(np.full((3, 4), big)).value.dtype == dtype
+        with pytest.raises(NumericError, match=r"op 'const' at node 1"):
+            tape.const(np.array([[big, -np.inf], [np.nan, 1.0]]).T)
 
 
 def test_record_free_tape_keeps_no_graph():

@@ -29,7 +29,7 @@ from latentjam.data_io import BatchPlan, batches, synth_source
 from latentjam.game import GameConfig, init_state, train, train_step
 
 HASH_MNIST_STEPS = "245eadf74e399e98e42a2b454846284446ab9677d3a21dbf54639f50021c0f10"
-HASH_COMPARISON = "836773095a854f30dd7f6d50c3de945b6ff8b3967200e8a677db72cc89f6b41d"
+HASH_COMPARISON = "8a342d28e5705502d750a1dfb9544b476118489778f9f7260df4c1d60a6088e4"
 
 
 def _fingerprint(state) -> str:

@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak_ratio
-from latentjam.rng import Rng, derive_seed
+from latentjam.rng import Rng, _cos_sin_turn, derive_seed
+
+
+def _cos_sin_2pi(t):
+    """The package's cos(2 pi t) and sin(2 pi t) on a whole array at once."""
+    sin = np.array(t, dtype=np.float64)  # the helper writes sin over its input
+    cos = np.empty_like(sin)
+    _cos_sin_turn(sin, cos, np.empty(sin.shape, np.intp), *(np.empty_like(sin) for _ in range(3)))
+    return cos, sin
+
+
+def _libm_box_muller(u):
+    """Accuracy reference: Box-Muller on the pairs of `u` with theta = 2 pi u2 through libm."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:u.size // 2]))
+    theta = 2.0 * np.pi * u[u.size // 2:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])
 
 
 class _WholeArrayRng:
@@ -33,8 +48,8 @@ class _WholeArrayRng:
         u1 = 1.0 - self.uniform((pairs,))
         u2 = self.uniform((pairs,))
         r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        cos, sin = _cos_sin_2pi(u2)
+        z = np.concatenate([r * cos, r * sin])[:n]
         return z.reshape(shape) if shape else z[0]
 
 
@@ -69,12 +84,29 @@ def test_normal_layout_cos_half_then_sin_half():
     # n values take ceil(n/2) pairs: u1 from the first half of the counters, u2 from the second
     u = Rng(11).uniform((6,))
     r = np.sqrt(-2.0 * np.log(1.0 - u[:3]))
-    theta = 2.0 * np.pi * u[3:]
-    expected = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:5]
+    cos, sin = _cos_sin_2pi(u[3:])
+    expected = np.concatenate([r * cos, r * sin])[:5]
     assert np.array_equal(Rng(11).normal((5,)), expected)
     two_calls = Rng(11)
     split = np.concatenate([two_calls.normal((2,)), two_calls.normal((2,))])
     assert not np.array_equal(split, Rng(11).normal((4,)))
+
+
+def test_cos_sin_2pi_matches_libm():
+    steps = np.arange(1025) / 1024
+    edges = np.concatenate([[0.0, 1.0 - 2.0 ** -53], steps[1:] - 2.0 ** -53, steps[:-1],
+                            steps[:-1] + 2.0 ** -53, steps[:-1] + 0.5 / 1024])
+    for t in (Rng(13).uniform((1_000_000,)), edges):
+        assert t.min() >= 0.0 and t.max() < 1.0
+        cos, sin = _cos_sin_2pi(t)
+        assert np.max(np.abs(cos - np.cos(2.0 * np.pi * t))) <= 1e-15
+        assert np.max(np.abs(sin - np.sin(2.0 * np.pi * t))) <= 1e-15
+
+
+def test_normal_is_close_to_libm_box_muller():
+    z = Rng(14).normal((1_000_000,))
+    reference = _libm_box_muller(Rng(14).uniform((1_000_000,)))
+    assert np.max(np.abs(z - reference)) <= 1e-14
 
 
 # the whole-array formulas peaked at 4.0x (normal) and 3.0x (uniform) of the output
