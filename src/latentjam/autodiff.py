@@ -28,15 +28,18 @@ parameters meet float64 data inside an op, where numpy promotes, so
 evaluation runs in float64. NaN/Inf detection runs at every op boundary, on
 every value and every gradient, recorded or not, and is always on: a
 training failure must surface loudly, not corrupt the minimax dynamics
-downstream. The check reduces each array to its sum first, which is
-finite whenever every element is finite and not finite whenever any
-element is NaN or +-inf; only a non-finite sum (a bad element, or a
-finite array whose sum overflows, as a float32 sum does past about 3.4e38)
-pays for the elementwise scan.
+downstream. The check first takes x . x with `np.vdot`, which is not
+finite whenever any element is NaN or +-inf and finite whenever every
+element is finite and the sum of squares stays in range; x . x never
+meets inf - inf, so no floating-point warning precedes the error. Only a
+non-finite x . x pays for the elementwise scan: a bad element, or a finite
+array whose sum of squares overflows, as a float32 one does once an
+element reaches about 1.8e19 (the square root of float32's 3.4e38).
 
 `adam_step` runs the whole-array Adam formula on cache-sized blocks of
-axis-0 slices, with the same operations in the same order per element, so
-its bits are those of the whole-array formula.
+axis-0 slices, and `sigmoid` its forward on arrays larger than
+`_SIGMOID_BYTES`, with the same operations in the same order per element,
+so their bits are those of the whole-array formula.
 """
 
 from __future__ import annotations
@@ -223,6 +226,11 @@ def _affine(v, a):
     return out
 
 
+# a sigmoid row block, its scratch, np.where's output and the block of the result: about
+# 2 MiB, one core's L2; a float32 training batch of 128 x 784 is one block
+_SIGMOID_BYTES = 1 << 19
+
+
 def _matrix_op(op: str, fn):
     """Forward of a one-operand op defined on 2-D values only."""
     def forward(v, a):
@@ -233,11 +241,25 @@ def _matrix_op(op: str, fn):
 
 def _sigmoid(v, a):
     # exp(-|x|) never overflows; per element this is 1/(1+exp(-x)) for x >= 0 and
-    # exp(x)/(1+exp(x)) otherwise, the operations of splitting by sign, in two buffers
-    e = np.abs(v[0])
-    np.exp(np.negative(e, out=e), out=e)
-    out = np.where(v[0] >= 0, 1.0, e)
-    return np.divide(out, np.add(e, 1.0, out=e), out=out)
+    # exp(x)/(1+exp(x)) otherwise, the operations of splitting by sign; an array larger
+    # than `_SIGMOID_BYTES` runs them on row blocks of at most that size into its output
+    x = v[0]
+    if x.nbytes <= _SIGMOID_BYTES:
+        return _sigmoid_rows(x, np.empty_like(x), None)
+    out = np.empty_like(x)
+    step = max(1, _SIGMOID_BYTES // x[0].nbytes)
+    e = np.empty_like(x[:step])
+    for lo in range(0, len(x), step):
+        xb = x[lo:lo + step]
+        _sigmoid_rows(xb, e[:len(xb)], out[lo:lo + step])
+    return out
+
+
+def _sigmoid_rows(x, e, out):
+    """Sigmoid of x into `out`, or into a new array when `out` is None; `e` is scratch like x."""
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    num = np.where(x >= 0, 1.0, e)
+    return np.divide(num, np.add(e, 1.0, out=e), out=num if out is None else out)
 
 
 def _slice_cols_grad(g, v, out, a, i):

@@ -355,7 +355,7 @@ def run_oracle(config_path) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("check_name,value,threshold,pass\n")
         for name, value, threshold, verdict in rows:
-            val = f"{value:.6g}" if isinstance(value, float) else value
+            val = repr(float(value)) if isinstance(value, float) else value
             thr = f"{threshold:.6g}" if isinstance(threshold, float) else threshold
             fh.write(f"{name},{val},{thr},{verdict}\n")
     failed = [r for r in rows if r[3] == "FAIL"]

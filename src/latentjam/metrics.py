@@ -27,7 +27,7 @@ def mse_metric(d: np.ndarray, d_hat: np.ndarray) -> float:
     if d.shape != d_hat.shape:
         raise ShapeError(f"mse_metric shapes differ: {d.shape} vs {d_hat.shape}")
     diff = d - d_hat
-    return float(np.mean(diff * diff))
+    return float(np.mean(np.multiply(diff, diff, out=diff)))
 
 
 def pearson_dpc(latents: np.ndarray) -> float:

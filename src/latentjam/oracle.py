@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DegenerateGameError, NumericError
-from .rng import Rng, derive_seed
+from .rng import _BLOCK, Rng, derive_seed
 
 # ============================================================
 # Specs and strategies
@@ -156,9 +156,19 @@ def mc_game_value(spec: OracleSpec, strategy: LinearStrategy, samples: int, seed
     strategy.check_feasible(spec)
     x, n, z = _draw_game(spec, strategy.jammer, (max(2, samples // spec.k), spec.k), Rng(seed))
     gamma = resolve_decoder_gain(spec, strategy)
-    err = x - gamma * (strategy.encoder_gain * x + n + z)
-    sq = (err * err).ravel()
-    return McResult(float(sq.mean()), float(sq.std() / np.sqrt(sq.size)), sq.size)
+    # err = x - gamma * (alpha x + n + z), squared, then its mean and numpy's std
+    # (the root of the mean of (sq - mean)^2), in one buffer with numpy's operations and order
+    sq = np.multiply(x, strategy.encoder_gain)
+    sq += n
+    sq += z
+    sq *= gamma
+    np.subtract(x, sq, out=sq)
+    sq = np.multiply(sq, sq, out=sq).ravel()
+    mean = sq.mean()
+    sq -= mean
+    sq *= sq
+    std = np.sqrt(sq.sum() / sq.size)
+    return McResult(float(mean), float(std / np.sqrt(sq.size)), sq.size)
 
 
 # ============================================================
@@ -300,43 +310,77 @@ def matching_samples(spec: OracleSpec, jammer: tuple, samples: int, seed: int):
     return x, n + z
 
 
-def _cis(arg: np.ndarray) -> np.ndarray:
-    """exp(i arg) from one real cosine and one real sine."""
-    out = np.empty(arg.shape, dtype=np.complex128)
+def _cis(arg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(i arg) into complex `out`, from one real cosine and one real sine."""
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     return out
 
 
-def _log_cf_slopes(column: np.ndarray, radii, h: float) -> list:
-    """Central differences of log E[exp(i w column)] at w = t for each t in radii.
+def _gap_cis(column, e_h, g: float, h: float, arg, out) -> np.ndarray:
+    """exp(igc) into `out`: exp(ihc) = `e_h` to the power q by repeated squaring when
+    g == q * h in floating point for an integer q >= 1, else a cosine and sine of g c."""
+    q = round(g / h)
+    if q < 1 or q * h != g:
+        return _cis(np.multiply(column, g, out=arg), out)
+    np.copyto(out, e_h)
+    for bit in bin(q)[3:]:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            out *= e_h
+    return out
 
-    By angle addition exp(i(t + h)x) = exp(itx) exp(ihx) and exp(i(t - h)x) =
-    exp(itx) conj(exp(ihx)), so each mean is one complex dot product (the four
-    real products cos tx cos hx, sin tx sin hx, sin tx cos hx, cos tx sin hx).
-    exp(itx) steps from the previous radius by the same product with exp(igx),
-    whose cosine and sine are evaluated only when the gap g changes.
+
+def _log_cf_slopes(blocks, radii, h: float) -> list:
+    """Central differences of log E[exp(i w c)] at w = t for each t in radii.
+
+    `blocks` yields the column c at most `_BLOCK` values at a time, and the
+    characteristic-function sums are added up block by block, so the working
+    set stays cache-sized. By angle addition exp(i(t + h)c) = exp(itc)
+    exp(ihc) and exp(i(t - h)c) = exp(itc) conj(exp(ihc)), so each sum is one
+    complex dot product. exp(itc) steps from the previous radius by the
+    product with exp(igc) for the gap g, which `_gap_cis` makes from exp(ihc)
+    when g is a whole number of steps, as on the default grid. At t = 0 the
+    value at -h is the conjugate of the value at +h.
     """
-    n = column.size
-    e_h = _cis(h * column)
-    e_t, e_gap, t_prev, g_prev = np.ones(n, dtype=np.complex128), None, 0.0, None
+    scratch = np.empty(_BLOCK), *(np.empty(_BLOCK, dtype=np.complex128) for _ in range(3))
+    sums = np.zeros((len(radii), 2), dtype=np.complex128)
+    n = 0
+    for column in blocks:
+        arg, e_h, e_gap, e_t = (s[:column.size] for s in scratch)
+        _cis(np.multiply(column, h, out=arg), e_h)
+        t_prev, g_prev, at_origin = 0.0, None, True
+        for j, t in enumerate(radii):
+            if t != t_prev:
+                if t - t_prev != g_prev:
+                    g_prev = t - t_prev
+                    _gap_cis(column, e_h, g_prev, h, arg, e_gap)
+                if at_origin:
+                    np.copyto(e_t, e_gap)
+                else:
+                    e_t *= e_gap
+                t_prev, at_origin = t, False
+            if t == 0:
+                sums[j, 0] += e_h.sum()
+            else:
+                sums[j] += e_t @ e_h, np.vdot(e_h, e_t)
+        n += column.size
     slopes = []
-    for t in radii:
-        if t != t_prev:
-            if t - t_prev != g_prev:
-                g_prev = t - t_prev
-                e_gap = _cis(g_prev * column)
-            e_t *= e_gap
-            t_prev = t
-        if t == 0:
-            f_hi = complex(e_h.mean())
-            f_lo = f_hi.conjugate()
-        else:
-            f_hi, f_lo = complex(e_t @ e_h) / n, complex(np.vdot(e_h, e_t)) / n
+    for t, (s_hi, s_lo) in zip(radii, sums):
+        f_hi = complex(s_hi) / n
+        f_lo = f_hi.conjugate() if t == 0 else complex(s_lo) / n
         if abs(f_hi) < 0.1 or abs(f_lo) < 0.1:
             raise NumericError(f"characteristic function magnitude below 0.1 near w={t}; grid too wide")
         slopes.append((np.log(f_hi) - np.log(f_lo)) / (2.0 * h))
     return slopes
+
+
+def _projected(samples: np.ndarray, basis_column: np.ndarray, scale: float):
+    """(samples @ basis_column) * scale, `_BLOCK` rows at a time."""
+    for lo in range(0, samples.shape[0], _BLOCK):
+        block = samples[lo:lo + _BLOCK] @ basis_column
+        block *= scale
+        yield block
 
 
 def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
@@ -346,23 +390,20 @@ def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
     A = Sigma Q_X^T X and B = Q_Z^T (N+Z); both log-CFs are quadratic with
     ratio exactly S when the jammer-plus-noise is Gaussian matched to the
     source, so the residual is a direct linearity-of-estimation probe. The
-    log-CF slopes are central differences of step h. The empirical CF at
-    t +- h is built by angle addition from cos and sin of tx and hx, one
-    complex dot product each and no complex exponential; at t = 0 the value
-    at -h is the conjugate of the value at +h.
+    log-CF slopes are central differences of step h (`_log_cf_slopes`).
+    Each column of A and B is projected and consumed `_BLOCK` rows at a
+    time, so no temporary grows with the sample count.
     """
     x = np.asarray(samples_x, dtype=np.float64)
     zn = np.asarray(samples_zn, dtype=np.float64)
     if x.shape[0] < 100_000 or zn.shape[0] < 100_000:
         raise ConfigError("matching_residual needs >= 1e5 samples per block")
-    a = (x @ matching.q_x) * matching.sigma[None, :]
-    b = zn @ matching.q_z
     s = matching.s_diag
     h = matching.step
     worst = 0.0
-    for i in range(a.shape[1]):
-        lhs = _log_cf_slopes(a[:, i], matching.radii, h)
-        rhs = _log_cf_slopes(b[:, i], matching.radii, h)
+    for i in range(x.shape[1]):
+        lhs = _log_cf_slopes(_projected(x, matching.q_x[:, i], matching.sigma[i]), matching.radii, h)
+        rhs = _log_cf_slopes(_projected(zn, matching.q_z[:, i], 1.0), matching.radii, h)
         for l_t, r_t in zip(lhs, rhs):
             worst = max(worst, abs(l_t - s[i] * r_t))
     return worst

@@ -26,14 +26,19 @@ def normalized(z, target_power):
     return power_normalize(EagerTape().const(z), target_power).value
 
 
-def traced_peak_ratio(fn) -> float:
-    """Peak bytes `tracemalloc` sees while `fn()` runs, over the bytes of the array it returns."""
+def traced_peak(fn):
+    """`fn()` and the peak bytes `tracemalloc` sees while it runs."""
     tracemalloc.start()
     try:
         out = fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_peak_ratio(fn) -> float:
+    """Peak bytes `tracemalloc` sees while `fn()` runs, over the bytes of the array it returns."""
+    out, peak = traced_peak(fn)
     return peak / out.nbytes
 
 

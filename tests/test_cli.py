@@ -19,6 +19,8 @@ from latentjam.errors import CheckpointError, ConfigError, ShapeError
 from latentjam.game import GameConfig, init_state
 from latentjam.metrics import CSV_HEADER
 from latentjam.nets import TRAIN_DTYPE
+from latentjam.oracle import OracleSpec, mc_game_value, saddle_strategy
+from latentjam.rng import derive_seed
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -293,6 +295,10 @@ def test_oracle_verb_report(tmp_path):
                      "saddle_verify_k2", "saddle_verify_k8",
                      "matching_gaussian", "matching_uniform"]
     assert all(l.split(",")[3] == "pass" for l in lines[1:])
+    # values are written in full: the Monte-Carlo row is the suite's own game value exactly
+    spec = OracleSpec(k=2)
+    mc = mc_game_value(spec, saddle_strategy(spec), 200_000, derive_seed(0, "mc"))
+    assert lines[2] == f"saddle_mc_rel_err,{abs(mc.value - 0.5) / 0.5!r},0.01,pass"
 
 
 def test_oracle_verb_passes_at_default_counts_and_seed_0(tmp_path):

@@ -28,6 +28,14 @@ def test_mse_symmetric():
     assert mse_metric(a, b) == mse_metric(b, a)
 
 
+def test_mse_leaves_inputs_unchanged_and_equals_whole_array_formula():
+    a = Rng(2).normal((50, 7))
+    b = Rng(3).normal((50, 7))
+    a0, b0 = a.copy(), b.copy()
+    assert mse_metric(a, b) == float(np.mean((a0 - b0) * (a0 - b0)))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
 def test_mse_shape_mismatch():
     with pytest.raises(ShapeError):
         mse_metric(np.zeros((2, 2)), np.zeros((2, 3)))

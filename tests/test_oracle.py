@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+from latentjam import oracle
 from latentjam.errors import ConfigError, DegenerateGameError, NumericError
 from latentjam.oracle import (
     LinearStrategy,
@@ -18,7 +20,7 @@ from latentjam.oracle import (
     saddle_verify,
     scalar_saddle_distortion,
 )
-from latentjam.rng import Rng, derive_seed
+from latentjam.rng import _BLOCK, Rng, derive_seed
 
 
 # ============================================================
@@ -240,6 +242,34 @@ def test_mc_infeasible_strategy_rejected():
         mc_game_value(OracleSpec(), LinearStrategy(3.0, "optimal"), 20_000, seed=0)
 
 
+def _whole_array_game_value(spec, strategy, samples, seed):
+    """Reference: the game value and standard error by whole-array temporaries."""
+    x, n, z = oracle._draw_game(spec, strategy.jammer, (max(2, samples // spec.k), spec.k), Rng(seed))
+    gamma = resolve_decoder_gain(spec, strategy)
+    err = x - gamma * (strategy.encoder_gain * x + n + z)
+    sq = (err * err).ravel()
+    return float(sq.mean()), float(sq.std() / np.sqrt(sq.size))
+
+
+@pytest.mark.parametrize("sigma_n_sq", [0.0, 0.5])
+def test_mc_in_place_equals_whole_array_reference_bit_for_bit(sigma_n_sq):
+    # every jammer family (gaussian, uniform, scaled-source) and both codec deviations
+    spec = OracleSpec(1.0, 1.0, 1.0, sigma_n_sq, k=2)
+    rows = default_perturbations(spec) + [("saddle", "", saddle_strategy(spec))]
+    assert {strat.jammer[0] for _, _, strat in rows} == {"gaussian", "uniform", "scaled_source"}
+    for i, (name, _, strat) in enumerate(rows):
+        res = mc_game_value(spec, strat, 20_000, seed=i)
+        assert (res.value, res.std_error) == _whole_array_game_value(spec, strat, 20_000, i), name
+
+
+def test_mc_memory_is_the_draws_and_one_buffer():
+    # x, z and one error buffer; whole-array temporaries held five arrays of the draws' size
+    spec = OracleSpec(k=2)
+    draw_bytes = 400_000 * 8
+    _, peak = traced_peak(lambda: mc_game_value(spec, saddle_strategy(spec), 400_000, seed=1))
+    assert peak < 3.5 * draw_bytes
+
+
 # ============================================================
 # Saddle grid verification
 # ============================================================
@@ -364,6 +394,61 @@ def test_matching_cf_magnitude_guard():
     x, zn = matching_samples(spec, ("gaussian", spec.P_a), 200_000, seed=2)
     with pytest.raises(NumericError, match="0.1"):
         matching_residual(x, zn, wide)
+
+
+def _whole_array_log_cf_slopes(column, radii, h):
+    """Reference: the slopes from whole-column exp(ihc), exp(itc) and libm exp(igc)."""
+    def cis(arg):
+        return np.cos(arg) + 1j * np.sin(arg)
+
+    e_h = cis(h * column)
+    e_t, e_gap, t_prev, g_prev = np.ones(column.size, dtype=np.complex128), None, 0.0, None
+    slopes = []
+    for t in radii:
+        if t != t_prev:
+            if t - t_prev != g_prev:
+                g_prev = t - t_prev
+                e_gap = cis(g_prev * column)
+            e_t *= e_gap
+            t_prev = t
+        f_hi = np.mean(e_h) if t == 0 else np.mean(e_t * e_h)
+        f_lo = np.conj(f_hi) if t == 0 else np.mean(e_t * np.conj(e_h))
+        slopes.append((np.log(f_hi) - np.log(f_lo)) / (2.0 * h))
+    return slopes
+
+
+@pytest.fixture(scope="module")
+def cf_column():
+    x, _ = matching_samples(OracleSpec(k=1), ("uniform", 1.0), 1_000_000, seed=9)
+    return x[:, 0] + 0.1  # a nonzero mean gives the slope at t = 0 a real size
+
+
+# radii, and the cosine-sine passes per block: one for exp(ihc), plus one per gap that is
+# not a whole number of steps in floating point (0.3 != 6 * 0.05, 0.7 - 0.3 != 8 * 0.05)
+_CF_GRIDS = [((0.0,), 1), ((0.0, 0.25, 0.5, 0.75, 1.0), 1), ((1.0,), 1), ((0.3, 0.7), 3)]
+
+
+@pytest.mark.parametrize("radii,cis_per_block", _CF_GRIDS, ids=["origin", "default", "q20", "libm"])
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 1_000_000])
+def test_blocked_log_cf_slopes_match_whole_array(cf_column, monkeypatch, radii, cis_per_block, size):
+    column = cf_column[:size]
+    calls = []
+    real_cis = oracle._cis
+    monkeypatch.setattr(oracle, "_cis", lambda arg, out: calls.append(arg.size) or real_cis(arg, out))
+    blocks = (column[lo:lo + _BLOCK] for lo in range(0, size, _BLOCK))
+    got = oracle._log_cf_slopes(blocks, radii, 0.05)
+    expected = _whole_array_log_cf_slopes(column, radii, 0.05)
+    assert max(abs(g - e) for g, e in zip(got, expected)) <= 1e-13
+    assert len(calls) == cis_per_block * -(-size // _BLOCK)
+
+
+def test_matching_residual_memory_stays_block_sized():
+    # the whole-array code held the projections and three complex columns, several times the input
+    spec = OracleSpec(k=2)
+    m = isotropic_matching(spec)
+    x, zn = matching_samples(spec, ("gaussian", spec.P_a), 1_000_000, seed=0)
+    _, peak = traced_peak(lambda: matching_residual(x, zn, m))
+    assert peak < 0.1 * x.nbytes
 
 
 def _reference_log_cf_slope(column, t, h):
