@@ -10,7 +10,6 @@ training.
 
 from .autodiff import (AdamState, EagerTape, Tape, Tensor, adam_step, backward_grads,
                        forward_eval)
-from .baselines import kl_diag_gaussian, mmd_imq, reparameterize
 from .data_io import BatchPlan, Dataset, batches, load_idx, synth_source
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)

@@ -36,15 +36,18 @@ non-finite x . x pays for the elementwise scan: a bad element, or a finite
 array whose sum of squares overflows, as a float32 one does once an
 element reaches about 1.8e19 (the square root of float32's 3.4e38).
 
-`adam_step` runs the whole-array Adam formula on cache-sized blocks of
-axis-0 slices, and `sigmoid` its forward on arrays larger than
-`_SIGMOID_BYTES`, with the same operations in the same order per element,
-so their bits are those of the whole-array formula.
+`adam_step` updates one flat array, a network's whole parameter buffer,
+so training makes one call per network per update. It runs the whole-array
+Adam formula on 1-D blocks of `_ADAM_BLOCK` elements, and `sigmoid` its
+forward on arrays larger than `_SIGMOID_BYTES`, with the same operations in
+the same order per element, so their bits are those of the whole-array
+formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -473,15 +476,15 @@ _ADAM_BLOCK = 16384
 
 @dataclass
 class AdamState:
-    """Moment buffers plus hyperparameters for one family of parameters."""
+    """Moments of one flat parameter array plus hyperparameters; the first step makes m and v."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
 
 def _adam_ops(state: AdamState, bc1: float, bc2: float, p, g, m, v, a, b) -> None:
@@ -505,34 +508,27 @@ def _adam_ops(state: AdamState, bc1: float, bc2: float, p, g, m, v, a, b) -> Non
     p -= a
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One Adam update with bias correction; params are updated in place.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> np.ndarray:
+    """One Adam update with bias correction of the 1-D array p, in place; returns p.
 
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as 17 elementwise operations,
-    in that order, per block of about `_ADAM_BLOCK` elements or on a smaller whole array.
+    in that order, on 1-D blocks of `_ADAM_BLOCK` elements. A network's whole
+    parameter buffer is one call.
     """
+    if p.ndim != 1 or g.shape != p.shape:
+        raise ShapeError(f"adam: needs a 1-D parameter and a gradient of its shape, "
+                         f"got {p.shape} and {g.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+    if state.m.shape != p.shape:
+        raise ShapeError(f"adam: moments of shape {state.m.shape} given a parameter of shape {p.shape}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"adam: gradient shape {g.shape} != parameter shape {p.shape} for '{name}'")
-        m = state.first_moment.get(name)
-        if m is None:
-            m = state.first_moment[name] = np.zeros_like(p)
-        v = state.second_moment.get(name)
-        if v is None:
-            v = state.second_moment[name] = np.zeros_like(p)
-        if p.size <= _ADAM_BLOCK:
-            _adam_ops(state, bc1, bc2, p, g, m, v, np.empty_like(p), np.empty_like(p))
-            continue
-        # scratch like p; a wide row is a block of its own
-        scratch = np.empty((2, max(_ADAM_BLOCK, p[0].size)), dtype=p.dtype)
-        step = max(1, _ADAM_BLOCK // p[0].size)
-        for lo in range(0, p.shape[0], step):
-            pb, gb, mb, vb = p[lo:lo + step], g[lo:lo + step], m[lo:lo + step], v[lo:lo + step]
-            a, b = (s[:pb.size].reshape(pb.shape) for s in scratch)
-            _adam_ops(state, bc1, bc2, pb, gb, mb, vb, a, b)
-    return params
+    a, b = np.empty((2, min(p.size, _ADAM_BLOCK)), dtype=p.dtype)
+    for lo in range(0, p.size, _ADAM_BLOCK):
+        hi = lo + _ADAM_BLOCK
+        n = min(hi, p.size) - lo
+        _adam_ops(state, bc1, bc2, p[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi], a[:n], b[:n])
+    return p

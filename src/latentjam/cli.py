@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import math
 import os
 import struct
 import sys
@@ -29,7 +28,7 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)
 from .game import GameConfig, TrainState, check_training_inputs, train
 from .metrics import CSV_HEADER
-from .nets import ROLE_TRAITS, TRAIN_DTYPE, MlpParams, mlp_apply
+from .nets import ROLE_TRAITS, TRAIN_DTYPE, MlpParams, buffer_size, mlp_apply
 from .oracle import (OracleSpec, isotropic_matching, matching_residual,
                      matching_samples, mc_game_value, saddle_strategy,
                      saddle_verify, scalar_saddle_distortion)
@@ -167,10 +166,9 @@ def save_checkpoint(path, state: TrainState) -> None:
             fh.write(struct.pack("<I", len(params.layer_dims)))
             for d in params.layer_dims:
                 fh.write(struct.pack("<I", d))
-            for pname in params.array_names():
-                arr = params.array(pname)
-                fh.write(np.asarray(arr, dtype=_PAYLOAD).tobytes())
-                sidecar.append(f"{name} {pname} {'x'.join(str(s) for s in arr.shape)}")
+            fh.write(np.asarray(params.buffer, dtype=_PAYLOAD).tobytes())
+            sidecar += [f"{name} {pname} {'x'.join(str(s) for s in params.array(pname).shape)}"
+                        for pname in params.array_names()]
     with open(str(path) + ".txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(sidecar) + "\n")
 
@@ -216,28 +214,19 @@ def _parse_checkpoint(buf: bytes) -> dict:
         if len(dims) < 2 or min(dims) < 1:
             raise CheckpointError(f"network '{name}' has invalid layer dims {dims}")
         hidden_act, out_act, has_skip = ROLE_TRAITS[name]
-        weights, biases = [], []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            w, offset = _read_floats(buf, offset, (d_out, d_in))
-            b, offset = _read_floats(buf, offset, (d_out,))
-            weights.append(w)
-            biases.append(b)
-        skip = None
-        if has_skip:
-            skip, offset = _read_floats(buf, offset, (dims[-1], dims[0]))
-        nets[name] = MlpParams(dims, weights, biases, hidden_act, out_act, skip)
+        buffer, offset = _read_floats(buf, offset, name, buffer_size(dims, has_skip))
+        nets[name] = MlpParams(dims, buffer, hidden_act, out_act, has_skip)
     if offset != len(buf):
         raise CheckpointError(f"checkpoint has {len(buf) - offset} trailing bytes")
     return nets
 
 
-def _read_floats(buf: bytes, offset: int, shape: tuple):
-    """A TRAIN_DTYPE copy of the array of `shape` at `offset`, and the offset past it."""
-    end = offset + _PAYLOAD.itemsize * math.prod(shape)
+def _read_floats(buf: bytes, offset: int, name: str, count: int):
+    """A TRAIN_DTYPE copy of network `name`'s `count` values at `offset`, and the offset past them."""
+    end = offset + _PAYLOAD.itemsize * count
     if end > len(buf):
-        raise CheckpointError(f"checkpoint is truncated: a {shape} array runs past its end")
-    arr = np.frombuffer(buf, dtype=_PAYLOAD, count=math.prod(shape), offset=offset)
-    return arr.reshape(shape).astype(TRAIN_DTYPE), end
+        raise CheckpointError(f"checkpoint is truncated: network '{name}' runs past its end")
+    return np.frombuffer(buf, dtype=_PAYLOAD, count=count, offset=offset).astype(TRAIN_DTYPE), end
 
 
 # ============================================================

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -175,24 +175,26 @@ def data_loss(recon_mse: Tensor, jscc_term, eta: float) -> Tensor:
 
 
 def _update(state: TrainState, tape: Tape, loss: Tensor, bounds: list) -> None:
-    """One backward sweep over the bound networks' leaves, then Adam per network in order."""
+    """One backward sweep over the bound networks' leaves, then one Adam step per network, in
+    order, on its flat buffer with the leaf gradients gathered into its layout."""
     grads = iter(backward_grads(tape, loss, [t for b in bounds for t in b.nodes.values()]))
     for b in bounds:
-        adam_step({p: b.params.array(p) for p in b.nodes}, {p: next(grads) for p in b.nodes},
+        adam_step(b.params.buffer, b.params.gather([next(grads) for _ in b.nodes]),
                   state.opt[b.name])
 
 
 def _snapshot(nets: NetworkRoles, names: tuple) -> dict:
-    return {net: {p: getattr(nets, net).array(p).copy() for p in getattr(nets, net).array_names()}
+    return {net: replace(getattr(nets, net), buffer=getattr(nets, net).buffer.copy())
             for net in names}
 
 
 def _assert_unchanged(nets: NetworkRoles, before: dict, phase: str) -> None:
-    for net, arrays in before.items():
-        for pname, old in arrays.items():
-            if not np.array_equal(getattr(nets, net).array(pname), old):
-                raise NumericError(
-                    f"stop-gradient violation: frozen {net}.{pname} changed in phase ({phase})")
+    for net, old in before.items():
+        now = getattr(nets, net)
+        if not np.array_equal(now.buffer, old.buffer):
+            pname = next(p for p in old.array_names() if not np.array_equal(now.array(p), old.array(p)))
+            raise NumericError(
+                f"stop-gradient violation: frozen {net}.{pname} changed in phase ({phase})")
 
 
 def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> TrainState:

@@ -11,6 +11,7 @@ with `power_normalize` on such a tape, so there is no numpy twin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,19 +31,43 @@ _OUTPUT_ACTS = {"identity": None, "sigmoid": ad.sigmoid}
 
 @dataclass
 class MlpParams:
-    """Weights, biases, and architecture for one network.
+    """Architecture and parameters of one network, held in one flat buffer.
 
+    The buffer holds W0, b0, W1, b1, ..., then skip, each C-ordered and in
+    `array_names()` order, which is also the checkpoint payload order.
     weights[i] has shape (layer_dims[i+1], layer_dims[i]); biases[i] has
-    shape (layer_dims[i+1],). skip, when present, is (d_L, d_0) and is added
-    to the pre-activation output.
+    shape (layer_dims[i+1],). skip, present with `linear_skip`, is
+    (d_L, d_0) and is added to the pre-activation output. Every one of them
+    is a view into the buffer made on access, so a write through any of
+    them, or to the buffer, is what all of them show.
     """
 
     layer_dims: list
-    weights: list
-    biases: list
+    buffer: np.ndarray
     hidden_activation: str = "relu"
     output_activation: str = "identity"
-    skip: Optional[np.ndarray] = None
+    linear_skip: bool = False
+
+    def __post_init__(self):
+        self.layer_dims = list(self.layer_dims)
+        self._spans, lo = {}, 0
+        for name, shape in _layout(self.layer_dims, self.linear_skip):
+            self._spans[name] = (lo, lo + math.prod(shape), shape)
+            lo += math.prod(shape)
+        if self.buffer.shape != (lo,):
+            raise ShapeError(f"network with layer dims {self.layer_dims} needs a flat buffer "
+                             f"of {lo} values, got shape {self.buffer.shape}")
+
+    @classmethod
+    def from_arrays(cls, layer_dims, weights, biases, hidden_activation: str = "relu",
+                    output_activation: str = "identity", skip=None) -> "MlpParams":
+        """A network whose buffer is a copy of the given arrays, in their common dtype."""
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        if skip is not None:
+            arrays.append(skip)
+        layout = _layout(list(layer_dims), skip is not None)
+        return cls(layer_dims, _gather(layout, arrays), hidden_activation, output_activation,
+                   skip is not None)
 
     @property
     def in_dim(self) -> int:
@@ -52,23 +77,60 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.layer_dims[-1]
 
+    @property
+    def depth(self) -> int:
+        return len(self.layer_dims) - 1
+
+    @property
+    def weights(self) -> list:
+        return [self.array(f"W{i}") for i in range(self.depth)]
+
+    @property
+    def biases(self) -> list:
+        return [self.array(f"b{i}") for i in range(self.depth)]
+
+    @property
+    def skip(self) -> Optional[np.ndarray]:
+        return self.array("skip") if self.linear_skip else None
+
     def array_names(self) -> list:
-        """Parameter names in declaration order (checkpoint order)."""
-        names = []
-        for i in range(len(self.weights)):
-            names.append(f"W{i}")
-            names.append(f"b{i}")
-        if self.skip is not None:
-            names.append("skip")
-        return names
+        """Parameter names in buffer order (checkpoint order)."""
+        return list(self._spans)
 
     def array(self, name: str) -> np.ndarray:
-        if name == "skip":
-            if self.skip is None:
-                raise ConfigError("network has no skip matrix")
-            return self.skip
-        idx = int(name[1:])
-        return self.weights[idx] if name[0] == "W" else self.biases[idx]
+        """The named parameter: a view into the buffer."""
+        if name not in self._spans:
+            raise ConfigError("network has no skip matrix" if name == "skip"
+                              else f"network has no parameter '{name}'")
+        lo, hi, shape = self._spans[name]
+        return self.buffer[lo:hi].reshape(shape)
+
+    def gather(self, arrays: list) -> np.ndarray:
+        """One flat C-ordered copy of `arrays`, given in `array_names()` order and each of
+        its parameter's shape (else `ShapeError`): the buffer's layout."""
+        return _gather(_layout(self.layer_dims, self.linear_skip), arrays)
+
+
+def buffer_size(layer_dims: list, linear_skip: bool) -> int:
+    """Values in the buffer of a network with these layer dims."""
+    return sum(math.prod(shape) for _, shape in _layout(layer_dims, linear_skip))
+
+
+def _layout(layer_dims: list, linear_skip: bool) -> list:
+    """(name, shape) of each parameter in buffer order."""
+    out = []
+    for i, (d_in, d_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        out += [(f"W{i}", (d_out, d_in)), (f"b{i}", (d_out,))]
+    if linear_skip:
+        out.append(("skip", (layer_dims[-1], layer_dims[0])))
+    return out
+
+
+def _gather(layout: list, arrays: list) -> np.ndarray:
+    for (name, shape), a in zip(layout, arrays):
+        if np.shape(a) != shape:
+            raise ShapeError(f"parameter {name} has shape {shape}, given {np.shape(a)}")
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
 @dataclass
@@ -100,34 +162,31 @@ class NetworkRoles:
         return nets
 
 
-def _uniform_weights(rng: Rng, shape: tuple, half_width: float) -> np.ndarray:
-    """`rng.symmetric(shape, half_width)` in TRAIN_DTYPE, drawn a block of rows at a time
-    (its values do not depend on call sizes), so no float64 copy of the whole matrix exists."""
-    out = np.empty(shape, TRAIN_DTYPE)
-    rows = max(1, _BLOCK // shape[1])
-    for lo in range(0, shape[0], rows):
+def _fill_uniform(rng: Rng, out: np.ndarray) -> None:
+    """`out[...] = rng.symmetric(out.shape, sqrt(6 / (fan_in + fan_out)))`, drawn a block of
+    rows at a time (its values do not depend on call sizes), so no float64 copy of the whole
+    matrix exists."""
+    half_width = np.sqrt(6.0 / (out.shape[0] + out.shape[1]))
+    rows = max(1, _BLOCK // out.shape[1])
+    for lo in range(0, out.shape[0], rows):
         out[lo:lo + rows] = rng.symmetric(out[lo:lo + rows].shape, half_width)
-    return out
 
 
 def init_params(layer_dims, rng: Rng, hidden_activation: str = "relu",
                 output_activation: str = "identity", linear_skip: bool = False) -> MlpParams:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, all in TRAIN_DTYPE."""
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights (and skip), zero biases, all in TRAIN_DTYPE."""
     if not layer_dims or any(d <= 0 for d in layer_dims):
         raise ConfigError(f"layer_dims must be nonempty and positive, got {layer_dims}")
     if hidden_activation not in _HIDDEN_ACTS:
         raise ConfigError(f"unknown hidden activation '{hidden_activation}'")
     if output_activation not in _OUTPUT_ACTS:
         raise ConfigError(f"unknown output activation '{output_activation}'")
-    weights, biases = [], []
-    for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(_uniform_weights(rng, (d_out, d_in), np.sqrt(6.0 / (d_in + d_out))))
-        biases.append(np.zeros(d_out, TRAIN_DTYPE))
-    skip = None
-    if linear_skip:
-        d0, dL = layer_dims[0], layer_dims[-1]
-        skip = _uniform_weights(rng, (dL, d0), np.sqrt(6.0 / (d0 + dL)))
-    return MlpParams(list(layer_dims), weights, biases, hidden_activation, output_activation, skip)
+    buffer = np.zeros(buffer_size(list(layer_dims), linear_skip), TRAIN_DTYPE)
+    params = MlpParams(layer_dims, buffer, hidden_activation, output_activation, linear_skip)
+    for name in params.array_names():
+        if name[0] != "b":  # W0, W1, ..., then skip: the order of the draws
+            _fill_uniform(rng, params.array(name))
+    return params
 
 
 class BoundMlp:
@@ -156,12 +215,11 @@ def mlp_forward_graph(bound: BoundMlp, x: Tensor) -> Tensor:
         raise ShapeError(f"net '{bound.name}' expects [batch, {p.in_dim}] input, got {x.shape}")
     act = _HIDDEN_ACTS[p.hidden_activation]
     h = x
-    last = len(p.weights) - 1
-    for i in range(len(p.weights)):
+    for i in range(p.depth):
         h = ad.affine(h, bound.nodes[f"W{i}"], bound.nodes[f"b{i}"])
-        if i < last:
+        if i < p.depth - 1:
             h = act(h)
-    if p.skip is not None:
+    if p.linear_skip:
         h = h + x @ ad.transpose(bound.nodes["skip"])
     out_act = _OUTPUT_ACTS[p.output_activation]
     return h if out_act is None else out_act(h)

@@ -14,6 +14,7 @@ import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from latentjam.autodiff import EagerTape  # noqa: E402
+from latentjam.errors import ConfigError, ShapeError  # noqa: E402
 from latentjam.nets import power_normalize  # noqa: E402
 
 # Property tests draw the same examples on every run, so tier-1 stays deterministic.
@@ -40,6 +41,58 @@ def traced_peak_ratio(fn) -> float:
     """Peak bytes `tracemalloc` sees while `fn()` runs, over the bytes of the array it returns."""
     out, peak = traced_peak(fn)
     return peak / out.nbytes
+
+
+# Numpy references for the regularizers' graph builders and criterion 10
+
+
+def kl_diag_gaussian(mu: np.ndarray, log_var: np.ndarray) -> float:
+    """KL(N(mu, diag sigma^2) || N(0, I)), averaged over the batch."""
+    mu = np.asarray(mu, dtype=np.float64)
+    log_var = np.asarray(log_var, dtype=np.float64)
+    if mu.shape != log_var.shape:
+        raise ShapeError(f"kl_diag_gaussian shapes differ: {mu.shape} vs {log_var.shape}")
+    per_sample = 0.5 * np.sum(mu * mu + np.exp(log_var) - log_var - 1.0, axis=-1)
+    return float(np.mean(per_sample))
+
+
+def reparameterize(mu: np.ndarray, log_var: np.ndarray, rng) -> np.ndarray:
+    """z = mu + exp(log_var / 2) * eps with fresh standard-normal eps from `rng`."""
+    mu = np.asarray(mu, dtype=np.float64)
+    log_var = np.asarray(log_var, dtype=np.float64)
+    if mu.shape != log_var.shape:
+        raise ShapeError(f"reparameterize shapes differ: {mu.shape} vs {log_var.shape}")
+    return mu + np.exp(0.5 * log_var) * rng.normal(mu.shape)
+
+
+def mmd_imq(a: np.ndarray, b: np.ndarray, C: float) -> float:
+    """Unbiased MMD^2 with kernel C / (C + ||u - v||^2).
+
+    Diagonal terms are excluded from the within-sample means, so single
+    draws can come out negative; only the expectation is nonnegative.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"mmd_imq expects equal [m, k] blocks, got {a.shape} vs {b.shape}")
+    m = a.shape[0]
+    if m < 2:
+        raise ConfigError(f"mmd_imq needs m >= 2, got {m}")
+    if C <= 0:
+        raise ConfigError("IMQ kernel constant must be > 0")
+
+    def sq_dists(u, v):
+        ru = np.sum(u * u, axis=1)[:, None]
+        rv = np.sum(v * v, axis=1)[None, :]
+        return np.maximum(ru + rv - 2.0 * (u @ v.T), 0.0)
+
+    k_aa = C / (C + sq_dists(a, a))
+    k_bb = C / (C + sq_dists(b, b))
+    k_ab = C / (C + sq_dists(a, b))
+    off = float(m * (m - 1))
+    term_aa = (k_aa.sum() - np.trace(k_aa)) / off
+    term_bb = (k_bb.sum() - np.trace(k_bb)) / off
+    return float(term_aa + term_bb - 2.0 * k_ab.mean())
 
 
 def idx_image_bytes(pixels: np.ndarray) -> bytes:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import kl_diag_gaussian, mmd_imq, reparameterize
 from latentjam.autodiff import Tape, backward_grads, detach, forward_eval
-from latentjam.baselines import kl_diag_gaussian, mmd_imq, reparameterize
 from latentjam.data_io import BatchPlan, batches, load_idx, synth_source
 from latentjam.game import (GameConfig, channel_output, data_loss, init_state,
                             jscc_loss, train, train_step)

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import traced_peak_ratio
 from latentjam import autodiff as ad
+from latentjam import nets
 from latentjam.autodiff import AdamState, EagerTape, Tape, adam_step, backward_grads, forward_eval
 from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.game import GameConfig, init_state
@@ -554,33 +555,33 @@ def test_unknown_op_rejected():
 
 
 def test_adam_zero_gradient_is_noop():
-    p = {"w": np.array([1.0, -2.0, 3.0])}
-    before = p["w"].copy()
+    p = np.array([1.0, -2.0, 3.0])
+    before = p.copy()
     state = AdamState(lr=0.01)
-    adam_step(p, {"w": np.zeros(3)}, state)
-    assert np.array_equal(p["w"], before)
+    adam_step(p, np.zeros(3), state)
+    assert np.array_equal(p, before)
     assert state.step_count == 1
 
 
 def test_adam_first_step_magnitude():
     # t=1 bias correction cancels: update = lr * g / (|g| + eps) ~ lr * sign(g)
-    p = {"w": np.array([0.0, 0.0])}
+    p = np.array([0.0, 0.0])
     g = np.array([0.5, -3.0])
     state = AdamState(lr=1e-3)
-    adam_step(p, {"w": g}, state)
+    adam_step(p, g, state)
     expected = -1e-3 * g / (np.abs(g) + 1e-8)
-    assert np.allclose(p["w"], expected, rtol=0, atol=1e-18)
-    assert np.allclose(np.abs(p["w"]), 1e-3, rtol=1e-6)
+    assert np.allclose(p, expected, rtol=0, atol=1e-18)
+    assert np.allclose(np.abs(p), 1e-3, rtol=1e-6)
 
 
 def test_adam_two_identical_steps():
-    p = {"w": np.zeros(2)}
+    p = np.zeros(2)
     g = np.array([0.7, -0.2])
     state = AdamState(lr=1e-3)
-    adam_step(p, {"w": g}, state)
-    first = p["w"].copy()
-    adam_step(p, {"w": g}, state)
-    second = p["w"] - first
+    adam_step(p, g, state)
+    first = p.copy()
+    adam_step(p, g, state)
+    second = p - first
     assert np.max(np.abs(np.abs(second) - np.abs(first))) <= 1e-9
     assert state.step_count == 2
 
@@ -588,16 +589,21 @@ def test_adam_two_identical_steps():
 def test_adam_shape_mismatch():
     state = AdamState()
     with pytest.raises(ShapeError):
-        adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, state)
+        adam_step(np.zeros(3), np.zeros(4), state)
+    with pytest.raises(ShapeError):  # a parameter is one flat buffer
+        adam_step(np.zeros((2, 3)), np.zeros((2, 3)), state)
+    adam_step(np.zeros(3), np.zeros(3), state)
+    with pytest.raises(ShapeError):  # moments belong to one buffer
+        adam_step(np.zeros(4), np.zeros(4), state)
+    assert state.step_count == 1
 
 
 def test_adam_moments_match_param_shapes():
-    p = {"w": np.zeros((2, 3)), "b": np.zeros(3)}
-    g = {"w": np.ones((2, 3)), "b": np.ones(3)}
+    p = np.zeros(9, np.float32)
     state = AdamState()
-    adam_step(p, g, state)
-    assert state.first_moment["w"].shape == (2, 3)
-    assert state.second_moment["b"].shape == (3,)
+    adam_step(p, np.ones(9, np.float32), state)
+    assert state.m.shape == state.v.shape == (9,)
+    assert state.m.dtype == state.v.dtype == np.float32
 
 
 def _adam_reference(p, m, v, g, t, lr, beta1, beta2, eps):
@@ -610,65 +616,69 @@ def _adam_reference(p, m, v, g, t, lr, beta1, beta2, eps):
     p -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
 
 
-# block edges: one element, one block less one, exactly one, one more, the f and r
-# weights, and a single row wider than a block
-_ADAM_SHAPES = [(1,), (16383,), (16384,), (16385,), (512, 784), (784, 512), (1, 20000)]
+# one flat buffer per list, its arrays laid end to end: block edges at one element, one
+# block less one, exactly one, one more, two blocks and one, and the MNIST-shape f
+# (784-512-2), whose 402,946 elements put block edges inside W0 and across W0 | b0
+_MNIST_F = [(512, 784), (512,), (2, 512), (2,)]
+_ADAM_BUFFERS = [[(1,)], [(129, 127)], [(128, 128)], [(145, 113)], [(99, 331)], _MNIST_F]
 
 
-def _assert_adam_matches_reference(shapes, order="C", grad_kind="C", dtype=np.float64):
+def _assert_adam_matches_reference(buffers, order="C", grad_kind="C", dtype=np.float64):
+    """Adam on each flat buffer, with gradients gathered as `game._update` gathers them,
+    against the whole-array reference on each of its arrays (in `order`)."""
     rng = Rng(41)
-    names = [f"p{i}" for i in range(len(shapes))]
-    params = {name: np.asarray(rng.normal(s), dtype, order=order) for name, s in zip(names, shapes)}
-    ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
-    state = AdamState(lr=3e-3)
-    for t in range(1, 5):
-        grads = {}
-        for name, shape in zip(names, shapes):
-            if grad_kind == "broadcast":
-                g = np.broadcast_to(rng.normal((1,) + shape[1:]).astype(dtype), shape)
-            else:
-                g = np.asarray(rng.normal(shape), dtype, order=grad_kind)
-            grads[name] = g
-            _adam_reference(*ref[name], g, t, state.lr, state.beta1, state.beta2, state.epsilon)
-        adam_step(params, grads, state)
-        for name in names:
-            p_ref, m_ref, v_ref = ref[name]
-            assert params[name].dtype == state.first_moment[name].dtype == dtype, (t, name)
-            assert np.array_equal(params[name], p_ref), (t, name)
-            assert np.array_equal(state.first_moment[name], m_ref), (t, name)
-            assert np.array_equal(state.second_moment[name], v_ref), (t, name)
+    for shapes in buffers:
+        layout = [(f"p{i}", s) for i, s in enumerate(shapes)]
+        params = [np.asarray(rng.normal(s), dtype, order=order) for s in shapes]
+        ref = [(p, np.zeros_like(p), np.zeros_like(p)) for p in params]
+        flat = nets._gather(layout, params)
+        state = AdamState(lr=3e-3)
+        for t in range(1, 5):
+            grads = []
+            for shape in shapes:
+                if grad_kind == "broadcast":
+                    grads.append(np.broadcast_to(rng.normal((1,) + shape[1:]).astype(dtype), shape))
+                else:
+                    grads.append(np.asarray(rng.normal(shape), dtype, order=grad_kind))
+            for arrays, g in zip(ref, grads):
+                _adam_reference(*arrays, g, t, state.lr, state.beta1, state.beta2, state.epsilon)
+            adam_step(flat, nets._gather(layout, grads), state)
+            assert flat.dtype == state.m.dtype == state.v.dtype == dtype, (t, shapes)
+            for i, got in enumerate((flat, state.m, state.v)):
+                want = nets._gather(layout, [arrays[i] for arrays in ref])
+                assert np.array_equal(got, want), (t, shapes, i)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("grad_kind", ["C", "F", "broadcast"])
 def test_blocked_adam_equals_whole_array_reference(order, grad_kind):
-    _assert_adam_matches_reference(_ADAM_SHAPES, order, grad_kind)
+    _assert_adam_matches_reference(_ADAM_BUFFERS, order, grad_kind)
 
 
 @pytest.mark.parametrize("grad_kind", ["C", "broadcast"])
 def test_blocked_adam_equals_whole_array_reference_in_float32(grad_kind):
     # training's precision: the scratch must be float32 too, or the steps round twice
-    _assert_adam_matches_reference(_ADAM_SHAPES, "C", grad_kind, np.float32)
+    _assert_adam_matches_reference(_ADAM_BUFFERS, "C", grad_kind, np.float32)
 
 
 def test_adam_sets_subnormal_first_moments_to_zero():
     # with no gradient, m decays by beta1 each step; times beta1 the smallest subnormal
     # rounds back to itself, so m would otherwise stay subnormal (and slow) for good
     tiny, smallest = np.finfo(np.float32).tiny, np.float32(2.0 ** -149)
-    p = {"w": np.ones(3, np.float32)}
+    p = np.ones(3, np.float32)
     state = AdamState()
-    state.first_moment["w"] = np.array([tiny, smallest, 1e-3], np.float32)
-    state.second_moment["w"] = np.ones(3, np.float32)
+    state.m = np.array([tiny, smallest, 1e-3], np.float32)
+    state.v = np.ones(3, np.float32)
     assert smallest * np.float32(state.beta1) == smallest
-    adam_step(p, {"w": np.zeros(3, np.float32)}, state)
-    assert np.array_equal(state.first_moment["w"], [0.0, 0.0, np.float32(1e-3) * np.float32(0.9)])
+    adam_step(p, np.zeros(3, np.float32), state)
+    assert np.array_equal(state.m, [0.0, 0.0, np.float32(1e-3) * np.float32(0.9)])
 
 
 def test_adam_at_comparison_shapes_equals_whole_array_reference():
-    # every parameter of the n=8 comparison fits in one block;
-    # an MNIST-shape (512, 784) weight spans 26
+    # every network of the n=8 comparison fits in one block;
+    # the MNIST-shape f spans 25
     config = GameConfig(k=2, n=8, data_hidden=64, jscc_hidden=64)
-    shapes = [params.array(name).shape for params in init_state(config).networks.present().values()
-              for name in params.array_names()]
-    assert max(np.prod(s) for s in shapes) <= 16384
-    _assert_adam_matches_reference(shapes + [(512, 784)])
+    networks = init_state(config).networks.present().values()
+    assert max(params.buffer.size for params in networks) <= 16384
+    buffers = [[params.array(name).shape for name in params.array_names()] for params in networks]
+    _assert_adam_matches_reference(buffers + [_MNIST_F])

@@ -5,14 +5,8 @@ import pytest
 
 from latentjam import autodiff as ad
 from latentjam.autodiff import EagerTape, Tape
-from latentjam.baselines import (
-    kl_diag_gaussian,
-    kl_diag_gaussian_graph,
-    mmd_imq,
-    mmd_imq_graph,
-    reparameterize,
-    vae_sample,
-)
+from conftest import kl_diag_gaussian, mmd_imq, reparameterize
+from latentjam.baselines import kl_diag_gaussian_graph, mmd_imq_graph, vae_sample
 from latentjam.errors import ConfigError, ShapeError
 from latentjam.game import GameConfig, init_state, train_step
 from latentjam.data_io import synth_source

@@ -1,5 +1,6 @@
 """Config parsing, experiment artifacts, checkpoints, samples, exit codes."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -357,6 +358,38 @@ def test_checkpoint_roundtrip(tmp_path):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"{reg}.{name}.{pname}"
         sidecar = (tmp_path / f"{reg}.bin.txt").read_text().strip().split("\n")
         assert len(sidecar) == sum(len(p.array_names()) for p in present.values())
+
+
+PINNED_TRAIN = """
+game.k = 2
+game.epochs = 1
+game.batch_size = 32
+game.seed = 5
+game.jscc_hidden = 16
+game.data_hidden = 16
+data.kind = synth
+data.synth_kind = mixture
+data.count = 256
+data.n = 8
+run.output_dir = {out}
+run.sample_count = 0
+"""
+# AJLK version 2 as the per-array writer wrote it for PINNED_TRAIN. Training runs in
+# float32, so like tests/test_fingerprint.py this pins the BLAS build as well as the
+# code; at these shapes the hash is the same at 1 and 2 OpenBLAS threads.
+PINNED_CHECKPOINT_SHA256 = "307ca560d57747266c184c101bd7924eaea020c18d61bab6d8e4fab1dd3c13ed"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", write_cfg(tmp_path, PINNED_TRAIN.format(out=out))]) == 0
+    raw = (out / "checkpoint.bin").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == PINNED_CHECKPOINT_SHA256
+    assert (out / "checkpoint.bin.txt").read_text() == (
+        "f W0 16x8\nf b0 16\nf W1 2x16\nf b1 2\n"
+        "r W0 16x2\nr b0 16\nr W1 8x16\nr b1 8\n"
+        "g W0 16x2\ng b0 16\ng W1 2x16\ng b1 2\ng skip 2x2\n"
+        "h W0 16x2\nh b0 16\nh W1 2x16\nh b1 2\nh skip 2x2\n")
 
 
 def test_checkpoint_trailing_bytes(tmp_path):

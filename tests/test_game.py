@@ -41,14 +41,14 @@ def passthrough_mlp(k: int, hidden: int = 4, skip_scale: float = 1.0,
     dims = [k, hidden, k]
     weights = [np.zeros((hidden, k)), np.zeros((k, hidden))]
     biases = [np.zeros(hidden), np.zeros(k)]
-    return MlpParams(dims, weights, biases, "relu", out, skip=skip_scale * np.eye(k))
+    return MlpParams.from_arrays(dims, weights, biases, "relu", out, skip=skip_scale * np.eye(k))
 
 
 def zero_mlp(n_in: int, n_out: int, hidden: int = 4, out: str = "identity") -> MlpParams:
     dims = [n_in, hidden, n_out]
     weights = [np.zeros((hidden, n_in)), np.zeros((n_out, hidden))]
     biases = [np.zeros(hidden), np.zeros(n_out)]
-    return MlpParams(dims, weights, biases, "relu", out)
+    return MlpParams.from_arrays(dims, weights, biases, "relu", out)
 
 
 # ============================================================
@@ -382,6 +382,52 @@ def test_phase_b_update_of_frozen_pair_raises(monkeypatch):
         train_step(state, batch, cfg)
 
 
+@pytest.mark.parametrize("reg", ["aj", "kl"])
+def test_each_update_makes_one_adam_step_per_network(monkeypatch, reg):
+    cfg = small_cfg(regularizer=reg, jscc_steps_per_data_step=2)
+    state = init_state(cfg)
+    batch = synth_source("gaussian", 16, 3, seed=8).images
+    present = state.networks.present()
+    updates = []  # per `_update`: the bound networks, then the networks Adam stepped
+    real_update, real_adam = game._update, game.adam_step
+
+    def update(state, tape, loss, bounds):
+        updates.append(([b.name for b in bounds], []))
+        real_update(state, tape, loss, bounds)
+
+    def adam(p, g, opt):
+        name = next(name for name, params in present.items() if params.buffer is p)
+        assert opt is state.opt[name]
+        updates[-1][1].append(name)
+        return real_adam(p, g, opt)
+
+    monkeypatch.setattr(game, "_update", update)
+    monkeypatch.setattr(game, "adam_step", adam)
+    train_step(state, batch, cfg)
+    assert [bound for bound, _ in updates] == ([["g", "h"]] * 2 if reg == "aj" else []) + [["f", "r"]]
+    assert all(stepped == bound for bound, stepped in updates)
+
+
+def test_update_rejects_a_transposed_leaf_gradient(monkeypatch):
+    # right size, wrong shape: raveled into the buffer it would scramble the update silently
+    cfg = small_cfg()
+    state = init_state(cfg)
+    batch = synth_source("gaussian", 16, 3, seed=8).images
+    real_grads = game.backward_grads
+
+    def transposed(*args):
+        grads = real_grads(*args)
+        grads[0] = grads[0].T  # phase (a) asks for g.W0 first, shape (8, 2)
+        return grads
+
+    monkeypatch.setattr(game, "backward_grads", transposed)
+    before = state.networks.g.buffer.copy()
+    with pytest.raises(ShapeError, match=r"W0 has shape \(8, 2\), given \(2, 8\)"):
+        train_step(state, batch, cfg)
+    assert np.array_equal(state.networks.g.buffer, before)
+    assert state.opt["g"].step_count == 0
+
+
 def test_compressor_steers_channel_loss_both_ways():
     # after a short warmup, nudging f along +/- grad(jscc) moves jscc up/down
     cfg = small_cfg(seed=7)
@@ -553,7 +599,7 @@ def _ref_mlp(params, x):
 @pytest.mark.parametrize("reg", ["aj", "kl", "mmd", "none"])
 def test_training_is_float32_and_evaluation_float64(monkeypatch, reg):
     cfg = GameConfig(k=2, n=784, batch_size=16, seed=12, regularizer=reg, jscc_hidden=8,
-                     data_hidden=32)  # f.W0 and r.W1 take Adam's blocked path
+                     data_hidden=32)  # f's and r's buffers take Adam's blocked path
     state = init_state(cfg)
     data = synth_source("mixture", 216, 784, seed=12).images
     tapes, grads, adam_operands = [], [], []
@@ -583,10 +629,9 @@ def test_training_is_float32_and_evaluation_float64(monkeypatch, reg):
     assert adam_operands and {a.dtype for a in adam_operands} == f32
     for name, params in state.networks.present().items():
         opt = state.opt[name]
-        moments = [*opt.first_moment.values(), *opt.second_moment.values()]
-        assert len(moments) == 2 * len(params.array_names())
+        assert opt.m.shape == opt.v.shape == params.buffer.shape
         assert {params.array(p).dtype for p in params.array_names()} == f32
-        assert {m.dtype for m in moments} == f32
+        assert {params.buffer.dtype, opt.m.dtype, opt.v.dtype} == f32
 
     d_eval = data[16:]
     sampler = copy.deepcopy(state.streams["eval"])  # kl's latent is drawn from this stream

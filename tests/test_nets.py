@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import normalized
-from latentjam.autodiff import Tape, backward_grads
+from latentjam.autodiff import AdamState, Tape, adam_step, backward_grads
 from latentjam import autodiff as ad
+from latentjam.cli import load_checkpoint, save_checkpoint
 from latentjam.errors import ConfigError, NumericError, ShapeError
+from latentjam.game import GameConfig, init_state
 from latentjam.nets import (POWER_EPS, BoundMlp, MlpParams, init_params,
                             make_networks, mlp_apply, mlp_forward_graph,
                             power_normalize)
@@ -16,7 +18,7 @@ from latentjam.rng import Rng
 def linear_net(W, b=None, out="identity"):
     W = np.asarray(W, dtype=np.float64)
     b = np.zeros(W.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
-    return MlpParams([W.shape[1], W.shape[0]], [W], [b], "relu", out)
+    return MlpParams.from_arrays([W.shape[1], W.shape[0]], [W], [b], "relu", out)
 
 
 # ============================================================
@@ -49,6 +51,49 @@ def test_init_skip_matrix():
     assert p.array_names() == ["W0", "b0", "W1", "b1", "skip"]
 
 
+def _network_from(source: str, tmp_path) -> MlpParams:
+    made = init_params([3, 5, 2], Rng(6), linear_skip=True)
+    if source == "init_params":
+        return made
+    if source == "from_arrays":
+        return MlpParams.from_arrays([3, 5, 2], made.weights, made.biases, skip=made.skip)
+    path = tmp_path / "cp.bin"
+    save_checkpoint(path, init_state(GameConfig(k=2, n=3, jscc_hidden=5, data_hidden=4)))
+    return load_checkpoint(path)["g"]
+
+
+@pytest.mark.parametrize("source", ["init_params", "load_checkpoint", "from_arrays"])
+def test_parameters_are_views_of_one_buffer(tmp_path, source):
+    params = _network_from(source, tmp_path)
+    views = params.weights + params.biases + [params.skip]
+    assert params.buffer.ndim == 1 and params.buffer.flags.c_contiguous
+    assert all(np.shares_memory(v, params.buffer) for v in views)
+    assert sum(v.size for v in views) == params.buffer.size
+    laid_out = np.concatenate([params.array(name).ravel() for name in params.array_names()])
+    assert np.array_equal(laid_out, params.buffer)
+    # a trainable binding reads the buffer itself, so an update after backward shows through it
+    bound = BoundMlp(Tape(params.buffer.dtype), params, "g", trainable=True)
+    leaves = {name: node.value for name, node in bound.nodes.items()}
+    before = params.buffer.copy()
+    adam_step(params.buffer, np.ones_like(params.buffer), AdamState(lr=0.25))
+    assert not np.any(params.buffer == before)
+    for name, leaf in leaves.items():
+        assert np.shares_memory(leaf, params.buffer)
+        assert np.array_equal(leaf, params.array(name)), name
+
+
+def test_buffer_must_fit_the_layer_dims():
+    with pytest.raises(ShapeError, match="needs a flat buffer of 9 values"):
+        MlpParams([2, 2, 1], np.zeros(10))
+    with pytest.raises(ShapeError, match="needs a flat buffer of 9 values"):
+        MlpParams([2, 2, 1], np.zeros((3, 3)))
+    with pytest.raises(ShapeError, match=r"W1 has shape \(1, 2\), given \(2, 1\)"):
+        MlpParams.from_arrays([2, 2, 1], [np.zeros((2, 2)), np.zeros((2, 1))],
+                              [np.zeros(2), np.zeros(1)])
+    with pytest.raises(ConfigError, match="no skip matrix"):
+        init_params([2, 2], Rng(0)).array("skip")
+
+
 def test_init_bad_dims():
     with pytest.raises(ConfigError):
         init_params([], Rng(0))
@@ -78,7 +123,7 @@ def test_single_layer_identity_matrix_is_identity_map():
 def test_hand_computed_hidden_layer():
     # x=[1,2]: pre-act [1-2+0.1, 0.5+0.5-0.2] = [-0.9, 0.8]; relu keeps 0.8;
     # output 2*0 - 1*0.8 + 0.3 = -0.5
-    p = MlpParams([2, 2, 1],
+    p = MlpParams.from_arrays([2, 2, 1],
                   [np.array([[1.0, -1.0], [0.5, 0.25]]), np.array([[2.0, -1.0]])],
                   [np.array([0.1, -0.2]), np.array([0.3])])
     out = mlp_apply(p, np.array([[1.0, 2.0]]))
@@ -93,7 +138,7 @@ def test_sigmoid_output_at_zero_logits():
 
 def test_skip_with_zero_mlp_is_pure_linear_map():
     skip = np.array([[2.0, 0.0], [0.0, -1.0]])
-    p = MlpParams([2, 4, 2], [np.zeros((4, 2)), np.zeros((2, 4))],
+    p = MlpParams.from_arrays([2, 4, 2], [np.zeros((4, 2)), np.zeros((2, 4))],
                   [np.zeros(4), np.zeros(2)], skip=skip)
     x = np.array([[1.0, 3.0], [-2.0, 0.5]])
     assert np.array_equal(mlp_apply(p, x), x @ skip.T)
