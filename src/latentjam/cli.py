@@ -243,8 +243,22 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
+def _output_dir(path) -> str:
+    """Create a verb's output directory before its work; an unusable path is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err}") from err
+    return path
+
+
+def _sample_count(count: int, label: str) -> int:
+    if count < 0:
+        raise ConfigError(f"{label} must be >= 0, got {count}")
+    return count
+
+
 def _decode_samples(r_params: MlpParams, count: int, seed: int, out_dir, rows=None, cols=None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     if count == 0:
         return
     k = r_params.in_dim
@@ -268,6 +282,7 @@ def run_experiment(config_path) -> int:
     game_cfg, data_cfg, run_cfg = sections["game"], sections["data"], sections["run"]
     if "output_dir" not in run_cfg:
         raise ConfigError("run.output_dir is required")
+    sample_count = _sample_count(run_cfg.get("sample_count", 16), "run.sample_count")
     batch_size = game_cfg.get("batch_size", GameConfig.batch_size)
     if data_cfg.get("kind") == "synth" and batch_size > data_cfg.get("count", batch_size):
         raise ConfigError(f"batch_size {batch_size} exceeds data.count={data_cfg['count']}")
@@ -282,8 +297,8 @@ def run_experiment(config_path) -> int:
     config = GameConfig(**fields)
     eval_every = run_cfg.get("eval_every", 1)
     check_training_inputs(config, dataset, eval_dataset, eval_every)
-    out_dir = run_cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(run_cfg["output_dir"])
+    samples_dir = _output_dir(os.path.join(out_dir, "samples"))
     with open(os.path.join(out_dir, "resolved-config.txt"), "w", encoding="utf-8") as fh:
         fh.write(_resolved_config_text(config, data_cfg, run_cfg))
     state = train(config, dataset, eval_dataset, eval_every=eval_every)
@@ -292,10 +307,8 @@ def run_experiment(config_path) -> int:
         for report in state.history:
             fh.write(report.to_csv_row() + "\n")
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), state)
-    sample_count = run_cfg.get("sample_count", 16)
     _decode_samples(state.networks.r, sample_count, derive_seed(config.seed, "samples"),
-                    os.path.join(out_dir, "samples"),
-                    dataset.metadata.get("rows"), dataset.metadata.get("cols"))
+                    samples_dir, dataset.metadata.get("rows"), dataset.metadata.get("cols"))
     log.info("experiment done: %s", out_dir)
     return 0
 
@@ -316,6 +329,8 @@ def run_oracle(config_path) -> int:
     grid_samples = ocfg.get("grid_samples", 400_000)
     match_samples = ocfg.get("matching_samples", 1_000_000)
     seed = ocfg.get("seed", 0)
+    matching = isotropic_matching(spec)
+    out_dir = _output_dir(run_cfg["output_dir"])
 
     rows = []
     d_star = scalar_saddle_distortion(spec)
@@ -329,7 +344,6 @@ def run_oracle(config_path) -> int:
         worst = max(report.max_jammer_gain, report.max_codec_loss)
         rows.append((f"saddle_verify_k{k}", worst, "3se",
                      "pass" if report.passed else "FAIL"))
-    matching = isotropic_matching(spec)
     x_g, zn_g = matching_samples(spec, ("gaussian", spec.P_a), match_samples,
                                  derive_seed(seed, "match/gauss"))
     res_g = matching_residual(x_g, zn_g, matching)
@@ -339,8 +353,7 @@ def run_oracle(config_path) -> int:
     res_u = matching_residual(x_u, zn_u, matching)
     rows.append(("matching_uniform", res_u, 0.05, "pass" if res_u >= 0.05 else "FAIL"))
 
-    os.makedirs(run_cfg["output_dir"], exist_ok=True)
-    report_path = os.path.join(run_cfg["output_dir"], "oracle-report.csv")
+    report_path = os.path.join(out_dir, "oracle-report.csv")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("check_name,value,threshold,pass\n")
         for name, value, threshold, verdict in rows:
@@ -355,6 +368,8 @@ def run_oracle(config_path) -> int:
 
 
 def run_generate(checkpoint_path, count: int, seed: int, out_dir) -> int:
+    _sample_count(count, "--count")
+    _output_dir(out_dir)
     nets = load_checkpoint(checkpoint_path)
     if "r" not in nets:
         raise CheckpointError("checkpoint has no reconstructor network")

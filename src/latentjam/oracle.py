@@ -6,8 +6,8 @@ In the isotropic case the saddle point is closed-form: gaussian jammer at
 full power, distortion D* = sigma_x^2 (sigma_n^2 + P_a) / (P_t + sigma_n^2
 + P_a). Three checks live here: the closed form vs Monte-Carlo, the saddle
 inequalities under strategy perturbations, and the characteristic-function
-matching condition that is necessary and sufficient for the optimal
-estimator to be linear.
+matching condition, necessary and sufficient for the optimal estimator to be
+linear, on exact slopes i E[c exp(iwc)] / E[exp(iwc)] of empirical log-CFs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .autodiff import _all_finite
 from .errors import ConfigError, DegenerateGameError, NumericError
 from .rng import _BLOCK, Rng, derive_seed
 
@@ -36,6 +37,9 @@ class OracleSpec:
     k: int = 1
 
     def __post_init__(self):
+        for name in ("sigma_x_sq", "P_t", "P_a", "sigma_n_sq"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_x_sq < 0 or self.sigma_n_sq < 0 or self.P_t < 0 or self.P_a < 0:
             raise ConfigError("variances and powers must be nonnegative")
         if self.k < 1:
@@ -188,7 +192,6 @@ class SaddleRow:
 @dataclass
 class SaddleReport:
     j_star: float
-    saddle_mc: McResult
     rows: list
     max_jammer_gain: float
     max_codec_loss: float
@@ -229,7 +232,6 @@ def saddle_verify(spec: OracleSpec, perturbations=None, samples: int = 400_000,
     if len(jam) < 5 or len(cod) < 5:
         raise ConfigError(f"perturbation grid too small: {len(jam)} jammer, {len(cod)} codec rows")
     j_star = scalar_saddle_distortion(spec)
-    saddle_mc = mc_game_value(spec, saddle_strategy(spec), samples, derive_seed(seed, "saddle"))
     rows = []
     max_gain = -np.inf
     max_loss = -np.inf
@@ -242,7 +244,7 @@ def saddle_verify(spec: OracleSpec, perturbations=None, samples: int = 400_000,
             ok = res.value >= j_star - 3.0 * res.std_error
             max_loss = max(max_loss, j_star - res.value)
         rows.append(SaddleRow(name, side, res.value, res.std_error, ok))
-    return SaddleReport(j_star, saddle_mc, rows, float(max_gain), float(max_loss),
+    return SaddleReport(j_star, rows, float(max_gain), float(max_loss),
                         all(r.ok for r in rows))
 
 
@@ -266,7 +268,6 @@ class MatchingSpec:
     q_x: np.ndarray
     q_z: np.ndarray
     radii: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    step: float = 0.05
 
     def __post_init__(self):
         k = len(self.sigma)
@@ -277,29 +278,25 @@ class MatchingSpec:
             raise ConfigError("sigma and eigenvalue diagonals must be positive")
         if max(self.radii) > 1.0 + 1e-12:
             raise ConfigError("omega grid must stay within ||omega|| <= 1")
-        if self.step <= 0:
-            raise ConfigError("finite-difference step must be positive")
 
     @property
     def s_diag(self) -> np.ndarray:
         return self.sigma * self.lambda_x * self.sigma / self.lambda_z
 
 
-def isotropic_matching(spec: OracleSpec, kappa: Optional[float] = None,
-                       radii=(0.0, 0.25, 0.5, 0.75, 1.0), step: float = 0.05) -> MatchingSpec:
-    """Identity eigenbases, Sigma = sqrt(P_t/sigma_x^2) I, Lambda_Z = (sigma_n^2 + kappa) I."""
+def isotropic_matching(spec: OracleSpec, radii=(0.0, 0.25, 0.5, 0.75, 1.0)) -> MatchingSpec:
+    """Identity eigenbases, Sigma = sqrt(P_t/sigma_x^2) I, Lambda_Z = (sigma_n^2 + P_a) I."""
     if spec.sigma_x_sq <= 0:
         raise DegenerateGameError("matching condition needs a nondegenerate source")
     if spec.P_t == 0:
         raise DegenerateGameError("zero transmit power gives a degenerate power allocation")
-    kappa = spec.P_a if kappa is None else kappa
     k = spec.k
     eye = np.eye(k)
     return MatchingSpec(
         sigma=np.full(k, np.sqrt(spec.P_t / spec.sigma_x_sq)),
         lambda_x=np.full(k, spec.sigma_x_sq),
-        lambda_z=np.full(k, spec.sigma_n_sq + kappa),
-        q_x=eye, q_z=eye, radii=tuple(radii), step=step)
+        lambda_z=np.full(k, spec.sigma_n_sq + spec.P_a),
+        q_x=eye, q_z=eye, radii=tuple(radii))
 
 
 def matching_samples(spec: OracleSpec, jammer: tuple, samples: int, seed: int):
@@ -317,61 +314,37 @@ def _cis(arg: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gap_cis(column, e_h, g: float, h: float, arg, out) -> np.ndarray:
-    """exp(igc) into `out`: exp(ihc) = `e_h` to the power q by repeated squaring when
-    g == q * h in floating point for an integer q >= 1, else a cosine and sine of g c."""
-    q = round(g / h)
-    if q < 1 or q * h != g:
-        return _cis(np.multiply(column, g, out=arg), out)
-    np.copyto(out, e_h)
-    for bit in bin(q)[3:]:
-        np.multiply(out, out, out=out)
-        if bit == "1":
-            out *= e_h
-    return out
+def _log_cf_slopes(blocks, radii) -> list:
+    """d/dw log E[exp(iwc)] = i E[c exp(iwc)] / E[exp(iwc)] at w = t for each t in radii.
 
-
-def _log_cf_slopes(blocks, radii, h: float) -> list:
-    """Central differences of log E[exp(i w c)] at w = t for each t in radii.
-
-    `blocks` yields the column c at most `_BLOCK` values at a time, and the
-    characteristic-function sums are added up block by block, so the working
-    set stays cache-sized. By angle addition exp(i(t + h)c) = exp(itc)
-    exp(ihc) and exp(i(t - h)c) = exp(itc) conj(exp(ihc)), so each sum is one
-    complex dot product. exp(itc) steps from the previous radius by the
-    product with exp(igc) for the gap g, which `_gap_cis` makes from exp(ihc)
-    when g is a whole number of steps, as on the default grid. At t = 0 the
-    value at -h is the conjugate of the value at +h.
+    `blocks` yields the column c at most `_BLOCK` values at a time; s0 = sum exp(itc) and
+    s1 = sum c exp(itc), one complex dot product each, are added up block by block, so the
+    working set stays cache-sized. exp(itc) starts at 1 and steps from the previous radius
+    by the product with exp(igc) for the gap g: one `_cis` pass per block for each new gap.
     """
-    scratch = np.empty(_BLOCK), *(np.empty(_BLOCK, dtype=np.complex128) for _ in range(3))
+    scratch = (np.ones(_BLOCK, dtype=np.complex128), np.empty(_BLOCK),
+               *(np.empty(_BLOCK, dtype=np.complex128) for _ in range(3)))
     sums = np.zeros((len(radii), 2), dtype=np.complex128)
     n = 0
     for column in blocks:
-        arg, e_h, e_gap, e_t = (s[:column.size] for s in scratch)
-        _cis(np.multiply(column, h, out=arg), e_h)
-        t_prev, g_prev, at_origin = 0.0, None, True
+        ones, arg, c, e_gap, e_t = (s[:column.size] for s in scratch)
+        np.copyto(c, column)
+        np.copyto(e_t, ones)
+        t_prev, g_prev = 0.0, None
         for j, t in enumerate(radii):
             if t != t_prev:
                 if t - t_prev != g_prev:
                     g_prev = t - t_prev
-                    _gap_cis(column, e_h, g_prev, h, arg, e_gap)
-                if at_origin:
-                    np.copyto(e_t, e_gap)
-                else:
-                    e_t *= e_gap
-                t_prev, at_origin = t, False
-            if t == 0:
-                sums[j, 0] += e_h.sum()
-            else:
-                sums[j] += e_t @ e_h, np.vdot(e_h, e_t)
+                    _cis(np.multiply(column, g_prev, out=arg), e_gap)
+                e_t *= e_gap
+                t_prev = t
+            sums[j] += e_t @ ones, e_t @ c
         n += column.size
     slopes = []
-    for t, (s_hi, s_lo) in zip(radii, sums):
-        f_hi = complex(s_hi) / n
-        f_lo = f_hi.conjugate() if t == 0 else complex(s_lo) / n
-        if abs(f_hi) < 0.1 or abs(f_lo) < 0.1:
-            raise NumericError(f"characteristic function magnitude below 0.1 near w={t}; grid too wide")
-        slopes.append((np.log(f_hi) - np.log(f_lo)) / (2.0 * h))
+    for t, (s0, s1) in zip(radii, sums):
+        if abs(s0) < 0.1 * n:
+            raise NumericError(f"characteristic function magnitude below 0.1 at w={t}; grid too wide")
+        slopes.append(1j * complex(s1) / complex(s0))
     return slopes
 
 
@@ -390,20 +363,22 @@ def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
     A = Sigma Q_X^T X and B = Q_Z^T (N+Z); both log-CFs are quadratic with
     ratio exactly S when the jammer-plus-noise is Gaussian matched to the
     source, so the residual is a direct linearity-of-estimation probe. The
-    log-CF slopes are central differences of step h (`_log_cf_slopes`).
+    log-CF slopes are the exact slopes of the empirical CFs (`_log_cf_slopes`).
     Each column of A and B is projected and consumed `_BLOCK` rows at a
-    time, so no temporary grows with the sample count.
+    time, so no temporary grows with the sample count. A NaN or +-inf
+    sample raises `NumericError` before any projection.
     """
     x = np.asarray(samples_x, dtype=np.float64)
     zn = np.asarray(samples_zn, dtype=np.float64)
     if x.shape[0] < 100_000 or zn.shape[0] < 100_000:
         raise ConfigError("matching_residual needs >= 1e5 samples per block")
+    if not (_all_finite(x) and _all_finite(zn)):
+        raise NumericError("matching_residual samples must be finite")
     s = matching.s_diag
-    h = matching.step
     worst = 0.0
     for i in range(x.shape[1]):
-        lhs = _log_cf_slopes(_projected(x, matching.q_x[:, i], matching.sigma[i]), matching.radii, h)
-        rhs = _log_cf_slopes(_projected(zn, matching.q_z[:, i], 1.0), matching.radii, h)
+        lhs = _log_cf_slopes(_projected(x, matching.q_x[:, i], matching.sigma[i]), matching.radii)
+        rhs = _log_cf_slopes(_projected(zn, matching.q_z[:, i], 1.0), matching.radii)
         for l_t, r_t in zip(lhs, rhs):
             worst = max(worst, abs(l_t - s[i] * r_t))
     return worst

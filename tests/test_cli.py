@@ -329,6 +329,22 @@ def test_oracle_verb_requires_section(tmp_path):
     assert main(["oracle", cfg]) == 2
 
 
+def _no_draws(monkeypatch):
+    for name in ("mc_game_value", "saddle_verify", "matching_samples"):
+        monkeypatch.setattr(cli, name, None)  # any draw would fail loudly
+
+
+@pytest.mark.parametrize("line", ["oracle.P_a = nan", "oracle.sigma_x_sq = inf"])
+def test_oracle_exit_2_on_nonfinite_value_before_any_draw(tmp_path, monkeypatch, capsys, line):
+    _no_draws(monkeypatch)
+    out = tmp_path / "nonfinite"
+    cfg = write_cfg(tmp_path, f"{line}\nrun.output_dir = {out}\n")
+    assert main(["oracle", cfg]) == 2
+    field = line.split("=")[0].strip().split(".")[1]
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be finite")
+    assert not out.exists()
+
+
 # ============================================================
 # Checkpoints
 # ============================================================
@@ -482,6 +498,42 @@ def test_exit_2_on_shape_error(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=tmp_path / "shape"))
     assert main(["train", cfg]) == 2
     assert capsys.readouterr().err == "shape error: op 'matmul' inner dims differ\n"
+
+
+@pytest.mark.parametrize("verb", ["train", "oracle", "generate"])
+@pytest.mark.parametrize("below", [False, True], ids=["is-a-file", "under-a-file"])
+def test_output_path_through_a_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                             verb, below):
+    _no_draws(monkeypatch)
+    monkeypatch.setattr(cli, "train", None)  # training would fail loudly
+    monkeypatch.setattr(cli, "load_checkpoint", None)  # so would loading the checkpoint
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "out" if below else taken
+    if verb == "generate":
+        argv = ["generate", str(tmp_path / "cp.bin"), "--count", "1", "--out", str(out)]
+    else:
+        text = SMALL_TRAIN if verb == "train" else SMALL_ORACLE
+        argv = [verb, write_cfg(tmp_path, text.format(out=out))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot create output directory {out}")
+
+
+def test_negative_sample_count_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", None)  # training would fail loudly
+    out = tmp_path / "negative"
+    text = SMALL_TRAIN.format(out=out).replace("run.sample_count = 3", "run.sample_count = -1")
+    assert main(["train", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == "config error: run.sample_count must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_generate_negative_count_exits_2_before_loading(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_checkpoint", None)  # loading would fail loudly
+    out = tmp_path / "g"
+    assert main(["generate", str(tmp_path / "cp.bin"), "--count", "-2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --count must be >= 0, got -2\n"
+    assert not out.exists()
 
 
 def test_checkpoint_missing_file():

@@ -1,5 +1,10 @@
 """Linear-Gaussian oracle: closed form, saddle grid, matching residual."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,8 @@ from latentjam.oracle import (
     scalar_saddle_distortion,
 )
 from latentjam.rng import _BLOCK, Rng, derive_seed
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ============================================================
@@ -60,6 +67,13 @@ def test_spec_rejects_negatives():
         OracleSpec(P_a=-0.5)
     with pytest.raises(ConfigError):
         OracleSpec(k=0)
+
+
+@pytest.mark.parametrize("field", ["sigma_x_sq", "P_t", "P_a", "sigma_n_sq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_spec_rejects_nonfinite_fields(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        OracleSpec(**{field: value})
 
 
 def test_saddle_distortion_monotone_in_each_parameter():
@@ -289,7 +303,6 @@ def test_saddle_verify_unit_game():
     report = saddle_verify(OracleSpec(1.0, 1.0, 1.0, 0.0), samples=100_000, seed=0)
     assert report.j_star == 0.5
     assert report.passed
-    assert abs(report.saddle_mc.value - 0.5) < 3.0 * report.saddle_mc.std_error
     assert all(r.ok for r in report.rows)
     # full-power uniform and scaled-source rows match the saddle jammer in
     # second moments, so the best jammer gain only hovers around zero
@@ -338,8 +351,6 @@ def test_matching_spec_validation():
         MatchingSpec(ones, ones, -ones, eye, eye)
     with pytest.raises(ConfigError, match="omega"):
         MatchingSpec(ones, ones, ones, eye, eye, radii=(0.0, 1.5))
-    with pytest.raises(ConfigError, match="step"):
-        MatchingSpec(ones, ones, ones, eye, eye, step=0.0)
 
 
 def test_isotropic_matching_unit_game():
@@ -396,25 +407,10 @@ def test_matching_cf_magnitude_guard():
         matching_residual(x, zn, wide)
 
 
-def _whole_array_log_cf_slopes(column, radii, h):
-    """Reference: the slopes from whole-column exp(ihc), exp(itc) and libm exp(igc)."""
-    def cis(arg):
-        return np.cos(arg) + 1j * np.sin(arg)
-
-    e_h = cis(h * column)
-    e_t, e_gap, t_prev, g_prev = np.ones(column.size, dtype=np.complex128), None, 0.0, None
-    slopes = []
-    for t in radii:
-        if t != t_prev:
-            if t - t_prev != g_prev:
-                g_prev = t - t_prev
-                e_gap = cis(g_prev * column)
-            e_t *= e_gap
-            t_prev = t
-        f_hi = np.mean(e_h) if t == 0 else np.mean(e_t * e_h)
-        f_lo = np.conj(f_hi) if t == 0 else np.mean(e_t * np.conj(e_h))
-        slopes.append((np.log(f_hi) - np.log(f_lo)) / (2.0 * h))
-    return slopes
+def _exact_log_cf_slope(column, t):
+    """Reference: d/dw log mean(exp(i w column)) at w = t from whole-column np.exp."""
+    e = np.exp(1j * t * column)
+    return 1j * np.mean(column * e) / np.mean(e)
 
 
 @pytest.fixture(scope="module")
@@ -423,9 +419,10 @@ def cf_column():
     return x[:, 0] + 0.1  # a nonzero mean gives the slope at t = 0 a real size
 
 
-# radii, and the cosine-sine passes per block: one for exp(ihc), plus one per gap that is
-# not a whole number of steps in floating point (0.3 != 6 * 0.05, 0.7 - 0.3 != 8 * 0.05)
-_CF_GRIDS = [((0.0,), 1), ((0.0, 0.25, 0.5, 0.75, 1.0), 1), ((1.0,), 1), ((0.3, 0.7), 3)]
+# radii, and the cosine-sine passes per block: one per new gap between a radius and the one
+# before it (0.7 - 0.3 != 0.3), none at t = 0; ids "q20" and "libm" name the lone radius 1.0
+# and two unequal gaps
+_CF_GRIDS = [((0.0,), 0), ((0.0, 0.25, 0.5, 0.75, 1.0), 1), ((1.0,), 1), ((0.3, 0.7), 2)]
 
 
 @pytest.mark.parametrize("radii,cis_per_block", _CF_GRIDS, ids=["origin", "default", "q20", "libm"])
@@ -436,8 +433,8 @@ def test_blocked_log_cf_slopes_match_whole_array(cf_column, monkeypatch, radii, 
     real_cis = oracle._cis
     monkeypatch.setattr(oracle, "_cis", lambda arg, out: calls.append(arg.size) or real_cis(arg, out))
     blocks = (column[lo:lo + _BLOCK] for lo in range(0, size, _BLOCK))
-    got = oracle._log_cf_slopes(blocks, radii, 0.05)
-    expected = _whole_array_log_cf_slopes(column, radii, 0.05)
+    got = oracle._log_cf_slopes(blocks, radii)
+    expected = [_exact_log_cf_slope(column, t) for t in radii]
     assert max(abs(g - e) for g, e in zip(got, expected)) <= 1e-13
     assert len(calls) == cis_per_block * -(-size // _BLOCK)
 
@@ -449,13 +446,6 @@ def test_matching_residual_memory_stays_block_sized():
     x, zn = matching_samples(spec, ("gaussian", spec.P_a), 1_000_000, seed=0)
     _, peak = traced_peak(lambda: matching_residual(x, zn, m))
     assert peak < 0.1 * x.nbytes
-
-
-def _reference_log_cf_slope(column, t, h):
-    """Complex-exponential central difference of log E[exp(i w column)] at w = t."""
-    f_hi = np.mean(np.exp(1j * (t + h) * column))
-    f_lo = np.mean(np.exp(1j * (t - h) * column))
-    return (np.log(f_hi) - np.log(f_lo)) / (2.0 * h)
 
 
 def _rotation(angle):
@@ -474,8 +464,8 @@ def test_matching_residual_matches_complex_exponential_reference(family, radii):
     x = x + np.array([0.1, -0.2])  # a nonzero mean gives the slope at t = 0 a real size
     a = (x @ m.q_x) * m.sigma
     b = zn @ m.q_z
-    expected = max(abs(_reference_log_cf_slope(a[:, i], t, m.step)
-                       - m.s_diag[i] * _reference_log_cf_slope(b[:, i], t, m.step))
+    expected = max(abs(_exact_log_cf_slope(a[:, i], t)
+                       - m.s_diag[i] * _exact_log_cf_slope(b[:, i], t))
                    for i in range(2) for t in m.radii)
     got = matching_residual(x, zn, m)
     assert abs(got - expected) <= 1e-10 * expected
@@ -508,6 +498,41 @@ def test_matching_separates_families_consistently():
         if matching_residual(xg, zng, m) < matching_residual(xu, znu, m):
             wins += 1
     assert wins >= 9
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["source", "noise"])
+def test_matching_residual_rejects_a_nonfinite_sample(side, value):
+    # max() keeps 0.0 over a NaN slope, so an unchecked NaN would read as a matched gaussian
+    spec = OracleSpec(1.0, 1.0, 1.0, 0.0, k=2)
+    x, zn = matching_samples(spec, ("uniform", spec.P_a), 200_000, seed=0)
+    (x if side == "source" else zn)[123_456, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="finite"):
+            matching_residual(x, zn, isotropic_matching(spec))
+
+
+def test_matching_residual_uniform_jammer_matches_closed_form():
+    # at sigma_x^2 = P_t = P_a = 1 and sigma_n^2 = 0, A ~ N(0, 1) has log-CF slope -t and
+    # B ~ U(-sqrt 3, sqrt 3) has sqrt(3) cot(sqrt(3) t) - 1/t; both are 0 at t = 0
+    spec = OracleSpec(1.0, 1.0, 1.0, 0.0, k=1)
+    m = isotropic_matching(spec)
+    root3 = np.sqrt(3.0)
+    gaps = [abs(-t - (root3 / np.tan(root3 * t) - 1.0 / t)) for t in m.radii if t != 0]
+    assert np.allclose(gaps, [0.0032, 0.0269, 0.1007, 0.2817], atol=1e-4)
+    x, zn = matching_samples(spec, ("uniform", spec.P_a), 1_000_000, seed=0)
+    assert abs(matching_residual(x, zn, m) - max(gaps)) <= 0.02
+
+
+def test_oracle_demo_runs(tmp_path):
+    demo = os.path.join(_REPO, "demos", "oracle_saddle_suite.py")
+    path = [os.path.join(_REPO, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, demo, "--samples", "100000", "--k", "1"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "uniform  jammer: residual" in done.stdout
 
 
 def test_matching_samples_unknown_family():
