@@ -2,8 +2,8 @@
 """Train briefly, checkpoint, then decode prior draws to PGM images.
 
 The synthetic source uses n=16 so each decoded row renders as a 4x4
-grayscale tile. Artifacts land in demo_out/: a binary checkpoint, its
-text sidecar, and one .pgm per sample.
+grayscale tile. Artifacts land in demo_out/: a checkpoint (a zip archive
+of the networks' dims and parameters) and one .pgm per sample.
 
 Run: python3 demos/generate_samples.py
 """

@@ -18,8 +18,8 @@ import argparse
 import dataclasses
 import logging
 import os
-import struct
 import sys
+import zipfile
 
 import numpy as np
 
@@ -29,16 +29,16 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
 from .game import GameConfig, TrainState, check_training_inputs, train
 from .metrics import CSV_HEADER
 from .nets import ROLE_TRAITS, TRAIN_DTYPE, MlpParams, buffer_size, mlp_apply
-from .oracle import (OracleSpec, isotropic_matching, matching_residual,
-                     matching_samples, mc_game_value, saddle_strategy,
+from .oracle import (MATCHING_MIN_SAMPLES, MC_MIN_SAMPLES, OracleSpec, isotropic_matching,
+                     matching_residual, matching_samples, mc_game_value, saddle_strategy,
                      saddle_verify, scalar_saddle_distortion)
 from .rng import Rng, derive_seed
 
 log = logging.getLogger("latentjam")
 
-CHECKPOINT_MAGIC = b"AJLK"
-CHECKPOINT_VERSION = 2  # version 1 held float64 arrays; there is no reader for it
-_PAYLOAD = TRAIN_DTYPE.newbyteorder("<")  # arrays in the training precision, little-endian
+_PAYLOAD = TRAIN_DTYPE.newbyteorder("<")  # checkpoint buffers in the training precision
+_DIMS = np.dtype("<i8")  # checkpoint layer dims
+_MEMBER_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest a zip member can carry
 
 # ============================================================
 # Config parsing
@@ -153,80 +153,57 @@ def _resolved_config_text(config: GameConfig, data_cfg: dict, run_cfg: dict) -> 
 
 
 def save_checkpoint(path, state: TrainState) -> None:
+    """Write the trained networks to exactly `path` as a zip of stored members: `networks`
+    (their names, e.g. `f r g h`), then `<name>.dims` (layer dims, little-endian int64) and
+    `<name>.buffer` (`MlpParams.buffer`, little-endian float32) for each. Every member
+    carries one fixed date, so the same state always gives the same bytes."""
     nets = state.networks.present()
-    sidecar = []
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(nets)))
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(zipfile.ZipInfo("networks", _MEMBER_DATE), " ".join(nets))
         for name, params in nets.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", len(params.layer_dims)))
-            for d in params.layer_dims:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.asarray(params.buffer, dtype=_PAYLOAD).tobytes())
-            sidecar += [f"{name} {pname} {'x'.join(str(s) for s in params.array(pname).shape)}"
-                        for pname in params.array_names()]
-    with open(str(path) + ".txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(sidecar) + "\n")
+            zf.writestr(zipfile.ZipInfo(f"{name}.dims", _MEMBER_DATE),
+                        np.asarray(params.layer_dims, dtype=_DIMS).tobytes())
+            zf.writestr(zipfile.ZipInfo(f"{name}.buffer", _MEMBER_DATE),
+                        np.asarray(params.buffer, dtype=_PAYLOAD).tobytes())
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint into {name: MlpParams}."""
+    """Read a checkpoint into {name: MlpParams}: exactly the networks saved. Any other file
+    raises `CheckpointError`, a failed CRC-32 check and an encrypted member among them."""
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as err:
-        raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {buf[:4]!r}")
-    try:
-        return _parse_checkpoint(buf)
+        with zipfile.ZipFile(path) as zf:
+            return _read_networks(zf)
     except CheckpointError:
         raise
-    except (struct.error, ValueError) as err:  # a truncated file ends mid-field
-        raise CheckpointError(f"checkpoint {path} is truncated or corrupt: {err}") from err
+    except OSError as err:
+        raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
+    except (zipfile.BadZipFile, EOFError, RuntimeError, NotImplementedError, ValueError) as err:
+        raise CheckpointError(f"checkpoint {path} is truncated or corrupt: "
+                              f"{type(err).__name__}: {err}") from err
 
 
-def _parse_checkpoint(buf: bytes) -> dict:
-    version = struct.unpack_from("<I", buf, 4)[0]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
-    offset = 8
-    net_count = struct.unpack_from("<I", buf, offset)[0]
-    offset += 4
+def _read_networks(zf: zipfile.ZipFile) -> dict:
+    if any(info.compress_type != zipfile.ZIP_STORED for info in zf.infolist()):
+        raise CheckpointError("checkpoint has a compressed member")
+    members = zf.namelist()
+    roles = (zf.read("networks") if "networks" in members else b"").decode("ascii").split(" ")
+    if roles not in (["f", "r"], ["f", "r", "g", "h"]) or sorted(members) != sorted(
+            ["networks"] + [f"{name}.{part}" for name in roles for part in ("dims", "buffer")]):
+        raise CheckpointError(f"checkpoint members {members} are not the networks f r or f r g h")
     nets = {}
-    for _ in range(net_count):
-        name_len = struct.unpack_from("<I", buf, offset)[0]
-        offset += 4
-        name = buf[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        ndims = struct.unpack_from("<I", buf, offset)[0]
-        offset += 4
-        dims = list(struct.unpack_from(f"<{ndims}I", buf, offset))
-        offset += 4 * ndims
-        if name not in ROLE_TRAITS:
-            raise CheckpointError(f"unknown network name '{name}' in checkpoint")
+    for name in roles:
+        dims = np.frombuffer(zf.read(f"{name}.dims"), dtype=_DIMS).tolist()
         if len(dims) < 2 or min(dims) < 1:
             raise CheckpointError(f"network '{name}' has invalid layer dims {dims}")
         hidden_act, out_act, has_skip = ROLE_TRAITS[name]
-        buffer, offset = _read_floats(buf, offset, name, buffer_size(dims, has_skip))
-        nets[name] = MlpParams(dims, buffer, hidden_act, out_act, has_skip)
-    if offset != len(buf):
-        raise CheckpointError(f"checkpoint has {len(buf) - offset} trailing bytes")
+        buffer = zf.getinfo(f"{name}.buffer")
+        if buffer.file_size != _PAYLOAD.itemsize * buffer_size(dims, has_skip):
+            raise CheckpointError(f"network '{name}' has {buffer.file_size} bytes for layer dims {dims}")
+        values = np.frombuffer(zf.read(buffer), dtype=_PAYLOAD).astype(TRAIN_DTYPE)
+        nets[name] = MlpParams(dims, values, hidden_act, out_act, has_skip)
     return nets
-
-
-def _read_floats(buf: bytes, offset: int, name: str, count: int):
-    """A TRAIN_DTYPE copy of network `name`'s `count` values at `offset`, and the offset past them."""
-    end = offset + _PAYLOAD.itemsize * count
-    if end > len(buf):
-        raise CheckpointError(f"checkpoint is truncated: network '{name}' runs past its end")
-    return np.frombuffer(buf, dtype=_PAYLOAD, count=count, offset=offset).astype(TRAIN_DTYPE), end
 
 
 # ============================================================
@@ -252,9 +229,9 @@ def _output_dir(path) -> str:
     return path
 
 
-def _sample_count(count: int, label: str) -> int:
-    if count < 0:
-        raise ConfigError(f"{label} must be >= 0, got {count}")
+def _sample_count(count: int, label: str, floor: int = 0) -> int:
+    if count < floor:
+        raise ConfigError(f"{label} must be >= {floor}, got {count}")
     return count
 
 
@@ -325,9 +302,11 @@ def run_oracle(config_path) -> int:
         sigma_x_sq=ocfg.get("sigma_x_sq", 1.0), P_t=ocfg.get("P_t", 1.0),
         P_a=ocfg.get("P_a", 1.0), sigma_n_sq=ocfg.get("sigma_n_sq", 0.0),
         k=ocfg.get("k", 2))
-    samples = ocfg.get("samples", 1_000_000)
-    grid_samples = ocfg.get("grid_samples", 400_000)
-    match_samples = ocfg.get("matching_samples", 1_000_000)
+    samples = _sample_count(ocfg.get("samples", 1_000_000), "oracle.samples", MC_MIN_SAMPLES)
+    grid_samples = _sample_count(ocfg.get("grid_samples", 400_000), "oracle.grid_samples",
+                                 MC_MIN_SAMPLES)
+    match_samples = _sample_count(ocfg.get("matching_samples", 1_000_000),
+                                  "oracle.matching_samples", MATCHING_MIN_SAMPLES)
     seed = ocfg.get("seed", 0)
     matching = isotropic_matching(spec)
     out_dir = _output_dir(run_cfg["output_dir"])
@@ -360,20 +339,16 @@ def run_oracle(config_path) -> int:
             val = repr(float(value)) if isinstance(value, float) else value
             thr = f"{threshold:.6g}" if isinstance(threshold, float) else threshold
             fh.write(f"{name},{val},{thr},{verdict}\n")
-    failed = [r for r in rows if r[3] == "FAIL"]
     for name, value, threshold, verdict in rows:
         log.info("oracle %-22s %-12s threshold=%-8s %s", name,
                  f"{value:.6g}" if isinstance(value, float) else value, threshold, verdict)
-    return 0 if not failed else 4
+    return 4 if any(verdict == "FAIL" for *_, verdict in rows) else 0
 
 
 def run_generate(checkpoint_path, count: int, seed: int, out_dir) -> int:
     _sample_count(count, "--count")
     _output_dir(out_dir)
-    nets = load_checkpoint(checkpoint_path)
-    if "r" not in nets:
-        raise CheckpointError("checkpoint has no reconstructor network")
-    _decode_samples(nets["r"], count, seed, out_dir)
+    _decode_samples(load_checkpoint(checkpoint_path)["r"], count, seed, out_dir)
     log.info("wrote %d samples to %s", count, out_dir)
     return 0
 

@@ -83,26 +83,27 @@ def load_idx(images_path, labels_path=None, name: str = "idx", split: str = "tra
     return Dataset(images, metadata)
 
 
-def synth_source(kind: str, count: int, n: int, seed: int, params=None) -> Dataset:
+_MIXTURE_CENTERS = np.array([0.25, 0.75])
+_MIXTURE_SCALE = 0.1
+
+
+def synth_source(kind: str, count: int, n: int, seed: int) -> Dataset:
     """Synthetic sources with known statistics, for oracle-linked tests.
 
     gaussian: iid N(0.5, 0.15^2) clipped to [0, 1]; mixture: equal-weight
-    Gaussian bumps whose center is drawn per row; uniform: U[0, 1).
+    Gaussian bumps N(c, 0.1^2), c in {0.25, 0.75} drawn per row; uniform: U[0, 1).
     """
     if count < 1 or n < 1:
         raise ConfigError(f"count and n must be >= 1, got {count}, {n}")
-    params = dict(params or {})
     rng = Rng(derive_seed(seed, f"synth/{kind}"))
     if kind == "gaussian":
         x = rng.normal((count, n))
         np.add(np.multiply(x, 0.15, out=x), 0.5, out=x)
     elif kind == "mixture":
-        centers = np.asarray(params.get("centers", (0.25, 0.75)), dtype=np.float64)
-        scale = float(params.get("scale", 0.1))
-        which = (rng.uniform((count,)) * len(centers)).astype(np.int64)
-        which = np.minimum(which, len(centers) - 1)
+        which = (rng.uniform((count,)) * len(_MIXTURE_CENTERS)).astype(np.int64)
+        which = np.minimum(which, len(_MIXTURE_CENTERS) - 1)
         x = rng.normal((count, n))
-        np.add(np.multiply(x, scale, out=x), centers[which][:, None], out=x)
+        np.add(np.multiply(x, _MIXTURE_SCALE, out=x), _MIXTURE_CENTERS[which][:, None], out=x)
     elif kind == "uniform":
         x = rng.uniform((count, n))
     else:

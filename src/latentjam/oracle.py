@@ -21,6 +21,9 @@ from .autodiff import _all_finite
 from .errors import ConfigError, DegenerateGameError, NumericError
 from .rng import _BLOCK, Rng, derive_seed
 
+MC_MIN_SAMPLES = 10_000  # the fewest draws a Monte-Carlo game value takes
+MATCHING_MIN_SAMPLES = 100_000  # the fewest rows per block the matching residual takes
+
 # ============================================================
 # Specs and strategies
 # ============================================================
@@ -155,7 +158,7 @@ def _draw_game(spec: OracleSpec, jammer: tuple, shape, rng: Rng):
 
 def mc_game_value(spec: OracleSpec, strategy: LinearStrategy, samples: int, seed: int) -> McResult:
     """Monte-Carlo per-dimension MSE of xhat = gamma (alpha x + n + z)."""
-    if samples < 10_000:
+    if samples < MC_MIN_SAMPLES:
         raise ConfigError(f"mc_game_value needs >= 1e4 samples, got {samples}")
     strategy.check_feasible(spec)
     x, n, z = _draw_game(spec, strategy.jammer, (max(2, samples // spec.k), spec.k), Rng(seed))
@@ -370,7 +373,7 @@ def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
     """
     x = np.asarray(samples_x, dtype=np.float64)
     zn = np.asarray(samples_zn, dtype=np.float64)
-    if x.shape[0] < 100_000 or zn.shape[0] < 100_000:
+    if min(x.shape[0], zn.shape[0]) < MATCHING_MIN_SAMPLES:
         raise ConfigError("matching_residual needs >= 1e5 samples per block")
     if not (_all_finite(x) and _all_finite(zn)):
         raise NumericError("matching_residual samples must be finite")

@@ -2,12 +2,15 @@
 
 import hashlib
 import os
+import struct
+import subprocess
+import sys
+import zipfile
 
 import numpy as np
 import pytest
 
 from latentjam.cli import (
-    CHECKPOINT_MAGIC,
     load_checkpoint,
     main,
     parse_config,
@@ -22,6 +25,9 @@ from latentjam.metrics import CSV_HEADER
 from latentjam.nets import TRAIN_DTYPE
 from latentjam.oracle import OracleSpec, mc_game_value, saddle_strategy
 from latentjam.rng import derive_seed
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -142,9 +148,9 @@ def test_train_verb_writes_artifacts(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "1"
     assert row[2] != ""  # adversarial run logs the channel loss
-    assert (out / "resolved-config.txt").exists()
-    assert (out / "checkpoint.bin").exists()
-    assert (out / "checkpoint.bin.txt").exists()
+    # the checkpoint lists its own members: no sidecar beside it
+    assert sorted(os.listdir(out)) == ["checkpoint.bin", "metrics.csv", "resolved-config.txt",
+                                       "samples"]
     samples = sorted(os.listdir(out / "samples"))
     assert samples == ["sample-00000.pgm", "sample-00001.pgm", "sample-00002.pgm"]
     # n=4 synth metadata says 2x2 images
@@ -241,36 +247,41 @@ def test_exit_5_degenerate_oracle(tmp_path):
     assert main(["oracle", cfg]) == 5
 
 
-def test_exit_6_checkpoint_tampering(tmp_path):
+def test_exit_6_checkpoint_tampering(tmp_path, capsys):
     state = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4, seed=0))
     path = tmp_path / "cp.bin"
     save_checkpoint(path, state)
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("r.buffer")
     raw = bytearray(path.read_bytes())
-    raw[4] = 99  # version byte
-    bad_version = tmp_path / "cpv.bin"
-    bad_version.write_bytes(bytes(raw))
-    assert main(["generate", str(bad_version), "--count", "1",
+    raw[info.header_offset + 30 + len("r.buffer") + 5] ^= 0x40  # one bit of r's values
+    bad_value = tmp_path / "cpv.bin"
+    bad_value.write_bytes(bytes(raw))
+    assert main(["generate", str(bad_value), "--count", "1",
                  "--out", str(tmp_path / "g1")]) == 6
+    assert "Bad CRC-32 for file 'r.buffer'" in capsys.readouterr().err
     raw2 = bytearray(path.read_bytes())
-    raw2[:4] = b"WHAT"
+    raw2[:4] = b"WHAT"  # the first member's local header signature
     bad_magic = tmp_path / "cpm.bin"
     bad_magic.write_bytes(bytes(raw2))
     assert main(["generate", str(bad_magic), "--count", "1",
                  "--out", str(tmp_path / "g2")]) == 6
+    assert "Bad magic number for file header" in capsys.readouterr().err
 
 
 def test_exit_6_names_a_version_1_checkpoint(tmp_path, capsys):
-    # version 1 stored float64 arrays; there is no reader for it
-    state = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4, seed=0))
-    path = tmp_path / "cp.bin"
-    save_checkpoint(path, state)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match=r"^checkpoint version 1 unsupported \(expected 2\)$"):
-        load_checkpoint(path)
-    assert main(["generate", str(path), "--count", "1", "--out", str(tmp_path / "g")]) == 6
-    assert "checkpoint version 1 unsupported" in capsys.readouterr().err
+    # the hand-packed AJLK files (version 1 held float64 arrays, version 2 float32) are
+    # not zip archives, and there is no reader for them
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.bin"
+        path.write_bytes(b"AJLK" + struct.pack("<IIIsI", version, 1, 1, b"f", 2) + bytes(24))
+        with pytest.raises(CheckpointError, match="is truncated or corrupt: BadZipFile: "
+                                                  "File is not a zip file$"):
+            load_checkpoint(path)
+        out = tmp_path / f"g{version}"
+        assert main(["generate", str(path), "--count", "1", "--out", str(out)]) == 6
+        assert capsys.readouterr().err == (f"checkpoint error: checkpoint {path} is truncated or "
+                                           "corrupt: BadZipFile: File is not a zip file\n")
 
 
 def test_exit_2_bad_log_level(tmp_path, monkeypatch):
@@ -345,6 +356,21 @@ def test_oracle_exit_2_on_nonfinite_value_before_any_draw(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, floor", [("oracle.matching_samples = -1", 100_000),
+                                         ("oracle.matching_samples = 50000", 100_000),
+                                         ("oracle.grid_samples = 9999", 10_000),
+                                         ("oracle.samples = 9999", 10_000)])
+def test_oracle_exit_2_on_too_few_samples_before_any_draw(tmp_path, monkeypatch, capsys, line,
+                                                          floor):
+    _no_draws(monkeypatch)
+    out = tmp_path / "few"
+    cfg = write_cfg(tmp_path, f"{line}\nrun.output_dir = {out}\n")
+    assert main(["oracle", cfg]) == 2
+    key, value = (part.strip() for part in line.split("="))
+    assert capsys.readouterr().err == f"config error: {key} must be >= {floor}, got {value}\n"
+    assert not out.exists()
+
+
 # ============================================================
 # Checkpoints
 # ============================================================
@@ -356,10 +382,12 @@ def test_checkpoint_roundtrip(tmp_path):
                                       regularizer=reg))
         path = tmp_path / f"{reg}.bin"
         save_checkpoint(path, state)
-        assert path.read_bytes()[:4] == CHECKPOINT_MAGIC
+        with zipfile.ZipFile(path) as zf:
+            assert [(i.compress_type, i.date_time) for i in zf.infolist()] == (
+                [(zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))] * (1 + 2 * (4 if reg == "aj" else 2)))
         nets = load_checkpoint(path)
         present = state.networks.present()
-        assert sorted(nets) == sorted(present)
+        assert list(nets) == list(present)
         assert len(present) == (4 if reg == "aj" else 2)
         for name, params in present.items():
             loaded = nets[name]
@@ -372,8 +400,7 @@ def test_checkpoint_roundtrip(tmp_path):
                 a, b = params.array(pname), loaded.array(pname)
                 assert a.dtype == b.dtype == TRAIN_DTYPE, f"{reg}.{name}.{pname}"
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"{reg}.{name}.{pname}"
-        sidecar = (tmp_path / f"{reg}.bin.txt").read_text().strip().split("\n")
-        assert len(sidecar) == sum(len(p.array_names()) for p in present.values())
+    assert sorted(os.listdir(tmp_path)) == ["aj.bin", "kl.bin", "mmd.bin", "none.bin"]
 
 
 PINNED_TRAIN = """
@@ -390,10 +417,13 @@ data.n = 8
 run.output_dir = {out}
 run.sample_count = 0
 """
-# AJLK version 2 as the per-array writer wrote it for PINNED_TRAIN. Training runs in
-# float32, so like tests/test_fingerprint.py this pins the BLAS build as well as the
-# code; at these shapes the hash is the same at 1 and 2 OpenBLAS threads.
-PINNED_CHECKPOINT_SHA256 = "307ca560d57747266c184c101bd7924eaea020c18d61bab6d8e4fab1dd3c13ed"
+# The archive's bytes and its float32 buffers, f r g h concatenated, for PINNED_TRAIN.
+# The buffer hash is the payload hash of the AJLK version 2 file this format replaced,
+# so the change of format moved no trained value. Training runs in float32, so like
+# tests/test_fingerprint.py this pins the BLAS build as well as the code; at these
+# shapes the hashes are the same at 1 and 2 OpenBLAS threads.
+PINNED_CHECKPOINT_SHA256 = "7fcd08a9b4668f790fd3940f159913e3eb41b6230ba5af35b925415b9154abd3"
+PINNED_BUFFERS_SHA256 = "e3608234be9957fa369f8481334164471ed84623696bf6b27efcce91a2227719"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
@@ -401,20 +431,29 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert main(["train", write_cfg(tmp_path, PINNED_TRAIN.format(out=out))]) == 0
     raw = (out / "checkpoint.bin").read_bytes()
     assert hashlib.sha256(raw).hexdigest() == PINNED_CHECKPOINT_SHA256
-    assert (out / "checkpoint.bin.txt").read_text() == (
-        "f W0 16x8\nf b0 16\nf W1 2x16\nf b1 2\n"
-        "r W0 16x2\nr b0 16\nr W1 8x16\nr b1 8\n"
-        "g W0 16x2\ng b0 16\ng W1 2x16\ng b1 2\ng skip 2x2\n"
-        "h W0 16x2\nh b0 16\nh W1 2x16\nh b1 2\nh skip 2x2\n")
+    with zipfile.ZipFile(out / "checkpoint.bin") as zf:
+        assert zf.namelist() == ["networks"] + [f"{name}.{part}" for name in "frgh"
+                                                for part in ("dims", "buffer")]
+        assert zf.read("networks") == b"f r g h"
+        dims = {name: np.frombuffer(zf.read(f"{name}.dims"), dtype="<i8").tolist()
+                for name in "frgh"}
+        buffers = b"".join(zf.read(f"{name}.buffer") for name in "frgh")
+    assert dims == {"f": [8, 16, 2], "r": [2, 16, 8], "g": [2, 16, 2], "h": [2, 16, 2]}
+    assert hashlib.sha256(buffers).hexdigest() == PINNED_BUFFERS_SHA256
 
 
 def test_checkpoint_trailing_bytes(tmp_path):
+    # a zip archive is found from its end record, so bytes after it change nothing read
     state = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4, seed=1))
     path = tmp_path / "cp.bin"
     save_checkpoint(path, state)
+    saved = load_checkpoint(path)
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(CheckpointError, match="^checkpoint has 1 trailing bytes$"):
-        load_checkpoint(path)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == list(saved) == ["f", "r", "g", "h"]
+    for name, params in saved.items():
+        assert loaded[name].layer_dims == params.layer_dims
+        assert loaded[name].buffer.tobytes() == params.buffer.tobytes()
 
 
 @pytest.mark.parametrize("cut", ["to_10_bytes", "5_bytes_short"])
@@ -424,8 +463,9 @@ def test_truncated_checkpoint_is_typed(tmp_path, cut):
     save_checkpoint(path, state)
     raw = path.read_bytes()
     path.write_bytes(raw[:10] if cut == "to_10_bytes" else raw[:-5])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(CheckpointError) as caught:
         load_checkpoint(path)
+    assert "truncated" in str(caught.value).replace(str(path), "")  # not in the path alone
     assert main(["generate", str(path), "--count", "1", "--out", str(tmp_path / "g")]) == 6
 
 
@@ -534,6 +574,19 @@ def test_generate_negative_count_exits_2_before_loading(tmp_path, monkeypatch, c
     assert main(["generate", str(tmp_path / "cp.bin"), "--count", "-2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: --count must be >= 0, got -2\n"
     assert not out.exists()
+
+
+def test_generate_samples_demo_runs(tmp_path):
+    # the demo that round-trips a checkpoint through save, load and `generate`
+    demo = os.path.join(_REPO, "demos", "generate_samples.py")
+    path = [os.path.join(_REPO, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, demo], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "checkpoint holds: ['f', 'g', 'h', 'r']" in done.stdout
+    assert sorted(os.listdir(tmp_path / "demo_out")) == ["demo.bin", "samples"]
+    assert len(os.listdir(tmp_path / "demo_out" / "samples")) == 6
 
 
 def test_checkpoint_missing_file():

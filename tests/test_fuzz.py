@@ -1,6 +1,8 @@
 """Property tests: every input file ends in a value or in its loader's typed error."""
 
 import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import idx_image_bytes
-from latentjam.cli import (_SCHEMA, CHECKPOINT_VERSION, load_checkpoint, parse_config,
-                           save_checkpoint)
+from latentjam.cli import _SCHEMA, load_checkpoint, parse_config, save_checkpoint
 from latentjam.data_io import IMAGES_MAGIC, LABELS_MAGIC, load_idx
 from latentjam.errors import CheckpointError, ConfigError, DataFormatError
 from latentjam.game import GameConfig, init_state
@@ -107,13 +108,27 @@ def test_load_idx_directory_is_data_error(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def valid_checkpoint(fuzz_dir):
+def saved_checkpoint(fuzz_dir):
+    """The bytes of a k=1 aj checkpoint and the networks it was written from."""
     path = fuzz_dir / "valid.bin"
-    save_checkpoint(path, init_state(GameConfig(k=1, n=2, jscc_hidden=2, data_hidden=2)))
-    return path.read_bytes()
+    state = init_state(GameConfig(k=1, n=2, jscc_hidden=2, data_hidden=2))
+    save_checkpoint(path, state)
+    raw = path.read_bytes()
+    # the layout the explicit examples below edit
+    assert len(raw) == 1077
+    assert raw[_CENTRAL:_CENTRAL + 4] == raw[_F_BUFFER_ENTRY:_F_BUFFER_ENTRY + 4] == b"PK\x01\x02"
+    assert raw[_F_DIMS_DATA:_F_DIMS_DATA + 24] == struct.pack("<3q", 2, 2, 1)
+    assert struct.unpack_from("<II", raw, _END_SIZE) == (478, _CENTRAL)
+    return raw, state.networks.present()
 
 
-_EDIT = st.tuples(st.sampled_from(["set", "cut", "insert", "u32"]), st.integers(0, 400),
+# offsets in that archive: the data of f.dims, the central directory (9 entries, the
+# first, `networks`, 54 bytes long), f.buffer's entry in it, and the end record's
+# directory size field, followed by its directory offset field
+_F_DIMS_DATA, _CENTRAL, _F_BUFFER_ENTRY, _END_SIZE = 81, 577, 683, 1067
+_HUGE_DIMS = struct.pack("<3q", 5 * 10 ** 11, 2, 1)  # f then declares 10^12 + 5 parameters
+
+_EDIT = st.tuples(st.sampled_from(["set", "cut", "insert", "u32"]), st.integers(0, 2 ** 11),
                   st.integers(0, 255), st.binary(min_size=1, max_size=8),
                   st.one_of(st.sampled_from([0, 1, 2, 2 ** 31, 2 ** 32 - 1]),
                             st.integers(0, 2 ** 32 - 1)))
@@ -135,23 +150,54 @@ def _mutate(buf: bytes, edits) -> bytes:
 
 
 @given(st.lists(_EDIT, min_size=1, max_size=4))
-@example([("insert", 22, 0, b"\x00\x00\x9d\x00\x00\x00\xd1", 0)])  # dims whose product overflows
-def test_load_checkpoint_on_mutated_files(fuzz_dir, valid_checkpoint, edits):
+@example([("set", 150, 0, b"\x00", 0)])  # a flipped byte of f's values
+@example([("u32", _END_SIZE, 0, b"\x00", 478 - 54),  # the directory without `networks`
+          ("u32", _END_SIZE + 4, 0, b"\x00", _CENTRAL + 54)])
+@example([("set", _F_BUFFER_ENTRY + 10, 8, b"\x00", 0)])  # f.buffer's method set to deflate
+@example([("set", _F_BUFFER_ENTRY + 8, 1, b"\x00", 0)])  # f.buffer's encryption flag set
+@example([("u32", _F_DIMS_DATA, 0, b"\x00", struct.unpack_from("<I", _HUGE_DIMS)[0]),
+          ("u32", _F_DIMS_DATA + 4, 0, b"\x00", struct.unpack_from("<I", _HUGE_DIMS, 4)[0]),
+          ("u32", _CENTRAL + 54 + 16, 0, b"\x00", zlib.crc32(_HUGE_DIMS))])  # and its CRC-32
+def test_load_checkpoint_on_mutated_files(fuzz_dir, saved_checkpoint, edits):
+    raw, saved = saved_checkpoint
     path = fuzz_dir / "fuzz.bin"
-    path.write_bytes(_mutate(valid_checkpoint, edits))
+    path.write_bytes(_mutate(raw, edits))
     nets = _ends_typed(load_checkpoint, path, CheckpointError)
-    assert nets is None or all(len(p.layer_dims) >= 2 for p in nets.values())
+    if nets is not None:  # exactly the networks saved
+        assert list(nets) == list(saved)
+        for name, params in saved.items():
+            assert nets[name].layer_dims == params.layer_dims
+            assert nets[name].buffer.tobytes() == params.buffer.tobytes()
 
 
-@pytest.mark.parametrize("name, dims", [(b"g", []), (b"f", [3]), (b"f", [2, 0, 1])])
+def _saved_with(path, replaced: dict) -> None:
+    """Save a k=1 aj checkpoint to `path`, then rewrite it with some members' data replaced."""
+    save_checkpoint(path, init_state(GameConfig(k=1, n=2, jscc_hidden=2, data_hidden=2)))
+    with zipfile.ZipFile(path) as zf:
+        members = {member: zf.read(member) for member in zf.namelist()}
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, data in {**members, **replaced}.items():
+            zf.writestr(member, data)
+
+
+@pytest.mark.parametrize("name, dims", [("g", []), ("f", [3]), ("f", [2, 0, 1])])
 def test_load_checkpoint_rejects_degenerate_layer_dims(tmp_path, name, dims):
-    # a file consistent with its own dims, down to its last byte
-    floats = sum(d_out * d_in + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
-    payload = (b"AJLK" + struct.pack("<III", CHECKPOINT_VERSION, 1, len(name)) + name
-               + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + bytes(4 * floats))
+    # an archive consistent with its own dims, down to its last byte
     path = tmp_path / "degenerate.bin"
-    path.write_bytes(payload)
+    floats = sum(d_out * d_in + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+    _saved_with(path, {f"{name}.dims": struct.pack(f"<{len(dims)}q", *dims),
+                       f"{name}.buffer": bytes(4 * floats)})
     with pytest.raises(CheckpointError, match="invalid layer dims"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("size", [32, 40])
+def test_load_checkpoint_rejects_a_buffer_that_does_not_fit_its_dims(tmp_path, size):
+    # f is [2, 2, 1]: 9 float32 values, 36 bytes
+    path = tmp_path / "misfit.bin"
+    _saved_with(path, {"f.buffer": bytes(size)})
+    misfit = rf"^network 'f' has {size} bytes for layer dims \[2, 2, 1\]$"
+    with pytest.raises(CheckpointError, match=misfit):
         load_checkpoint(path)
 
 
