@@ -25,7 +25,6 @@ def main():
     d_star = scalar_saddle_distortion(spec)
     print(f"spec: sigma_x^2=1 P_t=1 P_a=1 sigma_n^2=0 k={args.k}")
     print(f"closed-form distortion D* = {d_star}")
-    print(f"saddle jammer scale beta  = {spec.theoretical_beta():.6f}")
 
     mc = mc_game_value(spec, saddle_strategy(spec), args.samples,
                        derive_seed(args.seed, "demo/mc"))

@@ -155,16 +155,19 @@ def _resolved_config_text(config: GameConfig, data_cfg: dict, run_cfg: dict) -> 
 def save_checkpoint(path, state: TrainState) -> None:
     """Write the trained networks to exactly `path` as a zip of stored members: `networks`
     (their names, e.g. `f r g h`), then `<name>.dims` (layer dims, little-endian int64) and
-    `<name>.buffer` (`MlpParams.buffer`, little-endian float32) for each. Every member
-    carries one fixed date, so the same state always gives the same bytes."""
+    `<name>.buffer` (`MlpParams.buffer`, little-endian float32) for each, every member with one
+    fixed date, so one state gives one byte string. A failed write raises `CheckpointError`."""
     nets = state.networks.present()
-    with zipfile.ZipFile(path, "w") as zf:
-        zf.writestr(zipfile.ZipInfo("networks", _MEMBER_DATE), " ".join(nets))
-        for name, params in nets.items():
-            zf.writestr(zipfile.ZipInfo(f"{name}.dims", _MEMBER_DATE),
-                        np.asarray(params.layer_dims, dtype=_DIMS).tobytes())
-            zf.writestr(zipfile.ZipInfo(f"{name}.buffer", _MEMBER_DATE),
-                        np.asarray(params.buffer, dtype=_PAYLOAD).tobytes())
+    try:
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr(zipfile.ZipInfo("networks", _MEMBER_DATE), " ".join(nets))
+            for name, params in nets.items():
+                zf.writestr(zipfile.ZipInfo(f"{name}.dims", _MEMBER_DATE),
+                            np.asarray(params.layer_dims, dtype=_DIMS).tobytes())
+                zf.writestr(zipfile.ZipInfo(f"{name}.buffer", _MEMBER_DATE),
+                            np.asarray(params.buffer, dtype=_PAYLOAD).tobytes())
+    except OSError as err:
+        raise CheckpointError(f"cannot write checkpoint {path}: {err}") from err
 
 
 def load_checkpoint(path) -> dict:
@@ -275,6 +278,9 @@ def run_experiment(config_path) -> int:
     eval_every = run_cfg.get("eval_every", 1)
     check_training_inputs(config, dataset, eval_dataset, eval_every)
     out_dir = _output_dir(run_cfg["output_dir"])
+    checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
+    if os.path.isdir(checkpoint_path):
+        raise ConfigError(f"checkpoint path {checkpoint_path} is a directory")
     samples_dir = _output_dir(os.path.join(out_dir, "samples"))
     with open(os.path.join(out_dir, "resolved-config.txt"), "w", encoding="utf-8") as fh:
         fh.write(_resolved_config_text(config, data_cfg, run_cfg))
@@ -283,7 +289,7 @@ def run_experiment(config_path) -> int:
         fh.write(CSV_HEADER + "\n")
         for report in state.history:
             fh.write(report.to_csv_row() + "\n")
-    save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), state)
+    save_checkpoint(checkpoint_path, state)
     _decode_samples(state.networks.r, sample_count, derive_seed(config.seed, "samples"),
                     samples_dir, dataset.metadata.get("rows"), dataset.metadata.get("cols"))
     log.info("experiment done: %s", out_dir)

@@ -13,13 +13,13 @@ linear, on exact slopes i E[c exp(iwc)] / E[exp(iwc)] of empirical log-CFs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .autodiff import _all_finite
 from .errors import ConfigError, DegenerateGameError, NumericError
-from .rng import _BLOCK, Rng, derive_seed
+from .rng import _BLOCK, Rng
 
 MC_MIN_SAMPLES = 10_000  # the fewest draws a Monte-Carlo game value takes
 MATCHING_MIN_SAMPLES = 100_000  # the fewest rows per block the matching residual takes
@@ -48,44 +48,32 @@ class OracleSpec:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
-    def theoretical_beta(self, power: Optional[float] = None) -> float:
-        """Jammer gain so that beta^2 (sigma_n^2 + sigma_x^2) hits the power cap."""
-        p = self.P_a if power is None else power
-        denom = self.sigma_n_sq + self.sigma_x_sq
-        if denom == 0:
-            raise DegenerateGameError("scaled-source jammer undefined for a zero-variance source")
-        return float(np.sqrt(p / denom))
-
 
 @dataclass
 class LinearStrategy:
     """Scalar per-dimension gains plus the jammer's distribution family.
 
-    jammer is (family, param): ("gaussian", variance), ("uniform", variance)
-    or ("scaled_source", beta). decoder_gain may be the string "optimal",
-    which resolves to the minimum-MSE gain Cov(x, yhat)/Var(yhat) for the
-    given game parameters.
+    jammer is (family, variance), family "gaussian" or "uniform": sqrt(variance)
+    times a `_unit_jammer` draw. decoder_gain may be the string "optimal", which
+    resolves to the minimum-MSE gain Cov(x, yhat)/Var(yhat) for the given game.
     """
 
     encoder_gain: float
     decoder_gain: Union[float, str]
     jammer: tuple = ("gaussian", 1.0)
 
-    def jammer_variance(self, spec: OracleSpec) -> float:
-        family, param = self.jammer
-        if family in ("gaussian", "uniform"):
-            return float(param)
-        if family == "scaled_source":
-            return float(param) ** 2 * (spec.sigma_n_sq + spec.sigma_x_sq)
-        raise ConfigError(f"unknown jammer family '{family}'")
+    def jammer_variance(self) -> float:
+        family, variance = self.jammer
+        if family not in ("gaussian", "uniform"):
+            raise ConfigError(f"unknown jammer family '{family}'")
+        return float(variance)
 
     def check_feasible(self, spec: OracleSpec) -> None:
         if self.encoder_gain ** 2 * spec.sigma_x_sq > spec.P_t + 1e-9:
             raise ConfigError(
                 f"encoder gain {self.encoder_gain} violates transmit power {spec.P_t}")
-        if self.jammer_variance(spec) > spec.P_a + 1e-9:
-            raise ConfigError(
-                f"jammer variance {self.jammer_variance(spec)} violates jam power {spec.P_a}")
+        if self.jammer_variance() > spec.P_a + 1e-9:
+            raise ConfigError(f"jammer variance {self.jammer_variance()} violates jam power {spec.P_a}")
 
 
 def saddle_strategy(spec: OracleSpec) -> LinearStrategy:
@@ -124,10 +112,8 @@ def resolve_decoder_gain(spec: OracleSpec, strategy: LinearStrategy) -> float:
         if strategy.decoder_gain != "optimal":
             raise ConfigError(f"unknown decoder gain '{strategy.decoder_gain}'")
         alpha = strategy.encoder_gain
-        var_y = alpha ** 2 * spec.sigma_x_sq + spec.sigma_n_sq + strategy.jammer_variance(spec)
-        if var_y == 0:
-            return 0.0
-        return alpha * spec.sigma_x_sq / var_y
+        var_y = alpha ** 2 * spec.sigma_x_sq + spec.sigma_n_sq + strategy.jammer_variance()
+        return alpha * spec.sigma_x_sq / var_y if var_y != 0 else 0.0
     return float(strategy.decoder_gain)
 
 
@@ -135,37 +121,35 @@ def _scaled(draws: np.ndarray, scale) -> np.ndarray:
     return np.multiply(draws, scale, out=draws)
 
 
+def _unit_jammer(family: str, shape, rng: Rng) -> np.ndarray:
+    """A unit-variance jammer draw: standard normal, or uniform on [-sqrt 3, sqrt 3)."""
+    if family == "gaussian":
+        return rng.normal(shape)
+    if family == "uniform":
+        return rng.symmetric(shape, np.sqrt(3.0))
+    raise ConfigError(f"unknown jammer family '{family}'")
+
+
+def _mc_shape(spec: OracleSpec, samples: int, caller: str) -> tuple:
+    """(rows, k) holding `samples` draws; fewer than `MC_MIN_SAMPLES` is a config error."""
+    if samples < MC_MIN_SAMPLES:
+        raise ConfigError(f"{caller} needs >= 1e4 samples, got {samples}")
+    return (max(2, samples // spec.k), spec.k)
+
+
 def _draw_game(spec: OracleSpec, jammer: tuple, shape, rng: Rng):
-    """Source x, fixed noise n (0.0 when sigma_n^2 = 0) and jammer z from streams x, n, z."""
+    """Source x, fixed noise n (0.0 when sigma_n^2 = 0) and jammer z from streams x, n, z;
+    z is sqrt(variance) times a `_unit_jammer` draw of the jammer's family."""
     x = _scaled(rng.spawn("x").normal(shape), np.sqrt(spec.sigma_x_sq))
     n = _scaled(rng.spawn("n").normal(shape), np.sqrt(spec.sigma_n_sq)) if spec.sigma_n_sq > 0 else 0.0
-    family, param = jammer
-    z_rng = rng.spawn("z")
-    if family == "gaussian":
-        z = _scaled(z_rng.normal(shape), np.sqrt(param))
-    elif family == "uniform":
-        z = z_rng.symmetric(shape, np.sqrt(3.0 * param))
-    elif family == "scaled_source":
-        # The certificate form beta*(n - x) realized with the jammer's own
-        # independent draws; in law this is N(0, beta^2 (sigma_n^2 + sigma_x^2)).
-        x_own = _scaled(z_rng.normal(shape), np.sqrt(spec.sigma_x_sq))
-        n_own = _scaled(z_rng.normal(shape), np.sqrt(spec.sigma_n_sq)) if spec.sigma_n_sq > 0 else 0.0
-        z = _scaled(np.subtract(n_own, x_own, out=x_own), param)
-    else:
-        raise ConfigError(f"unknown jammer family '{family}'")
-    return x, n, z
+    family, variance = jammer
+    return x, n, _scaled(_unit_jammer(family, shape, rng.spawn("z")), np.sqrt(variance))
 
 
-def mc_game_value(spec: OracleSpec, strategy: LinearStrategy, samples: int, seed: int) -> McResult:
-    """Monte-Carlo per-dimension MSE of xhat = gamma (alpha x + n + z)."""
-    if samples < MC_MIN_SAMPLES:
-        raise ConfigError(f"mc_game_value needs >= 1e4 samples, got {samples}")
-    strategy.check_feasible(spec)
-    x, n, z = _draw_game(spec, strategy.jammer, (max(2, samples // spec.k), spec.k), Rng(seed))
-    gamma = resolve_decoder_gain(spec, strategy)
-    # err = x - gamma * (alpha x + n + z), squared, then its mean and numpy's std
-    # (the root of the mean of (sq - mean)^2), in one buffer with numpy's operations and order
-    sq = np.multiply(x, strategy.encoder_gain)
+def _game_value(x: np.ndarray, n, z: np.ndarray, alpha: float, gamma: float) -> McResult:
+    """Mean and standard error of err^2, err = x - gamma (alpha x + n + z): numpy's mean and std
+    (the root of the mean of (sq - mean)^2) in one buffer, with numpy's operations and order."""
+    sq = np.multiply(x, alpha)
     sq += n
     sq += z
     sq *= gamma
@@ -176,6 +160,14 @@ def mc_game_value(spec: OracleSpec, strategy: LinearStrategy, samples: int, seed
     sq *= sq
     std = np.sqrt(sq.sum() / sq.size)
     return McResult(float(mean), float(std / np.sqrt(sq.size)), sq.size)
+
+
+def mc_game_value(spec: OracleSpec, strategy: LinearStrategy, samples: int, seed: int) -> McResult:
+    """Monte-Carlo per-dimension MSE of xhat = gamma (alpha x + n + z)."""
+    shape = _mc_shape(spec, samples, "mc_game_value")
+    strategy.check_feasible(spec)
+    x, n, z = _draw_game(spec, strategy.jammer, shape, Rng(seed))
+    return _game_value(x, n, z, strategy.encoder_gain, resolve_decoder_gain(spec, strategy))
 
 
 # ============================================================
@@ -207,15 +199,10 @@ def default_perturbations(spec: OracleSpec) -> list:
     alpha = saddle_strategy(spec).encoder_gain
     gamma_star = resolve_decoder_gain(spec, saddle_strategy(spec))
     rows = []
-    for s in (0.25, 0.5, 0.75):
-        rows.append((f"jammer/gaussian-{s}Pa", "jammer",
-                     LinearStrategy(alpha, "optimal", ("gaussian", s * spec.P_a))))
-    for s in (0.5, 1.0):
-        rows.append((f"jammer/uniform-{s}Pa", "jammer",
-                     LinearStrategy(alpha, "optimal", ("uniform", s * spec.P_a))))
-        rows.append((f"jammer/scaled-source-{s}Pa", "jammer",
-                     LinearStrategy(alpha, "optimal",
-                                    ("scaled_source", spec.theoretical_beta(s * spec.P_a)))))
+    for family, scales in (("gaussian", (0.25, 0.5, 0.75)), ("uniform", (0.5, 1.0))):
+        for s in scales:
+            rows.append((f"jammer/{family}-{s}Pa", "jammer",
+                         LinearStrategy(alpha, "optimal", (family, s * spec.P_a))))
     # encoder can only scale down: upscaling breaks power feasibility
     for s in (0.5, 0.75):
         rows.append((f"codec/alpha-x{s}", "codec",
@@ -228,18 +215,27 @@ def default_perturbations(spec: OracleSpec) -> list:
 
 def saddle_verify(spec: OracleSpec, perturbations=None, samples: int = 400_000,
                   seed: int = 0) -> SaddleReport:
-    """Check J(jammer dev) <= J* and J(codec dev) >= J* within 3 standard errors."""
+    """Check J(jammer dev) <= J* and J(codec dev) >= J* within 3 standard errors.
+
+    All rows share one draw of each input (common random numbers), made after the sample floor
+    and each row's feasibility are checked: `_draw_game`'s x, n and unit gaussian jammer, and a
+    unit uniform jammer from stream u; a row scales its family's unit draw."""
     rows_in = default_perturbations(spec) if perturbations is None else perturbations
-    jam = [r for r in rows_in if r[1] == "jammer"]
-    cod = [r for r in rows_in if r[1] == "codec"]
-    if len(jam) < 5 or len(cod) < 5:
-        raise ConfigError(f"perturbation grid too small: {len(jam)} jammer, {len(cod)} codec rows")
+    jam, cod = (sum(r[1] == side for r in rows_in) for side in ("jammer", "codec"))
+    if min(jam, cod) < 5:
+        raise ConfigError(f"perturbation grid too small: {jam} jammer, {cod} codec rows")
+    shape = _mc_shape(spec, samples, "saddle_verify")
+    for _, _, strat in rows_in:
+        strat.check_feasible(spec)
     j_star = scalar_saddle_distortion(spec)
+    x, n, gaussian = _draw_game(spec, ("gaussian", 1.0), shape, Rng(seed))
+    units = {"gaussian": gaussian, "uniform": _unit_jammer("uniform", shape, Rng(seed).spawn("u"))}
+    z = np.empty(shape)
     rows = []
-    max_gain = -np.inf
-    max_loss = -np.inf
+    max_gain = max_loss = -np.inf
     for name, side, strat in rows_in:
-        res = mc_game_value(spec, strat, samples, derive_seed(seed, f"grid/{name}"))
+        np.multiply(units[strat.jammer[0]], np.sqrt(strat.jammer_variance()), out=z)
+        res = _game_value(x, n, z, strat.encoder_gain, resolve_decoder_gain(spec, strat))
         if side == "jammer":
             ok = res.value <= j_star + 3.0 * res.std_error
             max_gain = max(max_gain, res.value - j_star)
@@ -247,8 +243,7 @@ def saddle_verify(spec: OracleSpec, perturbations=None, samples: int = 400_000,
             ok = res.value >= j_star - 3.0 * res.std_error
             max_loss = max(max_loss, j_star - res.value)
         rows.append(SaddleRow(name, side, res.value, res.std_error, ok))
-    return SaddleReport(j_star, rows, float(max_gain), float(max_loss),
-                        all(r.ok for r in rows))
+    return SaddleReport(j_star, rows, float(max_gain), float(max_loss), all(r.ok for r in rows))
 
 
 # ============================================================
@@ -304,8 +299,6 @@ def isotropic_matching(spec: OracleSpec, radii=(0.0, 0.25, 0.5, 0.75, 1.0)) -> M
 
 def matching_samples(spec: OracleSpec, jammer: tuple, samples: int, seed: int):
     """Draw (X, N+Z) sample blocks for matching_residual."""
-    if jammer[0] not in ("gaussian", "uniform"):
-        raise ConfigError(f"unknown jammer family '{jammer[0]}' for matching samples")
     x, n, z = _draw_game(spec, jammer, (samples, spec.k), Rng(seed))
     return x, n + z
 

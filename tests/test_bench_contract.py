@@ -40,3 +40,12 @@ def test_comparison_workload_passes_its_checks(tmp_path):
     work.before()
     work.check(work.op())
     assert sorted(os.listdir(tmp_path)) == sorted(f"compare-{reg}.bin" for reg in work.REGULARIZERS)
+
+
+def test_oracle_suite_workload_passes_its_checks(tmp_path):
+    # its checks read `cli.run_oracle`'s report: seven rows, every one a pass
+    work = _workloads().OracleSuite(str(tmp_path))
+    work.setup(0)
+    work.prepare()
+    work.before()
+    work.check(work.op())

@@ -559,6 +559,24 @@ def test_output_path_through_a_file_exits_2_before_any_work(tmp_path, monkeypatc
     assert capsys.readouterr().err.startswith(f"config error: cannot create output directory {out}")
 
 
+def test_checkpoint_path_that_is_a_directory_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", None)  # training would fail loudly
+    out = tmp_path / "run"
+    (out / "checkpoint.bin").mkdir(parents=True)
+    assert main(["train", write_cfg(tmp_path, SMALL_TRAIN.format(out=out))]) == 2
+    assert capsys.readouterr().err == (f"config error: checkpoint path {out / 'checkpoint.bin'} "
+                                       "is a directory\n")
+    assert sorted(os.listdir(out)) == ["checkpoint.bin"]
+
+
+@pytest.mark.parametrize("where", ["a-directory", "under-a-missing-directory"])
+def test_unwritable_checkpoint_path_is_typed(tmp_path, where):
+    state = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4, seed=1))
+    path = tmp_path if where == "a-directory" else tmp_path / "missing" / "cp.bin"
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        save_checkpoint(path, state)
+
+
 def test_negative_sample_count_exits_2_before_training(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "train", None)  # training would fail loudly
     out = tmp_path / "negative"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from latentjam import oracle
+from latentjam import cli, oracle
 from latentjam.errors import ConfigError, DegenerateGameError, NumericError
 from latentjam.oracle import (
     LinearStrategy,
@@ -85,19 +85,6 @@ def test_saddle_distortion_monotone_in_each_parameter():
     assert scalar_saddle_distortion(OracleSpec(1.3, 0.8, 0.6, 0.9)) > d0   # noisier channel
 
 
-def test_theoretical_beta():
-    spec = OracleSpec(1.0, 1.0, 1.0, 1.0)
-    assert abs(spec.theoretical_beta() - 1.0 / np.sqrt(2.0)) < 1e-15
-    # beta^2 (sigma_n^2 + sigma_x^2) saturates the cap by construction
-    b = spec.theoretical_beta(0.5)
-    assert abs(b ** 2 * 2.0 - 0.5) < 1e-15
-
-
-def test_theoretical_beta_degenerate():
-    with pytest.raises(DegenerateGameError):
-        OracleSpec(0.0, 1.0, 1.0, 0.0).theoretical_beta()
-
-
 # ============================================================
 # Strategies and feasibility
 # ============================================================
@@ -127,16 +114,9 @@ def test_feasibility_checks():
     LinearStrategy(1.0, "optimal", ("gaussian", 1.0)).check_feasible(spec)
 
 
-def test_scaled_source_jammer_variance():
-    spec = OracleSpec(1.0, 1.0, 1.0, 1.0)
-    strat = LinearStrategy(1.0, "optimal", ("scaled_source", 0.5))
-    assert abs(strat.jammer_variance(spec) - 0.5) < 1e-15
-
-
 def test_unknown_jammer_family():
-    spec = OracleSpec()
     with pytest.raises(ConfigError, match="family"):
-        LinearStrategy(1.0, "optimal", ("laplace", 1.0)).jammer_variance(spec)
+        LinearStrategy(1.0, "optimal", ("laplace", 1.0)).jammer_variance()
 
 
 def test_resolve_decoder_gain_variants():
@@ -193,43 +173,6 @@ def test_mc_weak_jammer_mmse():
     assert abs(res.value - 0.2) < max(3.0 * res.std_error, 0.002)
 
 
-def test_mc_scaled_source_jammer_achieves_saddle_value():
-    # the certificate jammer is gaussian in law at full power
-    spec = OracleSpec(1.0, 1.0, 1.0, 1.0)
-    beta = spec.theoretical_beta()
-    d_star = scalar_saddle_distortion(spec)
-    scaled = mc_game_value(spec, LinearStrategy(1.0, "optimal", ("scaled_source", beta)),
-                           1_000_000, seed=4)
-    gauss = mc_game_value(spec, LinearStrategy(1.0, "optimal", ("gaussian", 1.0)),
-                          1_000_000, seed=5)
-    assert abs(scaled.value - d_star) / d_star < 0.01
-    assert abs(gauss.value - d_star) / d_star < 0.01
-
-
-def test_scaled_source_row_without_channel_noise_rebuilt_from_its_streams(monkeypatch):
-    # at sigma_n^2 = 0 the jammer is beta * (0 - x_own): one normal draw per entry
-    spec = OracleSpec(2.0, 1.0, 1.0, 0.0, k=2)
-    beta = spec.theoretical_beta(0.5)
-    strategy = LinearStrategy(0.7, "optimal", ("scaled_source", beta))
-    draws = []
-    real_normal = Rng.normal
-
-    def counted_normal(self, shape=()):
-        draws.append(shape)
-        return real_normal(self, shape)
-
-    monkeypatch.setattr(Rng, "normal", counted_normal)
-    res = mc_game_value(spec, strategy, 40_000, seed=11)
-    monkeypatch.undo()
-    assert draws == [(20_000, 2), (20_000, 2)]
-    rng = Rng(11)
-    x = np.sqrt(2.0) * rng.spawn("x").normal((20_000, 2))
-    z = beta * (0.0 - np.sqrt(2.0) * rng.spawn("z").normal((20_000, 2)))
-    gamma = resolve_decoder_gain(spec, strategy)
-    err = x - gamma * (0.7 * x + z)
-    assert res.value == float((err * err).mean())
-
-
 def test_mc_multidim_row_split():
     spec = OracleSpec(k=8)
     res = mc_game_value(spec, saddle_strategy(spec), 80_000, seed=6)
@@ -256,9 +199,8 @@ def test_mc_infeasible_strategy_rejected():
         mc_game_value(OracleSpec(), LinearStrategy(3.0, "optimal"), 20_000, seed=0)
 
 
-def _whole_array_game_value(spec, strategy, samples, seed):
+def _whole_array_game_value(spec, strategy, x, n, z):
     """Reference: the game value and standard error by whole-array temporaries."""
-    x, n, z = oracle._draw_game(spec, strategy.jammer, (max(2, samples // spec.k), spec.k), Rng(seed))
     gamma = resolve_decoder_gain(spec, strategy)
     err = x - gamma * (strategy.encoder_gain * x + n + z)
     sq = (err * err).ravel()
@@ -267,13 +209,14 @@ def _whole_array_game_value(spec, strategy, samples, seed):
 
 @pytest.mark.parametrize("sigma_n_sq", [0.0, 0.5])
 def test_mc_in_place_equals_whole_array_reference_bit_for_bit(sigma_n_sq):
-    # every jammer family (gaussian, uniform, scaled-source) and both codec deviations
+    # every jammer family (gaussian, uniform) and both codec deviations
     spec = OracleSpec(1.0, 1.0, 1.0, sigma_n_sq, k=2)
     rows = default_perturbations(spec) + [("saddle", "", saddle_strategy(spec))]
-    assert {strat.jammer[0] for _, _, strat in rows} == {"gaussian", "uniform", "scaled_source"}
+    assert {strat.jammer[0] for _, _, strat in rows} == {"gaussian", "uniform"}
     for i, (name, _, strat) in enumerate(rows):
         res = mc_game_value(spec, strat, 20_000, seed=i)
-        assert (res.value, res.std_error) == _whole_array_game_value(spec, strat, 20_000, i), name
+        x, n, z = oracle._draw_game(spec, strat.jammer, (10_000, 2), Rng(i))
+        assert (res.value, res.std_error) == _whole_array_game_value(spec, strat, x, n, z), name
 
 
 def test_mc_memory_is_the_draws_and_one_buffer():
@@ -304,8 +247,8 @@ def test_saddle_verify_unit_game():
     assert report.j_star == 0.5
     assert report.passed
     assert all(r.ok for r in report.rows)
-    # full-power uniform and scaled-source rows match the saddle jammer in
-    # second moments, so the best jammer gain only hovers around zero
+    # the full-power uniform row matches the saddle jammer in second moments, and a
+    # linear decoder sees only those, so the best jammer gain only hovers around zero
     assert report.max_jammer_gain < 0.01
     # codec deviations are all bounded away from the saddle here
     assert report.max_codec_loss < 0.0
@@ -318,9 +261,81 @@ def test_saddle_verify_multidim():
 
 def test_saddle_verify_grid_floor():
     spec = OracleSpec()
-    tiny = default_perturbations(spec)[:6]  # jammer rows only, no codec side
+    tiny = default_perturbations(spec)[:5]  # jammer rows only, no codec side
     with pytest.raises(ConfigError, match="grid too small"):
         saddle_verify(spec, perturbations=tiny, samples=100_000)
+
+
+@pytest.mark.parametrize("sigma_n_sq", [0.0, 0.5])
+def test_saddle_rows_equal_whole_array_reference_on_shared_draws(sigma_n_sq):
+    # every row scales one unit draw of its jammer family; x, n and those draws are shared
+    spec = OracleSpec(2.0, 1.0, 0.8, sigma_n_sq, k=2)
+    rows = default_perturbations(spec)
+    assert {strat.jammer[0] for _, _, strat in rows} == {"gaussian", "uniform"}
+    report = saddle_verify(spec, samples=20_000, seed=8)
+    rng, shape = Rng(8), (10_000, 2)
+    x = np.sqrt(2.0) * rng.spawn("x").normal(shape)
+    n = np.sqrt(sigma_n_sq) * rng.spawn("n").normal(shape) if sigma_n_sq > 0 else 0.0
+    units = {"gaussian": rng.spawn("z").normal(shape),
+             "uniform": rng.spawn("u").symmetric(shape, np.sqrt(3.0))}
+    assert [r.name for r in report.rows] == [name for name, _, _ in rows]
+    for (name, _, strat), row in zip(rows, report.rows):
+        z = units[strat.jammer[0]] * np.sqrt(strat.jammer[1])
+        assert (row.value, row.std_error) == _whole_array_game_value(spec, strat, x, n, z), name
+
+
+@pytest.mark.parametrize("sigma_n_sq", [0.0, 0.5])
+def test_saddle_verify_draws_each_input_once(monkeypatch, sigma_n_sq):
+    calls = []
+    real_normal, real_uniform = Rng.normal, Rng.uniform
+    monkeypatch.setattr(Rng, "normal", lambda self, shape=(): calls.append(
+        ("normal", self._seed)) or real_normal(self, shape))
+    monkeypatch.setattr(Rng, "uniform", lambda self, shape=(): calls.append(
+        ("uniform", self._seed)) or real_uniform(self, shape))
+    saddle_verify(OracleSpec(1.0, 1.0, 1.0, sigma_n_sq, k=2), samples=20_000, seed=4)
+    stream = {label: Rng(4).spawn(label)._seed for label in "xnzu"}
+    normals = "xnz" if sigma_n_sq > 0 else "xz"
+    # a normal draw takes its Box-Muller uniforms in one uniform call on its own stream
+    assert calls == [(kind, stream[label]) for label in normals for kind in ("normal", "uniform")] \
+        + [("uniform", stream["u"])]
+
+
+def test_saddle_verify_checks_samples_and_every_row_before_any_draw(monkeypatch):
+    for name in ("normal", "uniform"):
+        monkeypatch.setattr(Rng, name, None)  # any draw would fail loudly
+    spec = OracleSpec()
+    with pytest.raises(ConfigError, match="1e4"):
+        saddle_verify(spec, samples=9_999)
+    over_power = ("jammer/gaussian-2Pa", "jammer", LinearStrategy(1.0, "optimal", ("gaussian", 2.0)))
+    with pytest.raises(ConfigError, match="jam power"):
+        saddle_verify(spec, perturbations=default_perturbations(spec) + [over_power], samples=20_000)
+
+
+def _widen(monkeypatch, family):
+    """Make the unit jammer draw of `family` 5 % too wide."""
+    real = oracle._unit_jammer
+    monkeypatch.setattr(oracle, "_unit_jammer", lambda fam, shape, rng: (
+        real(fam, shape, rng) * (1.05 if fam == family else 1.0)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_saddle_verify_catches_a_too_wide_uniform_jammer(monkeypatch, k):
+    # variance 1.1025 P_a lifts the full-power uniform row to J* + 0.0256 at the unit game
+    _widen(monkeypatch, "uniform")
+    report = saddle_verify(OracleSpec(k=k), seed=derive_seed(0, f"verify/{k}"))
+    assert [r.name for r in report.rows if not r.ok] == ["jammer/uniform-1.0Pa"]
+
+
+def test_oracle_verb_catches_a_too_wide_gaussian_jammer(tmp_path, monkeypatch):
+    # the saddle game value and the gaussian matching residual both see the extra power
+    _widen(monkeypatch, "gaussian")
+    out = tmp_path / "wide"
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(f"oracle.seed = 0\nrun.output_dir = {out}\n", encoding="utf-8")
+    assert cli.main(["oracle", str(cfg)]) == 4
+    rows = [line.split(",") for line in (out / "oracle-report.csv").read_text().splitlines()[1:]]
+    assert sorted(name for name, *_, verdict in rows if verdict == "FAIL") == [
+        "matching_gaussian", "saddle_mc_rel_err"]
 
 
 def test_saddle_verify_seed_changes_rows_not_verdict():
