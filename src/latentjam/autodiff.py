@@ -28,24 +28,18 @@ parameters meet float64 data inside an op, where numpy promotes, so
 evaluation runs in float64. NaN/Inf detection runs at every op boundary, on
 every value and every gradient, recorded or not, and is always on: a
 training failure must surface loudly, not corrupt the minimax dynamics
-downstream. The check first takes x . x with `np.vdot`, which is not
-finite whenever any element is NaN or +-inf and finite whenever every
-element is finite and the sum of squares stays in range; x . x never
-meets inf - inf, so no floating-point warning precedes the error. Only a
-non-finite x . x pays for the elementwise scan: a bad element, or a finite
-array whose sum of squares overflows, as a float32 one does once an
-element reaches about 1.8e19 (the square root of float32's 3.4e38).
+downstream. `_all_finite` makes the check one `np.vdot` per array.
 
-`adam_step` updates one flat array, a network's whole parameter buffer,
-so training makes one call per network per update. It runs the whole-array
-Adam formula on 1-D blocks of `_ADAM_BLOCK` elements, and `sigmoid` its
-forward on arrays larger than `_SIGMOID_BYTES`, with the same operations in
-the same order per element, so their bits are those of the whole-array
-formula.
+`adam_step` updates a network's whole buffer per call in 13 numpy calls per
+block of `_ADAM_BLOCK` elements, reading the leaf gradients of a larger
+buffer where `backward_grads` left them. It and `sigmoid` (on arrays over
+`_SIGMOID_BYTES`) run the same operations in the same order per element as
+the whole-array formula, so their bits are its bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -101,9 +95,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return self._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        return self.tape.apply("neg", [self])
 
     def __matmul__(self, other):
         return self.tape.apply("matmul", [self, self._lift(other)])
@@ -180,8 +171,10 @@ def _checked(op: str, value: np.ndarray, node) -> np.ndarray:
 
 
 def _all_finite(x: np.ndarray) -> bool:
-    """Elementwise finiteness, decided by one x . x unless it overflows: unlike a sum, x . x
-    never meets inf - inf, and `np.vdot` emits no floating-point warning, so a failure only raises."""
+    """Elementwise finiteness, decided by one x . x: not finite if any element is NaN or +-inf,
+    finite if all are and the sum of squares stays in range. Only an overflow (in float32, from
+    an element of about 1.8e19) pays for the elementwise scan. Unlike a sum, x . x never meets
+    inf - inf, and `np.vdot` emits no floating-point warning, so a failure only raises."""
     v = x.ravel("K")
     return bool(np.isfinite(np.vdot(v, v))) or bool(np.all(np.isfinite(x)))
 
@@ -265,6 +258,26 @@ def _sigmoid_rows(x, e, out):
     return np.divide(num, np.add(e, 1.0, out=e), out=num if out is None else out)
 
 
+def _power_stats(z, eps):
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise ShapeError(f"power_normalize needs a 2-D batch >= 2, got shape {z.shape}")
+    c = z - np.mean(z, axis=0, keepdims=True)
+    return c, np.sqrt(np.mean(c * c, axis=0, keepdims=True) + eps)
+
+
+def _power_normalize(v, a):
+    c, sigma = _power_stats(v[0], a["eps"])
+    return c * (a["scale"] / sigma)
+
+
+def _power_normalize_grad(g, v, out, a, i):
+    # (scale / sigma) (g - mean0(g) - c_hat mean0(g c_hat)), c_hat = c / sigma from the input
+    c_hat, sigma = _power_stats(v[0], a["eps"])
+    c_hat /= sigma
+    grad = g - np.mean(g, axis=0, keepdims=True) - c_hat * np.mean(g * c_hat, axis=0, keepdims=True)
+    return grad * (a["scale"] / sigma)
+
+
 def _slice_cols_grad(g, v, out, a, i):
     full = np.zeros_like(v[0])
     full[:, a["start"]:a["stop"]] = g
@@ -283,7 +296,6 @@ _OPS = {
     "div": (lambda v, a: v[0] / v[1],
             lambda g, v, out, a, i: _unbroadcast(g / v[1], v[0].shape) if i == 0
             else _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape)),
-    "neg": (lambda v, a: -v[0], lambda g, v, out, a, i: -g),
     # (g.T @ v[0]).T equals v[0].T @ g but comes out F-ordered, so a weight
     # reached through `transpose` gets its gradient C-ordered like itself
     "matmul": (_matmul, lambda g, v, out, a, i: g @ v[1].T if i == 0 else (g.T @ v[0]).T),
@@ -296,17 +308,15 @@ _OPS = {
     "sigmoid": (_sigmoid, lambda g, v, out, a, i: g * out * (1.0 - out)),
     "exp": (lambda v, a: np.exp(v[0]), lambda g, v, out, a, i: g * out),
     "square": (lambda v, a: v[0] * v[0], lambda g, v, out, a, i: g * 2.0 * v[0]),
-    "sqrt": (lambda v, a: np.sqrt(v[0]), lambda g, v, out, a, i: g * 0.5 / out),
     "clip": (lambda v, a: np.clip(v[0], a["lo"], a["hi"]),
              lambda g, v, out, a, i: g * ((v[0] > a["lo"]) & (v[0] < a["hi"]))),
     "mean": (lambda v, a: np.mean(v[0]).reshape(1),
              lambda g, v, out, a, i: np.broadcast_to(g / v[0].size, v[0].shape)),
     "sum": (lambda v, a: np.sum(v[0]).reshape(1),
             lambda g, v, out, a, i: np.broadcast_to(g, v[0].shape)),
-    "mean0": (_matrix_op("mean0", lambda x, a: np.mean(x, axis=0, keepdims=True)),
-              lambda g, v, out, a, i: np.broadcast_to(g / v[0].shape[0], v[0].shape)),
     "sum1": (_matrix_op("sum1", lambda x, a: np.sum(x, axis=1, keepdims=True)),
              lambda g, v, out, a, i: np.broadcast_to(g, v[0].shape)),
+    "power_normalize": (_power_normalize, _power_normalize_grad),
     "slice_cols": (_matrix_op("slice_cols", lambda x, a: x[:, a["start"]:a["stop"]].copy()),
                    _slice_cols_grad),
     "detach": (lambda v, a: v[0], lambda g, v, out, a, i: None),
@@ -343,10 +353,6 @@ def square(t: Tensor) -> Tensor:
     return t.tape.apply("square", [t])
 
 
-def sqrt(t: Tensor) -> Tensor:
-    return t.tape.apply("sqrt", [t])
-
-
 def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     return t.tape.apply_attrs("clip", [t], {"lo": float(lo), "hi": float(hi)})
 
@@ -357,11 +363,6 @@ def mean_all(t: Tensor) -> Tensor:
 
 def sum_all(t: Tensor) -> Tensor:
     return t.tape.apply("sum", [t])
-
-
-def mean_cols(t: Tensor) -> Tensor:
-    """Per-column mean over the batch axis, shape [1, k]."""
-    return t.tape.apply("mean0", [t])
 
 
 def sum_rows(t: Tensor) -> Tensor:
@@ -470,13 +471,15 @@ def _depends_on(tape: Tape, wrt_ids: set, last: int) -> list:
 # ============================================================
 
 
-# elements per Adam block: 64 KiB of float32, so a block's six operands fit in a 2 MiB L2
-_ADAM_BLOCK = 16384
+# elements per Adam block: 256 KiB of float32, so a block's operands fit in a 2 MiB L2
+_ADAM_BLOCK = 65536
 
 
 @dataclass
 class AdamState:
-    """Moments of one flat parameter array plus hyperparameters; the first step makes m and v."""
+    """Hyperparameters, and moments of one flat buffer made by the first step: m and v hold
+    m / (1 - beta1) and v / (1 - beta2) of the textbook moments, so in float32 v overflows
+    once |g| stays near 5.8e17 (not 1.8e19); numpy warns, and the element stops moving."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -487,48 +490,55 @@ class AdamState:
     v: Optional[np.ndarray] = None
 
 
-def _adam_ops(state: AdamState, bc1: float, bc2: float, p, g, m, v, a, b) -> None:
-    """The 17 operations of one update, in place on p, m and v; a and b are scratch like p.
-    A subnormal m becomes 0: where gradients stop, m would stick at the smallest subnormal
-    (times beta1 it rounds to itself) and slow every operation on it many times over."""
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=a)
-    m += a
-    m *= np.abs(m, out=a) >= np.finfo(m.dtype).tiny
-    v *= state.beta2
+def _adam_ops(beta1, beta2, alpha, eps_hat, tiny, mask, p, g, m, v, a) -> None:
+    """The 13 numpy calls of one update, in place on p, m and v; a and mask (bool) are scratch.
+    A subnormal m becomes 0: times beta1 the smallest subnormal rounds to itself, so where
+    gradients stop m would stay subnormal and slow every operation on it many times over."""
+    m *= beta1
+    m += g
+    np.less(np.abs(m, out=a), tiny, out=mask)
+    np.copyto(m, 0.0, where=mask)
+    v *= beta2
     np.multiply(g, g, out=a)
-    a *= 1.0 - state.beta2
     v += a
-    np.divide(m, bc1, out=a)
-    a *= state.lr
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
-    b += state.epsilon
-    a /= b
+    np.sqrt(v, out=a)
+    a += eps_hat
+    np.divide(m, a, out=a)
+    a *= alpha
     p -= a
 
 
-def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> np.ndarray:
-    """One Adam update with bias correction of the 1-D array p, in place; returns p.
+def adam_step(p, grads: list, state: AdamState):
+    """One Adam update of a network's parameters p (a `nets.MlpParams`) in place; returns p.
 
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) runs as 17 elementwise operations,
-    in that order, on 1-D blocks of `_ADAM_BLOCK` elements. A network's whole
-    parameter buffer is one call.
-    """
-    if p.ndim != 1 or g.shape != p.shape:
-        raise ShapeError(f"adam: needs a 1-D parameter and a gradient of its shape, "
-                         f"got {p.shape} and {g.shape}")
+    grads holds a gradient of each array of p, in `array_names()` order, all shapes checked
+    before any write, read in place when p exceeds a block. With bc_i = 1 - beta_i^t, c2 =
+    (1 - beta2) / bc2, the step lr (m / bc1) / (sqrt(v / bc2) + eps) is, on scaled moments,
+    a_t m / (sqrt(v) + e_t): a_t = lr (1 - beta1) / (bc1 sqrt(c2)), e_t = eps / sqrt(c2)."""
+    names, buffer = p.array_names(), p.buffer
+    if len(grads) != len(names):
+        raise ShapeError(f"adam: {len(names)} parameters given {len(grads)} gradients")
+    for name, g in zip(names, grads):
+        if np.shape(g) != p.array(name).shape:
+            raise ShapeError(f"parameter {name} has shape {p.array(name).shape}, given {np.shape(g)}")
     if state.m is None:
-        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-    if state.m.shape != p.shape:
-        raise ShapeError(f"adam: moments of shape {state.m.shape} given a parameter of shape {p.shape}")
+        state.m, state.v = np.zeros_like(buffer), np.zeros_like(buffer)
+    if state.m.shape != buffer.shape:
+        raise ShapeError(f"adam: moments of shape {state.m.shape} given a buffer of {buffer.shape}")
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    a, b = np.empty((2, min(p.size, _ADAM_BLOCK)), dtype=p.dtype)
-    for lo in range(0, p.size, _ADAM_BLOCK):
-        hi = lo + _ADAM_BLOCK
-        n = min(hi, p.size) - lo
-        _adam_ops(state, bc1, bc2, p[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi], a[:n], b[:n])
+    b1, b2, t = float(state.beta1), float(state.beta2), state.step_count
+    root_c2 = math.sqrt((1.0 - b2) / (1.0 - b2 ** t))  # Python floats keep float32 blocks float32
+    consts = (b1, b2, float(state.lr) * (1.0 - b1) / ((1.0 - b1 ** t) * root_c2),
+              float(state.epsilon) / root_c2, float(np.finfo(buffer.dtype).tiny))
+    if buffer.size <= _ADAM_BLOCK:  # 13 calls per network, not per leaf; copies at most a block
+        grads = [np.concatenate([np.reshape(g, -1) for g in grads])]
+    a = np.empty(min(buffer.size, _ADAM_BLOCK), buffer.dtype)
+    mask, lo = np.empty(a.size, bool), 0
+    for g in grads:
+        g = np.reshape(g, -1)  # a view of a C-ordered gradient, as backward's are
+        for start in range(0, g.size, _ADAM_BLOCK):
+            n = min(g.size - start, _ADAM_BLOCK)
+            at = slice(lo, lo + n)
+            _adam_ops(*consts, mask[:n], buffer[at], g[start:start + n], state.m[at], state.v[at], a[:n])
+            lo += n
     return p

@@ -176,11 +176,10 @@ def data_loss(recon_mse: Tensor, jscc_term, eta: float) -> Tensor:
 
 def _update(state: TrainState, tape: Tape, loss: Tensor, bounds: list) -> None:
     """One backward sweep over the bound networks' leaves, then one Adam step per network, in
-    order, on its flat buffer with the leaf gradients gathered into its layout."""
+    order, on its flat buffer, reading the leaf gradients where the sweep left them."""
     grads = iter(backward_grads(tape, loss, [t for b in bounds for t in b.nodes.values()]))
     for b in bounds:
-        adam_step(b.params.buffer, b.params.gather([next(grads) for _ in b.nodes]),
-                  state.opt[b.name])
+        adam_step(b.params, [next(grads) for _ in b.nodes], state.opt[b.name])
 
 
 def _snapshot(nets: NetworkRoles, names: tuple) -> dict:

@@ -105,11 +105,6 @@ class MlpParams:
         lo, hi, shape = self._spans[name]
         return self.buffer[lo:hi].reshape(shape)
 
-    def gather(self, arrays: list) -> np.ndarray:
-        """One flat C-ordered copy of `arrays`, given in `array_names()` order and each of
-        its parameter's shape (else `ShapeError`): the buffer's layout."""
-        return _gather(_layout(self.layer_dims, self.linear_skip), arrays)
-
 
 def buffer_size(layer_dims: list, linear_skip: bool) -> int:
     """Values in the buffer of a network with these layer dims."""
@@ -235,16 +230,11 @@ POWER_EPS = 1e-5
 
 
 def power_normalize(z: Tensor, target_power: float) -> Tensor:
-    """Per-coordinate batch standardization to mean 0, variance ~ P.
-
-    z'_j = sqrt(P) * (z_j - mean(z_j)) / sqrt(var(z_j) + eps), with batch
-    statistics recorded on the tape so gradients flow through them.
-    """
-    if z.shape[0] < 2:
-        raise ShapeError(f"power_normalize needs batch >= 2, got shape {z.shape}")
-    centered = z - ad.mean_cols(z)
-    var = ad.mean_cols(ad.square(centered))
-    return centered * (np.sqrt(target_power) / ad.sqrt(var + POWER_EPS))
+    """Per-coordinate batch standardization to mean 0, variance ~ P, as one tape node:
+    z'_j = sqrt(P) c_j / sigma_j with c_j = z_j - mean(z_j), sigma_j = sqrt(mean(c_j^2) + eps).
+    Its backward recomputes c and sigma from z; a batch below 2 rows is a `ShapeError`."""
+    return z.tape.apply_attrs("power_normalize", [z],
+                              {"scale": float(np.sqrt(target_power)), "eps": POWER_EPS})
 
 
 # hidden activation, output activation, linear skip; the checkpoint reader uses these too

@@ -15,7 +15,7 @@ from hypothesis import settings  # noqa: E402
 
 from latentjam.autodiff import EagerTape  # noqa: E402
 from latentjam.errors import ConfigError, ShapeError  # noqa: E402
-from latentjam.nets import power_normalize  # noqa: E402
+from latentjam.nets import POWER_EPS, power_normalize  # noqa: E402
 
 # Property tests draw the same examples on every run, so tier-1 stays deterministic.
 settings.register_profile("fixed", derandomize=True, database=None, deadline=None)
@@ -25,6 +25,14 @@ settings.load_profile("fixed")
 def normalized(z, target_power):
     """power_normalize run on a record-free tape, as evaluation runs it."""
     return power_normalize(EagerTape().const(z), target_power).value
+
+
+def power_normalize_reference(z, target_power):
+    """numpy reference of power_normalize in float64: per column, sqrt(P) times the centred
+    values over the root of their biased batch variance plus eps."""
+    z = np.asarray(z, dtype=np.float64)
+    c = z - z.mean(axis=0)
+    return np.sqrt(target_power) * c / np.sqrt((c * c).mean(axis=0) + POWER_EPS)
 
 
 def traced_peak(fn):

@@ -8,6 +8,7 @@ raw relative error would be meaningless. Below the floor the comparison is
 effectively absolute at 1e-9 precision.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -146,16 +147,16 @@ def test_fd_check_every_op():
         ad.tanh(h),
         ad.sigmoid(h),
         ad.exp(0.3 * h),
-        ad.sqrt(ad.square(h) + 1.0),
+        nets.power_normalize(h, 2.0),
         ad.clip(h, -10.0, 10.0),
-        -h / 2.0,
+        h / -2.0,
         ad.transpose(ad.transpose(h)),
         ad.affine(h, w, b) - h,
     ]
     loss = None
     for part in parts:
         q = part * 0.25
-        term = ad.mean_all(ad.square(ad.slice_cols(q, 1, 3))) + ad.sum_all(ad.mean_cols(q)) \
+        term = ad.mean_all(ad.square(ad.slice_cols(q, 1, 3))) + ad.sum_all(q) * 0.1 \
             + ad.mean_all(ad.sum_rows(q))
         loss = term if loss is None else loss + term
     # a new op cannot land without a finite-difference check; detach has its own tests
@@ -191,6 +192,23 @@ def test_fd_check_random_small_mlps():
         grads = backward_grads(tape, loss, tensors)
         for (name, (_, base)), g in zip(params.items(), grads):
             assert rel_err(fd_gradient(tape, loss, name, base), g) <= 1e-4, (seed, name)
+
+
+@pytest.mark.parametrize("case", ["batch of 2", "constant column", "power 2.5"])
+def test_power_normalize_gradient_matches_finite_differences(case):
+    # two rows about sqrt(eps) apart, so the output is not saturated at +-sqrt(P); a
+    # constant column has sigma = sqrt(eps), where the gradient is largest
+    rng = Rng(47)
+    zv = {"batch of 2": 1.0 + 3e-3 * rng.normal((2, 3)),
+          "constant column": np.column_stack([np.full(8, 0.7), rng.normal((8, 2))]),
+          "power 2.5": 3.0 * rng.normal((16, 3)) + 1.0}[case]
+    power = 2.5 if case == "power 2.5" else 1.0
+    tape = Tape()
+    z = tape.input("z", zv)
+    loss = ad.sum_all(nets.power_normalize(z, power) * tape.const(rng.normal(zv.shape)))
+    (g,) = backward_grads(tape, loss, [z])
+    assert [node.op for node in tape.nodes].count("power_normalize") == 1
+    assert rel_err(fd_gradient(tape, loss, "z", zv, h=1e-6), g) <= 1e-6
 
 
 def test_detach_blocks_gradient():
@@ -372,10 +390,10 @@ def test_replay_rejects_rebound_shape():
 def test_replay_rejects_nonfinite():
     tape = Tape()
     x = tape.input("x", np.array([[1.0]]))
-    tape.mark_output("y", ad.sqrt(x))
-    with np.errstate(invalid="ignore"):
+    tape.mark_output("y", tape.const(np.ones((1, 1))) / x)
+    with np.errstate(divide="ignore"):
         with pytest.raises(NumericError):
-            forward_eval(tape, {"x": np.array([[-1.0]])})
+            forward_eval(tape, {"x": np.array([[0.0]])})
 
 
 def _split_by_sign_sigmoid(x):
@@ -499,13 +517,14 @@ def test_record_free_tape_keeps_no_graph():
 
 @pytest.mark.parametrize("bad", _NONFINITE)
 def test_nonfinite_gradient_names_op_and_node(bad):
-    # sqrt(0) is finite, its derivative is not: 0 * inf, +inf or -inf upstream sign
-    scale = 0.0 if np.isnan(bad) else np.copysign(1.0, bad)
+    # 1 / 1e-300 is finite, its derivative -1 / (1e-300)^2 is not: 0 * inf, -inf or +inf
+    # for the upstream sign
+    scale = 0.0 if np.isnan(bad) else -np.copysign(1.0, bad)
     tape = Tape()
-    x = tape.input("x", np.array([[4.0, 0.0]]))
-    loss = ad.sum_all(ad.sqrt(x) * tape.const(np.array([[1.0, scale]])))
+    x = tape.input("x", np.array([[4.0, 1e-300]]))
+    loss = ad.sum_all(tape.const(np.ones((1, 2))) / x * tape.const(np.array([[1.0, scale]])))
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=r"gradient at op 'sqrt', node 1"):
+        with pytest.raises(NumericError, match=r"gradient at op 'div', node 2"):
             backward_grads(tape, loss, [x])
 
 
@@ -554,84 +573,138 @@ def test_unknown_op_rejected():
 # ============================================================
 
 
+class _Flat:
+    """Arrays laid end to end in one flat buffer, named p0, p1, ...: the parameter set
+    `adam_step` reads, as `nets.MlpParams` is one for a network."""
+
+    def __init__(self, arrays):
+        self.shapes = [np.shape(a) for a in arrays]
+        self.buffer = np.concatenate([np.ravel(a) for a in arrays])
+
+    def array_names(self):
+        return [f"p{i}" for i in range(len(self.shapes))]
+
+    def array(self, name):
+        i = int(name[1:])
+        lo = sum(math.prod(s) for s in self.shapes[:i])
+        return self.buffer[lo:lo + math.prod(self.shapes[i])].reshape(self.shapes[i])
+
+
 def test_adam_zero_gradient_is_noop():
-    p = np.array([1.0, -2.0, 3.0])
-    before = p.copy()
+    p = _Flat([np.array([1.0, -2.0, 3.0])])
+    before = p.buffer.copy()
     state = AdamState(lr=0.01)
-    adam_step(p, np.zeros(3), state)
-    assert np.array_equal(p, before)
+    adam_step(p, [np.zeros(3)], state)
+    assert np.array_equal(p.buffer, before)
     assert state.step_count == 1
 
 
 def test_adam_first_step_magnitude():
     # t=1 bias correction cancels: update = lr * g / (|g| + eps) ~ lr * sign(g)
-    p = np.array([0.0, 0.0])
+    p = _Flat([np.zeros(2)])
     g = np.array([0.5, -3.0])
     state = AdamState(lr=1e-3)
-    adam_step(p, g, state)
+    adam_step(p, [g], state)
     expected = -1e-3 * g / (np.abs(g) + 1e-8)
-    assert np.allclose(p, expected, rtol=0, atol=1e-18)
-    assert np.allclose(np.abs(p), 1e-3, rtol=1e-6)
+    assert np.allclose(p.buffer, expected, rtol=0, atol=1e-18)
+    assert np.allclose(np.abs(p.buffer), 1e-3, rtol=1e-6)
 
 
 def test_adam_two_identical_steps():
-    p = np.zeros(2)
+    p = _Flat([np.zeros(2)])
     g = np.array([0.7, -0.2])
     state = AdamState(lr=1e-3)
-    adam_step(p, g, state)
-    first = p.copy()
-    adam_step(p, g, state)
-    second = p - first
+    adam_step(p, [g], state)
+    first = p.buffer.copy()
+    adam_step(p, [g], state)
+    second = p.buffer - first
     assert np.max(np.abs(np.abs(second) - np.abs(first))) <= 1e-9
     assert state.step_count == 2
 
 
 def test_adam_shape_mismatch():
     state = AdamState()
-    with pytest.raises(ShapeError):
-        adam_step(np.zeros(3), np.zeros(4), state)
-    with pytest.raises(ShapeError):  # a parameter is one flat buffer
-        adam_step(np.zeros((2, 3)), np.zeros((2, 3)), state)
-    adam_step(np.zeros(3), np.zeros(3), state)
-    with pytest.raises(ShapeError):  # moments belong to one buffer
-        adam_step(np.zeros(4), np.zeros(4), state)
+    p = _Flat([np.zeros(3)])
+    with pytest.raises(ShapeError, match=r"parameter p0 has shape \(3,\), given \(4,\)"):
+        adam_step(p, [np.zeros(4)], state)
+    with pytest.raises(ShapeError, match="1 parameters given 2 gradients"):
+        adam_step(p, [np.zeros(3), np.zeros(3)], state)
+    adam_step(p, [np.zeros(3)], state)
+    with pytest.raises(ShapeError, match="moments"):  # moments belong to one buffer
+        adam_step(_Flat([np.zeros(4)]), [np.zeros(4)], state)
     assert state.step_count == 1
 
 
-def test_adam_moments_match_param_shapes():
-    p = np.zeros(9, np.float32)
+def test_adam_checks_every_gradient_before_any_write():
+    # the first array's gradient is fine, the second one's is transposed
+    p = _Flat([np.zeros(2), np.zeros((2, 3))])
     state = AdamState()
-    adam_step(p, np.ones(9, np.float32), state)
+    with pytest.raises(ShapeError, match=r"parameter p1 has shape \(2, 3\), given \(3, 2\)"):
+        adam_step(p, [np.ones(2), np.ones((3, 2))], state)
+    assert np.array_equal(p.buffer, np.zeros(8))
+    assert state.step_count == 0 and state.m is None
+
+
+def test_adam_moments_match_param_shapes():
+    p = _Flat([np.zeros(9, np.float32)])
+    state = AdamState()
+    adam_step(p, [np.ones(9, np.float32)], state)
     assert state.m.shape == state.v.shape == (9,)
     assert state.m.dtype == state.v.dtype == np.float32
 
 
+def test_adam_equals_textbook_reference_in_float64():
+    # Kingma and Ba's algorithm as printed: unscaled m and v, each bias-corrected per step
+    lr, beta1, beta2, eps = 2e-3, 0.9, 0.999, 1e-8
+    rng = Rng(43)
+    shapes = [(7, 5), (5,), (3,)]
+    p = _Flat([rng.normal(s) for s in shapes])
+    start = p.buffer.copy()
+    want, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=eps)
+    for t in range(1, 101):
+        # a tenth of the steps see no gradient at the last array, so m decays toward 0 there
+        grads = [rng.normal(s) * (t % 10 != 0 or i < 2) for i, s in enumerate(shapes)]
+        g = np.concatenate([a.ravel() for a in grads])
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        want = want - lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+        adam_step(p, grads, state)
+        for got, ref in ((p.buffer - start, want - start), ((1.0 - beta1) * state.m, m),
+                         ((1.0 - beta2) * state.v, v)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), t
+
+
 def _adam_reference(p, m, v, g, t, lr, beta1, beta2, eps):
-    """The whole-array Adam update that the blocked `adam_step` must reproduce bit for bit."""
+    """The whole-array update on scaled moments that the blocked `adam_step` must reproduce
+    bit for bit."""
+    c2 = (1.0 - beta2) / (1.0 - beta2 ** t)
+    alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** t) * math.sqrt(c2))
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += g
     m[np.abs(m) < np.finfo(m.dtype).tiny] = 0
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    p -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    v += g * g
+    p -= alpha * (m / (np.sqrt(v) + eps / math.sqrt(c2)))
 
 
-# one flat buffer per list, its arrays laid end to end: block edges at one element, one
-# block less one, exactly one, one more, two blocks and one, and the MNIST-shape f
-# (784-512-2), whose 402,946 elements put block edges inside W0 and across W0 | b0
+# one flat buffer per list, its arrays laid end to end: one element, one block less one,
+# exactly one block, leaves of one block less one, 3 and one block and one (so blocks start
+# off the buffer's block grid), two blocks and 103, and the MNIST-shape f (784-512-2),
+# whose 401,408-element W0 is six blocks and 8,192
 _MNIST_F = [(512, 784), (512,), (2, 512), (2,)]
-_ADAM_BUFFERS = [[(1,)], [(129, 127)], [(128, 128)], [(145, 113)], [(99, 331)], _MNIST_F]
+_ADAM_BUFFERS = [[(1,)], [(255, 257)], [(256, 256)], [(65535,), (3,), (65537,)], [(99, 1325)],
+                 _MNIST_F]
 
 
 def _assert_adam_matches_reference(buffers, order="C", grad_kind="C", dtype=np.float64):
-    """Adam on each flat buffer, with gradients gathered as `game._update` gathers them,
-    against the whole-array reference on each of its arrays (in `order`)."""
+    """Adam on each flat buffer, with one gradient per array as `game._update` passes
+    them, against the whole-array reference on each of its arrays (in `order`)."""
     rng = Rng(41)
     for shapes in buffers:
-        layout = [(f"p{i}", s) for i, s in enumerate(shapes)]
         params = [np.asarray(rng.normal(s), dtype, order=order) for s in shapes]
         ref = [(p, np.zeros_like(p), np.zeros_like(p)) for p in params]
-        flat = nets._gather(layout, params)
+        flat = _Flat(params)
         state = AdamState(lr=3e-3)
         for t in range(1, 5):
             grads = []
@@ -642,10 +715,10 @@ def _assert_adam_matches_reference(buffers, order="C", grad_kind="C", dtype=np.f
                     grads.append(np.asarray(rng.normal(shape), dtype, order=grad_kind))
             for arrays, g in zip(ref, grads):
                 _adam_reference(*arrays, g, t, state.lr, state.beta1, state.beta2, state.epsilon)
-            adam_step(flat, nets._gather(layout, grads), state)
-            assert flat.dtype == state.m.dtype == state.v.dtype == dtype, (t, shapes)
-            for i, got in enumerate((flat, state.m, state.v)):
-                want = nets._gather(layout, [arrays[i] for arrays in ref])
+            adam_step(flat, grads, state)
+            assert flat.buffer.dtype == state.m.dtype == state.v.dtype == dtype, (t, shapes)
+            for i, got in enumerate((flat.buffer, state.m, state.v)):
+                want = np.concatenate([arrays[i].ravel() for arrays in ref])
                 assert np.array_equal(got, want), (t, shapes, i)
 
 
@@ -665,20 +738,20 @@ def test_adam_sets_subnormal_first_moments_to_zero():
     # with no gradient, m decays by beta1 each step; times beta1 the smallest subnormal
     # rounds back to itself, so m would otherwise stay subnormal (and slow) for good
     tiny, smallest = np.finfo(np.float32).tiny, np.float32(2.0 ** -149)
-    p = np.ones(3, np.float32)
+    p = _Flat([np.ones(3, np.float32)])
     state = AdamState()
     state.m = np.array([tiny, smallest, 1e-3], np.float32)
     state.v = np.ones(3, np.float32)
     assert smallest * np.float32(state.beta1) == smallest
-    adam_step(p, np.zeros(3, np.float32), state)
+    adam_step(p, [np.zeros(3, np.float32)], state)
     assert np.array_equal(state.m, [0.0, 0.0, np.float32(1e-3) * np.float32(0.9)])
 
 
 def test_adam_at_comparison_shapes_equals_whole_array_reference():
     # every network of the n=8 comparison fits in one block;
-    # the MNIST-shape f spans 25
+    # the MNIST-shape f spans 10
     config = GameConfig(k=2, n=8, data_hidden=64, jscc_hidden=64)
     networks = init_state(config).networks.present().values()
-    assert max(params.buffer.size for params in networks) <= 16384
+    assert max(params.buffer.size for params in networks) <= ad._ADAM_BLOCK == 65536
     buffers = [[params.array(name).shape for name in params.array_names()] for params in networks]
     _assert_adam_matches_reference(buffers + [_MNIST_F])

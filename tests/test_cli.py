@@ -417,13 +417,12 @@ data.n = 8
 run.output_dir = {out}
 run.sample_count = 0
 """
-# The archive's bytes and its float32 buffers, f r g h concatenated, for PINNED_TRAIN.
-# The buffer hash is the payload hash of the AJLK version 2 file this format replaced,
-# so the change of format moved no trained value. Training runs in float32, so like
+# The archive's bytes and its float32 buffers, f r g h concatenated, for PINNED_TRAIN;
+# CHANGES.md gives each earlier value and why it moved. Training runs in float32, so like
 # tests/test_fingerprint.py this pins the BLAS build as well as the code; at these
 # shapes the hashes are the same at 1 and 2 OpenBLAS threads.
-PINNED_CHECKPOINT_SHA256 = "7fcd08a9b4668f790fd3940f159913e3eb41b6230ba5af35b925415b9154abd3"
-PINNED_BUFFERS_SHA256 = "e3608234be9957fa369f8481334164471ed84623696bf6b27efcce91a2227719"
+PINNED_CHECKPOINT_SHA256 = "e67f9ce0c290745c02e694132c2190ece2b3f2fbf973fde7d11779c2b02acc90"
+PINNED_BUFFERS_SHA256 = "57fc67e3adac184569715fcfaa4eef5089f0d0cd6d24273a82b696857567bd54"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):

@@ -28,8 +28,8 @@ import numpy as np
 from latentjam.data_io import BatchPlan, batches, synth_source
 from latentjam.game import GameConfig, init_state, train, train_step
 
-HASH_MNIST_STEPS = "245eadf74e399e98e42a2b454846284446ab9677d3a21dbf54639f50021c0f10"
-HASH_COMPARISON = "8a342d28e5705502d750a1dfb9544b476118489778f9f7260df4c1d60a6088e4"
+HASH_MNIST_STEPS = "f2adde9a3d7824188e31e36759bab5c7f47ba953b9d11b135b8559c36a20cf51"
+HASH_COMPARISON = "cf50355de8e9ebb762cfb37966e713fbe52548b1b1bf62d2eca909f3b60d6eb7"
 
 
 def _fingerprint(state) -> str:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import normalized
+from conftest import normalized, power_normalize_reference
 from latentjam.autodiff import AdamState, Tape, adam_step, backward_grads
 from latentjam import autodiff as ad
 from latentjam.cli import load_checkpoint, save_checkpoint
@@ -75,7 +75,8 @@ def test_parameters_are_views_of_one_buffer(tmp_path, source):
     bound = BoundMlp(Tape(params.buffer.dtype), params, "g", trainable=True)
     leaves = {name: node.value for name, node in bound.nodes.items()}
     before = params.buffer.copy()
-    adam_step(params.buffer, np.ones_like(params.buffer), AdamState(lr=0.25))
+    adam_step(params, [np.ones_like(params.array(name)) for name in params.array_names()],
+              AdamState(lr=0.25))
     assert not np.any(params.buffer == before)
     for name, leaf in leaves.items():
         assert np.shares_memory(leaf, params.buffer)
@@ -236,6 +237,26 @@ def test_power_normalize_record_free_equals_recorded():
     out = power_normalize(tape.const(z), 1.0)
     assert len(tape.nodes) > 0
     assert np.array_equal(normalized(z, 1.0), out.value)
+
+
+@pytest.mark.parametrize("shape,power", [((2, 3), 1.0), ((128, 2), 2.5), ((513, 8), 0.3)])
+def test_power_normalize_on_record_free_tape_equals_numpy_reference(shape, power):
+    z = 4.0 * Rng(48).normal(shape) - 1.5
+    z[:, -1] = 0.7  # a constant column: sigma = sqrt(eps)
+    want = power_normalize_reference(z, power)
+    assert np.max(np.abs(normalized(z, power) - want)) <= 1e-12
+
+
+def test_power_normalize_is_one_node():
+    # the backward recomputes the batch statistics from the input, so the node keeps only
+    # its output
+    tape = Tape(np.float32)
+    z = tape.input("z", Rng(49).normal((128, 2)))
+    out = power_normalize(z, 1.0)
+    assert [node.op for node in tape.nodes] == ["input", "power_normalize"]
+    assert out.value.dtype == np.float32
+    (g,) = backward_grads(tape, ad.sum_all(out * tape.const(np.ones((128, 2)))), [z])
+    assert g.dtype == np.float32 and g.shape == (128, 2)
 
 
 def test_power_normalize_is_differentiable():
