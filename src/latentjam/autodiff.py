@@ -26,9 +26,9 @@ gradient stays in it. Training records float32 tapes; finite-difference
 checks use the float64 default. An `EagerTape` casts nothing: float32
 parameters meet float64 data inside an op, where numpy promotes, so
 evaluation runs in float64. NaN/Inf detection runs at every op boundary, on
-every value and every gradient, recorded or not, and is always on: a
-training failure must surface loudly, not corrupt the minimax dynamics
-downstream. `_all_finite` makes the check one `np.vdot` per array.
+every value and every gradient, recorded or not, and on Adam's second moment
+once per step; it is always on: a training failure must surface loudly, not
+corrupt the minimax dynamics. `_all_finite` makes each check one `np.vdot`.
 
 `adam_step` updates a network's whole buffer per call in 13 numpy calls per
 block of `_ADAM_BLOCK` elements, reading the leaf gradients of a larger
@@ -304,7 +304,6 @@ _OPS = {
     "affine": (_affine, lambda g, v, out, a, i: g @ v[1] if i == 0 else g.T @ v[0] if i == 1
                else g.sum(axis=0)),
     "relu": (lambda v, a: np.maximum(v[0], 0.0), lambda g, v, out, a, i: g * (v[0] > 0.0)),
-    "tanh": (lambda v, a: np.tanh(v[0]), lambda g, v, out, a, i: g * (1.0 - out * out)),
     "sigmoid": (_sigmoid, lambda g, v, out, a, i: g * out * (1.0 - out)),
     "exp": (lambda v, a: np.exp(v[0]), lambda g, v, out, a, i: g * out),
     "square": (lambda v, a: v[0] * v[0], lambda g, v, out, a, i: g * 2.0 * v[0]),
@@ -335,10 +334,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     return t.tape.apply("relu", [t])
-
-
-def tanh(t: Tensor) -> Tensor:
-    return t.tape.apply("tanh", [t])
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -479,7 +474,7 @@ _ADAM_BLOCK = 65536
 class AdamState:
     """Hyperparameters, and moments of one flat buffer made by the first step: m and v hold
     m / (1 - beta1) and v / (1 - beta2) of the textbook moments, so in float32 v overflows
-    once |g| stays near 5.8e17 (not 1.8e19); numpy warns, and the element stops moving."""
+    once |g| stays near 5.8e17 (not 1.8e19), and `adam_step` raises `NumericError`."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -514,7 +509,9 @@ def adam_step(p, grads: list, state: AdamState):
     grads holds a gradient of each array of p, in `array_names()` order, all shapes checked
     before any write, read in place when p exceeds a block. With bc_i = 1 - beta_i^t, c2 =
     (1 - beta2) / bc2, the step lr (m / bc1) / (sqrt(v / bc2) + eps) is, on scaled moments,
-    a_t m / (sqrt(v) + e_t): a_t = lr (1 - beta1) / (bc1 sqrt(c2)), e_t = eps / sqrt(c2)."""
+    a_t m / (sqrt(v) + e_t): a_t = lr (1 - beta1) / (bc1 sqrt(c2)), e_t = eps / sqrt(c2).
+    A second moment that overflows, which would stop its element for good, is a `NumericError`
+    naming the network's role and the step."""
     names, buffer = p.array_names(), p.buffer
     if len(grads) != len(names):
         raise ShapeError(f"adam: {len(names)} parameters given {len(grads)} gradients")
@@ -541,4 +538,6 @@ def adam_step(p, grads: list, state: AdamState):
             at = slice(lo, lo + n)
             _adam_ops(*consts, mask[:n], buffer[at], g[start:start + n], state.m[at], state.v[at], a[:n])
             lo += n
+    if not _all_finite(state.v):
+        raise NumericError(f"adam: second moment of network '{p.role}' overflowed at step {t}")
     return p

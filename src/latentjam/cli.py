@@ -28,7 +28,7 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)
 from .game import GameConfig, TrainState, check_training_inputs, train
 from .metrics import CSV_HEADER
-from .nets import ROLE_TRAITS, TRAIN_DTYPE, MlpParams, buffer_size, mlp_apply
+from .nets import TRAIN_DTYPE, MlpParams, buffer_size, mlp_apply
 from .oracle import (MATCHING_MIN_SAMPLES, MC_MIN_SAMPLES, OracleSpec, isotropic_matching,
                      matching_residual, matching_samples, mc_game_value, saddle_strategy,
                      saddle_verify, scalar_saddle_distortion)
@@ -45,21 +45,13 @@ _MEMBER_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest a zip member can carry
 # ============================================================
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: '{raw}'")
-
 _SCHEMA = {
     "game": {
         "k": int, "n": int, "P_t": float, "P_a": float, "sigma_n_sq": float,
         "eta": float, "regularizer": str, "batch_size": int, "epochs": int,
         "lr": float, "jscc_steps_per_data_step": int, "seed": int,
         "jscc_hidden": int, "data_hidden": int, "lambda_weight": float,
-        "mmd_scale": float, "check_gradients": _parse_bool,
+        "mmd_scale": float,
     },
     "data": {
         "kind": str, "images": str, "labels": str, "eval_images": str,
@@ -136,7 +128,6 @@ def _load_datasets(data_cfg: dict, game_seed: int):
 def _resolved_config_text(config: GameConfig, data_cfg: dict, run_cfg: dict) -> str:
     lines = ["# resolved configuration, every default materialized"]
     game_fields = dataclasses.asdict(config)
-    game_fields["check_gradients"] = str(config.check_gradients).lower()
     for key in sorted(game_fields):
         if game_fields[key] is not None:  # a setting this regularizer does not read
             lines.append(f"game.{key}={game_fields[key]}")
@@ -200,12 +191,11 @@ def _read_networks(zf: zipfile.ZipFile) -> dict:
         dims = np.frombuffer(zf.read(f"{name}.dims"), dtype=_DIMS).tolist()
         if len(dims) < 2 or min(dims) < 1:
             raise CheckpointError(f"network '{name}' has invalid layer dims {dims}")
-        hidden_act, out_act, has_skip = ROLE_TRAITS[name]
         buffer = zf.getinfo(f"{name}.buffer")
-        if buffer.file_size != _PAYLOAD.itemsize * buffer_size(dims, has_skip):
+        if buffer.file_size != _PAYLOAD.itemsize * buffer_size(name, dims):
             raise CheckpointError(f"network '{name}' has {buffer.file_size} bytes for layer dims {dims}")
         values = np.frombuffer(zf.read(buffer), dtype=_PAYLOAD).astype(TRAIN_DTYPE)
-        nets[name] = MlpParams(dims, values, hidden_act, out_act, has_skip)
+        nets[name] = MlpParams(name, dims, values)
     return nets
 
 

@@ -121,7 +121,6 @@ class BatchPlan:
 
     batch_size: int
     seed: int
-    drop_last: bool = True
 
 
 def epoch_permutation(plan: BatchPlan, count: int, epoch: int) -> np.ndarray:
@@ -129,16 +128,13 @@ def epoch_permutation(plan: BatchPlan, count: int, epoch: int) -> np.ndarray:
 
 
 def batches(dataset: Dataset, plan: BatchPlan, epoch: int):
-    """Yield [batch_size, n] slices under the epoch's derived permutation."""
+    """Yield [batch_size, n] slices under the epoch's derived permutation; the last
+    count % batch_size rows of the permutation are left out."""
     count = dataset.count
     if plan.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {plan.batch_size}")
     if plan.batch_size > count:
         raise ConfigError(f"batch_size {plan.batch_size} exceeds dataset size {count}")
     perm = epoch_permutation(plan, count, epoch)
-    full = count // plan.batch_size
-    for b in range(full):
-        idx = perm[b * plan.batch_size:(b + 1) * plan.batch_size]
-        yield dataset.images[idx]
-    if not plan.drop_last and full * plan.batch_size < count:
-        yield dataset.images[perm[full * plan.batch_size:]]
+    for b in range(count // plan.batch_size):
+        yield dataset.images[perm[b * plan.batch_size:(b + 1) * plan.batch_size]]

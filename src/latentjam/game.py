@@ -17,7 +17,8 @@ its forward draws no randomness, so (a) sees the z that (b) trains through.
 The none control is phase (b) without the channel term; kl and mmd are
 the same (f, r) update with `lambda_weight` times their regularizer in its
 place, so all four regularizers share one step. Every update goes through
-one gradient-and-Adam helper.
+one gradient-and-Adam helper, and an aj phase that changes a network it froze
+raises `NumericError`.
 
 Evaluation runs the same graph code on record-free tapes: f's latent goes
 through `power_normalize` (or the shared VAE sampler for kl), the decoder
@@ -67,7 +68,6 @@ class GameConfig:
     data_hidden: int = 512
     lambda_weight: Optional[float] = None  # kl -> 1.0, mmd -> 10.0 when unset; else checked, then ignored
     mmd_scale: Optional[float] = None      # mmd -> 2k when unset; else checked, then ignored
-    check_gradients: bool = True
 
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
@@ -179,7 +179,7 @@ def _update(state: TrainState, tape: Tape, loss: Tensor, bounds: list) -> None:
     order, on its flat buffer, reading the leaf gradients where the sweep left them."""
     grads = iter(backward_grads(tape, loss, [t for b in bounds for t in b.nodes.values()]))
     for b in bounds:
-        adam_step(b.params, [next(grads) for _ in b.nodes], state.opt[b.name])
+        adam_step(b.params, [next(grads) for _ in b.nodes], state.opt[b.params.role])
 
 
 def _snapshot(nets: NetworkRoles, names: tuple) -> dict:
@@ -203,8 +203,8 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
     nets = state.networks
     m = d_batch.shape[0]
     tape = Tape(TRAIN_DTYPE)
-    f_b = BoundMlp(tape, nets.f, "f", trainable=True)
-    r_b = BoundMlp(tape, nets.r, "r", trainable=True)
+    f_b = BoundMlp(tape, nets.f, trainable=True)
+    r_b = BoundMlp(tape, nets.r, trainable=True)
     d = tape.const(d_batch)
     reg = None
     # kl and mmd record the regularizer before r(z): backward sums z's gradients in this order
@@ -222,21 +222,21 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
     frozen: dict = {}
     if config.regularizer == "aj":
         # (a) the auxiliary pair learns against f's latent, read as a constant
-        frozen = _snapshot(nets, ("f", "r")) if config.check_gradients else {}
+        frozen = _snapshot(nets, ("f", "r"))
         for _ in range(config.jscc_steps_per_data_step):
             tape_a = Tape(TRAIN_DTYPE)
-            g_b = BoundMlp(tape_a, nets.g, "g", trainable=True)
-            h_b = BoundMlp(tape_a, nets.h, "h", trainable=True)
+            g_b = BoundMlp(tape_a, nets.g, trainable=True)
+            h_b = BoundMlp(tape_a, nets.h, trainable=True)
             x = tape_a.const(state.streams["x"].normal((m, config.k)))
             jscc = jscc_loss(g_b, h_b, x, tape_a.const(z.value), config.P_t, config.sigma_n_sq,
                              state.streams["noise"])
             _update(state, tape_a, jscc, [g_b, h_b])
         _assert_unchanged(nets, frozen, "a")
         # (b) f and r learn through z into the pair, bound frozen once updated
-        frozen = _snapshot(nets, ("g", "h")) if config.check_gradients else {}
+        frozen = _snapshot(nets, ("g", "h"))
         if config.eta > 0:
-            g_b = BoundMlp(tape, nets.g, "g", trainable=False)
-            h_b = BoundMlp(tape, nets.h, "h", trainable=False)
+            g_b = BoundMlp(tape, nets.g, trainable=False)
+            h_b = BoundMlp(tape, nets.h, trainable=False)
             x = tape.const(state.streams["x"].normal((m, config.k)))
             jt = _jscc_graph(g_b, h_b, x, z, config.P_t, config.sigma_n_sq, state.streams["noise"])
             loss = data_loss(loss, jt, config.eta)
@@ -268,8 +268,8 @@ def evaluate(state: TrainState, config: GameConfig, d_eval: np.ndarray, epoch: i
     jscc = None
     if config.regularizer == "aj":
         tape = EagerTape()
-        g_b = BoundMlp(tape, state.networks.g, "g", trainable=False)
-        h_b = BoundMlp(tape, state.networks.h, "h", trainable=False)
+        g_b = BoundMlp(tape, state.networks.g, trainable=False)
+        h_b = BoundMlp(tape, state.networks.h, trainable=False)
         x = tape.const(state.streams["eval"].normal((z.shape[0], config.k)))
         jt = _jscc_graph(g_b, h_b, x, tape.const(z), config.P_t, config.sigma_n_sq,
                          state.streams["eval"])
@@ -315,7 +315,7 @@ def train(config: GameConfig, dataset: Dataset, eval_dataset: Optional[Dataset] 
     train_images, eval_images = check_training_inputs(config, dataset, eval_dataset, eval_every)
     state = init_state(config)
     train_ds = Dataset(train_images, dict(dataset.metadata))
-    plan = BatchPlan(config.batch_size, derive_seed(config.seed, "data"), drop_last=True)
+    plan = BatchPlan(config.batch_size, derive_seed(config.seed, "data"))
     for epoch in range(1, config.epochs + 1):
         for step_idx, d_batch in enumerate(batches(train_ds, plan, epoch)):
             try:

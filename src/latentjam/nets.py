@@ -1,8 +1,9 @@
 """MLP definitions for the four players and batch-statistics power control.
 
 Roles: compressor/jammer f (n -> k), reconstructor r (k -> n), transmitter
-g (k -> k), receiver h (k -> k). g and h carry a linear skip path from
-input to output alongside the MLP stack; f and r are plain MLPs.
+g (k -> k), receiver h (k -> k). The role alone fixes a network's architecture
+(`ROLE_TRAITS`): hidden layers are relu, r ends in a sigmoid, and g and h add a
+linear skip path from input to output to the MLP stack.
 
 Training and inference run the same graph code: `mlp_apply` is
 `mlp_forward_graph` on a record-free tape, and evaluation power-normalizes
@@ -25,14 +26,21 @@ from .rng import _BLOCK, Rng
 # the one training precision: parameters, Adam moments and training tapes
 TRAIN_DTYPE = np.dtype(np.float32)
 
-_HIDDEN_ACTS = {"relu": ad.relu, "tanh": ad.tanh}
-_OUTPUT_ACTS = {"identity": None, "sigmoid": ad.sigmoid}
+# role -> (output activation, linear skip); hidden layers are relu for every role
+ROLE_TRAITS = {
+    "f": ("identity", False),
+    "r": ("sigmoid", False),
+    "g": ("identity", True),
+    "h": ("identity", True),
+}
 
 
 @dataclass
 class MlpParams:
     """Architecture and parameters of one network, held in one flat buffer.
 
+    The role fixes the architecture: `output_activation` and `linear_skip`
+    are read from `ROLE_TRAITS` on construction, and hidden layers are relu.
     The buffer holds W0, b0, W1, b1, ..., then skip, each C-ordered and in
     `array_names()` order, which is also the checkpoint payload order.
     weights[i] has shape (layer_dims[i+1], layer_dims[i]); biases[i] has
@@ -42,32 +50,29 @@ class MlpParams:
     them, or to the buffer, is what all of them show.
     """
 
+    role: str
     layer_dims: list
     buffer: np.ndarray
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
-    linear_skip: bool = False
+    hidden_activation = "relu"  # a class constant: no role varies it
 
     def __post_init__(self):
         self.layer_dims = list(self.layer_dims)
         self._spans, lo = {}, 0
-        for name, shape in _layout(self.layer_dims, self.linear_skip):
+        for name, shape in _layout(self.role, self.layer_dims):
             self._spans[name] = (lo, lo + math.prod(shape), shape)
             lo += math.prod(shape)
         if self.buffer.shape != (lo,):
             raise ShapeError(f"network with layer dims {self.layer_dims} needs a flat buffer "
                              f"of {lo} values, got shape {self.buffer.shape}")
+        self.output_activation, self.linear_skip = ROLE_TRAITS[self.role]
 
     @classmethod
-    def from_arrays(cls, layer_dims, weights, biases, hidden_activation: str = "relu",
-                    output_activation: str = "identity", skip=None) -> "MlpParams":
+    def from_arrays(cls, role: str, layer_dims, weights, biases, skip=None) -> "MlpParams":
         """A network whose buffer is a copy of the given arrays, in their common dtype."""
         arrays = [a for pair in zip(weights, biases) for a in pair]
         if skip is not None:
             arrays.append(skip)
-        layout = _layout(list(layer_dims), skip is not None)
-        return cls(layer_dims, _gather(layout, arrays), hidden_activation, output_activation,
-                   skip is not None)
+        return cls(role, layer_dims, _gather(_layout(role, list(layer_dims)), arrays))
 
     @property
     def in_dim(self) -> int:
@@ -106,17 +111,19 @@ class MlpParams:
         return self.buffer[lo:hi].reshape(shape)
 
 
-def buffer_size(layer_dims: list, linear_skip: bool) -> int:
-    """Values in the buffer of a network with these layer dims."""
-    return sum(math.prod(shape) for _, shape in _layout(layer_dims, linear_skip))
+def buffer_size(role: str, layer_dims: list) -> int:
+    """Values in the buffer of a network of this role with these layer dims."""
+    return sum(math.prod(shape) for _, shape in _layout(role, layer_dims))
 
 
-def _layout(layer_dims: list, linear_skip: bool) -> list:
-    """(name, shape) of each parameter in buffer order."""
+def _layout(role: str, layer_dims: list) -> list:
+    """(name, shape) of each parameter of a network of this role, in buffer order."""
+    if role not in ROLE_TRAITS:
+        raise ConfigError(f"unknown network role '{role}', expected one of {list(ROLE_TRAITS)}")
     out = []
     for i, (d_in, d_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
         out += [(f"W{i}", (d_out, d_in)), (f"b{i}", (d_out,))]
-    if linear_skip:
+    if ROLE_TRAITS[role][1]:
         out.append(("skip", (layer_dims[-1], layer_dims[0])))
     return out
 
@@ -138,6 +145,11 @@ class NetworkRoles:
     h: Optional[MlpParams] = None
 
     def validate(self, k: int, n: int) -> None:
+        if (self.g is None) != (self.h is None):
+            raise ConfigError("g and h must be given together")
+        for role, params in self.present().items():
+            if params.role != role:
+                raise ConfigError(f"the {role} slot holds a network of role '{params.role}'")
         if self.f.in_dim != n or self.r.out_dim != n:
             raise ConfigError(f"f/r data dims inconsistent with n={n}")
         if self.r.in_dim != k:
@@ -149,12 +161,7 @@ class NetworkRoles:
                 raise ConfigError(f"g output dim {self.g.out_dim} != k={k}")
 
     def present(self) -> dict:
-        nets = {"f": self.f, "r": self.r}
-        if self.g is not None:
-            nets["g"] = self.g
-        if self.h is not None:
-            nets["h"] = self.h
-        return nets
+        return {role: params for role, params in vars(self).items() if params is not None}
 
 
 def _fill_uniform(rng: Rng, out: np.ndarray) -> None:
@@ -167,17 +174,11 @@ def _fill_uniform(rng: Rng, out: np.ndarray) -> None:
         out[lo:lo + rows] = rng.symmetric(out[lo:lo + rows].shape, half_width)
 
 
-def init_params(layer_dims, rng: Rng, hidden_activation: str = "relu",
-                output_activation: str = "identity", linear_skip: bool = False) -> MlpParams:
+def init_params(role: str, layer_dims, rng: Rng) -> MlpParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights (and skip), zero biases, all in TRAIN_DTYPE."""
     if not layer_dims or any(d <= 0 for d in layer_dims):
         raise ConfigError(f"layer_dims must be nonempty and positive, got {layer_dims}")
-    if hidden_activation not in _HIDDEN_ACTS:
-        raise ConfigError(f"unknown hidden activation '{hidden_activation}'")
-    if output_activation not in _OUTPUT_ACTS:
-        raise ConfigError(f"unknown output activation '{output_activation}'")
-    buffer = np.zeros(buffer_size(list(layer_dims), linear_skip), TRAIN_DTYPE)
-    params = MlpParams(layer_dims, buffer, hidden_activation, output_activation, linear_skip)
+    params = MlpParams(role, layer_dims, np.zeros(buffer_size(role, list(layer_dims)), TRAIN_DTYPE))
     for name in params.array_names():
         if name[0] != "b":  # W0, W1, ..., then skip: the order of the draws
             _fill_uniform(rng, params.array(name))
@@ -187,18 +188,17 @@ def init_params(layer_dims, rng: Rng, hidden_activation: str = "relu",
 class BoundMlp:
     """One network's parameters recorded onto a tape.
 
-    Trainable binding records parameters as named inputs so gradients can
-    target them; frozen binding records constants.
+    Trainable binding records parameters as inputs named `<role>.<param>` so
+    gradients can target them; frozen binding records constants.
     """
 
-    def __init__(self, tape: Tape, params: MlpParams, name: str, trainable: bool):
+    def __init__(self, tape: Tape, params: MlpParams, trainable: bool):
         self.params = params
-        self.name = name
         self.nodes: dict[str, Tensor] = {}
         for pname in params.array_names():
             arr = params.array(pname)
-            full = f"{name}.{pname}"
-            self.nodes[pname] = tape.input(full, arr) if trainable else tape.const(arr)
+            self.nodes[pname] = (tape.input(f"{params.role}.{pname}", arr) if trainable
+                                 else tape.const(arr))
 
     def __call__(self, x: Tensor) -> Tensor:
         return mlp_forward_graph(self, x)
@@ -207,23 +207,21 @@ class BoundMlp:
 def mlp_forward_graph(bound: BoundMlp, x: Tensor) -> Tensor:
     p = bound.params
     if len(x.shape) != 2 or x.shape[1] != p.in_dim:
-        raise ShapeError(f"net '{bound.name}' expects [batch, {p.in_dim}] input, got {x.shape}")
-    act = _HIDDEN_ACTS[p.hidden_activation]
+        raise ShapeError(f"net '{p.role}' expects [batch, {p.in_dim}] input, got {x.shape}")
     h = x
     for i in range(p.depth):
         h = ad.affine(h, bound.nodes[f"W{i}"], bound.nodes[f"b{i}"])
         if i < p.depth - 1:
-            h = act(h)
+            h = ad.relu(h)
     if p.linear_skip:
         h = h + x @ ad.transpose(bound.nodes["skip"])
-    out_act = _OUTPUT_ACTS[p.output_activation]
-    return h if out_act is None else out_act(h)
+    return ad.sigmoid(h) if p.output_activation == "sigmoid" else h
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Inference forward pass: the graph forward on a record-free tape."""
     tape = EagerTape()
-    return mlp_forward_graph(BoundMlp(tape, params, "net", trainable=False), tape.const(x)).value
+    return mlp_forward_graph(BoundMlp(tape, params, trainable=False), tape.const(x)).value
 
 
 POWER_EPS = 1e-5
@@ -237,18 +235,9 @@ def power_normalize(z: Tensor, target_power: float) -> Tensor:
                               {"scale": float(np.sqrt(target_power)), "eps": POWER_EPS})
 
 
-# hidden activation, output activation, linear skip; the checkpoint reader uses these too
-ROLE_TRAITS = {
-    "f": ("relu", "identity", False),
-    "r": ("relu", "sigmoid", False),
-    "g": ("relu", "identity", True),
-    "h": ("relu", "identity", True),
-}
-
-
 def make_networks(k: int, n: int, jscc_hidden: int, regularizer: str, rng: Rng,
                   data_hidden: int = 512) -> NetworkRoles:
-    """Default architecture for one run, with each role's traits from ROLE_TRAITS.
+    """Default architecture for one run; each role fixes its network's traits.
 
     f: [n, data_hidden, k_out] (k_out = 2k for the variational head, else
     k); r: [k, data_hidden, n]; g, h: [k, jscc_hidden, k], only for aj.
@@ -256,5 +245,5 @@ def make_networks(k: int, n: int, jscc_hidden: int, regularizer: str, rng: Rng,
     dims = {"f": [n, data_hidden, 2 * k if regularizer == "kl" else k], "r": [k, data_hidden, n]}
     if regularizer == "aj":
         dims["g"] = dims["h"] = [k, jscc_hidden, k]
-    return NetworkRoles(**{role: init_params(d, rng.spawn(f"init/{role}"), *ROLE_TRAITS[role])
+    return NetworkRoles(**{role: init_params(role, d, rng.spawn(f"init/{role}"))
                            for role, d in dims.items()})

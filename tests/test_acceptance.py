@@ -111,7 +111,7 @@ def _fd_against_analytic(tape, loss, bound_list):
         names = list(b.nodes)
         analytic = backward_grads(tape, loss, [b.nodes[p] for p in names])
         for pname, an in zip(names, analytic):
-            node_name = f"{b.name}.{pname}"
+            node_name = f"{b.params.role}.{pname}"
             base = np.asarray(b.nodes[pname].value, dtype=np.float64)
             fd = np.zeros_like(base)
             flat = fd.ravel()
@@ -140,9 +140,9 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
 
     # auxiliary loss, gradients wrt (g, h) with z detached
     tape = Tape()
-    f_b = BoundMlp(tape, nets.f, "f", trainable=True)
-    g_b = BoundMlp(tape, nets.g, "g", trainable=True)
-    h_b = BoundMlp(tape, nets.h, "h", trainable=True)
+    f_b = BoundMlp(tape, nets.f, trainable=True)
+    g_b = BoundMlp(tape, nets.g, trainable=True)
+    h_b = BoundMlp(tape, nets.h, trainable=True)
     d = tape.const(d_batch)
     z = detach(power_normalize(f_b(d), 1.0))
     x = tape.const(x_batch)
@@ -151,10 +151,10 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
 
     # compressor loss, gradients wrt (f, r) through the frozen channel pair
     tape = Tape()
-    f_b = BoundMlp(tape, nets.f, "f", trainable=True)
-    r_b = BoundMlp(tape, nets.r, "r", trainable=True)
-    g_b = BoundMlp(tape, nets.g, "g", trainable=False)
-    h_b = BoundMlp(tape, nets.h, "h", trainable=False)
+    f_b = BoundMlp(tape, nets.f, trainable=True)
+    r_b = BoundMlp(tape, nets.r, trainable=True)
+    g_b = BoundMlp(tape, nets.g, trainable=False)
+    h_b = BoundMlp(tape, nets.h, trainable=False)
     d = tape.const(d_batch)
     z = power_normalize(f_b(d), 1.0)
     recon = ad.mean_all(ad.square(d - r_b(z)))
@@ -173,9 +173,9 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
 def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
     """100 steps; f and r bitwise unchanged in phase (a), g and h in phase (b), every step."""
     cfg = GameConfig(k=2, n=3, batch_size=32, seed=5, regularizer="aj",
-                     jscc_hidden=8, data_hidden=16, check_gradients=True)
+                     jscc_hidden=8, data_hidden=16)
     ds = synth_source("gaussian", 3200, 3, seed=5)
-    plan = BatchPlan(cfg.batch_size, derive_seed(cfg.seed, "data"), drop_last=True)
+    plan = BatchPlan(cfg.batch_size, derive_seed(cfg.seed, "data"))
     state = init_state(cfg)
 
     def copies(st, nets):
@@ -187,7 +187,7 @@ def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
     real_update = game._update
 
     def recording_update(st, tape, loss, bounds):
-        names = [b.name for b in bounds]
+        names = [b.params.role for b in bounds]
         if names == ["f", "r"]:
             seen.update(copies(st, names))
         real_update(st, tape, loss, bounds)
@@ -198,7 +198,7 @@ def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
     steps = 0
     for i, batch in enumerate(batches(ds, plan, epoch=1)):
         before_step = copies(state, ("f", "r"))
-        # check_gradients re-asserts both halves inside the step as well
+        # the step re-asserts both halves inside itself as well
         train_step(state, batch, cfg)
         after_step = copies(state, ("g", "h"))
         for net, phase, old, new in (("f", "a", before_step, seen), ("r", "a", before_step, seen),
@@ -210,9 +210,9 @@ def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
         # independent phase (a) replica: backward through a detached z
         probe = Rng(derive_seed(cfg.seed, f"probe/{i}"))
         tape = Tape()
-        f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
-        g_b = BoundMlp(tape, state.networks.g, "g", trainable=True)
-        h_b = BoundMlp(tape, state.networks.h, "h", trainable=True)
+        f_b = BoundMlp(tape, state.networks.f, trainable=True)
+        g_b = BoundMlp(tape, state.networks.g, trainable=True)
+        h_b = BoundMlp(tape, state.networks.h, trainable=True)
         z = detach(power_normalize(f_b(tape.const(batch)), cfg.P_a))
         x = tape.const(probe.spawn("x").normal((batch.shape[0], cfg.k)))
         loss = jscc_loss(g_b, h_b, x, z, cfg.P_t, cfg.sigma_n_sq, probe.spawn("noise"))

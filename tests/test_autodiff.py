@@ -124,7 +124,7 @@ def test_grad_linear_regression_hand_value():
 def test_grad_linearity_in_scalar_factor():
     tape = Tape()
     x = tape.input("x", np.array([[0.3, -0.7], [1.1, 0.2]]))
-    loss = ad.mean_all(ad.square(ad.tanh(x)))
+    loss = ad.mean_all(ad.square(ad.sigmoid(x)))
     scaled = 2.5 * loss
     (g1,) = backward_grads(tape, loss, [x])
     (g2,) = backward_grads(tape, scaled, [x])
@@ -144,7 +144,6 @@ def test_fd_check_every_op():
     h = x @ w + 1.0
     parts = [
         ad.relu(h + 3.0),          # shifted well clear of zero
-        ad.tanh(h),
         ad.sigmoid(h),
         ad.exp(0.3 * h),
         nets.power_normalize(h, 2.0),
@@ -169,8 +168,8 @@ def test_fd_check_every_op():
 
 
 def test_fd_check_random_small_mlps():
-    # <= 3 layers, <= 16 units, both hidden activations
-    for seed, act in ((1, "relu"), (2, "tanh"), (3, "relu")):
+    # <= 3 layers, <= 16 units, relu or a smooth (sigmoid) hidden activation
+    for seed, act in ((1, "relu"), (2, "sigmoid"), (3, "relu")):
         rng = Rng(seed)
         dims = [5, 16, 8, 1]
         tape = Tape()
@@ -186,7 +185,7 @@ def test_fd_check_random_small_mlps():
             params[f"b{i}"] = (bias, bv)
             h = h @ ad.transpose(w) + bias
             if i < len(dims) - 2:
-                h = ad.relu(h) if act == "relu" else ad.tanh(h)
+                h = ad.relu(h) if act == "relu" else ad.sigmoid(h)
         loss = ad.mean_all(ad.square(h))
         tensors = [t for t, _ in params.values()]
         grads = backward_grads(tape, loss, tensors)
@@ -261,7 +260,7 @@ def test_pruned_gradients_equal_unpruned_reference():
     b1 = tape.input("b1", rng.normal((5,)))
     w2 = tape.input("w2", rng.normal((2, 5)))
     frozen = tape.const(rng.normal((2, 2)))
-    hidden = ad.tanh(d @ ad.transpose(w1) + b1)
+    hidden = ad.sigmoid(d @ ad.transpose(w1) + b1)
     z = hidden @ ad.transpose(w2)
     jammed = ad.sigmoid(ad.detach(z) @ ad.transpose(frozen)) * tape.const(rng.normal((16, 2)))
     live = ad.square(z @ frozen) / (ad.mean_all(ad.square(z)) + 1.0)
@@ -298,7 +297,7 @@ def test_affine_equals_transpose_matmul_add_chain(m, n, d):
         out = ad.affine(ins["x"], ins["w"], ins["b"]) if fused \
             else ins["x"] @ ad.transpose(ins["w"]) + ins["b"]
         tape.mark_output("out", out)
-        loss = tape.mark_output("loss", ad.mean_all(ad.square(ad.tanh(out))))
+        loss = tape.mark_output("loss", ad.mean_all(ad.square(ad.sigmoid(out))))
         return tape, ins, out, loss
 
     tape, ins, out, loss = record(fused=True)
@@ -340,7 +339,7 @@ def test_replay_bit_identical():
     xv = rng.normal((8, 4))
     tape = Tape()
     x = tape.input("x", xv)
-    y = ad.mean_all(ad.square(ad.tanh(x @ tape.const(rng.normal((4, 4))))))
+    y = ad.mean_all(ad.square(ad.sigmoid(x @ tape.const(rng.normal((4, 4))))))
     tape.mark_output("y", y)
     replayed = forward_eval(tape, {"x": xv})["y"]
     assert np.array_equal(replayed, y.value)
@@ -577,6 +576,8 @@ class _Flat:
     """Arrays laid end to end in one flat buffer, named p0, p1, ...: the parameter set
     `adam_step` reads, as `nets.MlpParams` is one for a network."""
 
+    role = "flat"
+
     def __init__(self, arrays):
         self.shapes = [np.shape(a) for a in arrays]
         self.buffer = np.concatenate([np.ravel(a) for a in arrays])
@@ -745,6 +746,26 @@ def test_adam_sets_subnormal_first_moments_to_zero():
     assert smallest * np.float32(state.beta1) == smallest
     adam_step(p, [np.zeros(3, np.float32)], state)
     assert np.array_equal(state.m, [0.0, 0.0, np.float32(1e-3) * np.float32(0.9)])
+
+
+def test_adam_second_moment_overflow_names_the_network():
+    # float32 v holds v / (1 - beta2): a gradient of 6e17 held for a few thousand steps
+    # overflows it, which would stop each element for good; numpy's overflow warning is
+    # silenced so that only the check can report it
+    p = _Flat([np.ones(3, np.float32)])
+    state = AdamState()
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"second moment of network 'flat' overflowed at step \d+$"):
+        for _ in range(5000):
+            adam_step(p, [np.full(3, 6e17, np.float32)], state)
+    assert 100 < state.step_count < 5000 and np.all(np.isfinite(p.buffer))
+    # a gradient of 2e19 squares past float32's range at once, here in a network of role f
+    f = init_state(GameConfig(k=2, n=3, data_hidden=4, regularizer="none")).networks.f
+    grads = [np.zeros_like(f.array(name)) for name in f.array_names()]
+    grads[0][0, 0] = 2e19
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="second moment of network 'f' overflowed at step 1$"):
+        adam_step(f, grads, AdamState())
 
 
 def test_adam_at_comparison_shapes_equals_whole_array_reference():

@@ -1,5 +1,6 @@
 """Config parsing, experiment artifacts, checkpoints, samples, exit codes."""
 
+import dataclasses
 import hashlib
 import os
 import struct
@@ -86,12 +87,12 @@ def test_parse_config_types_comments_blanks(tmp_path):
 game.k = 3          # trailing comment
 game.lr = 0.01
 
-game.check_gradients = false
+game.regularizer = kl
 data.kind = synth
 run.eval_every = 2
 """)
     sections = parse_config(path)
-    assert sections["game"] == {"k": 3, "lr": 0.01, "check_gradients": False}
+    assert sections["game"] == {"k": 3, "lr": 0.01, "regularizer": "kl"}
     assert sections["data"] == {"kind": "synth"}
     assert sections["run"] == {"eval_every": 2}
 
@@ -118,6 +119,19 @@ def test_parse_config_unknown_key(tmp_path):
     path = write_cfg(tmp_path, "game.momentum = 0.9\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(path)
+
+
+def test_game_schema_keys_are_the_config_fields():
+    # a deleted setting leaves no live key behind, and a new one cannot miss the schema
+    assert set(cli._SCHEMA["game"]) == {f.name for f in dataclasses.fields(GameConfig)}
+
+
+def test_removed_check_gradients_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=out) + "game.check_gradients = false\n")
+    assert main(["train", cfg]) == 2
+    assert "unknown key 'game.check_gradients'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_config_missing_prefix(tmp_path):
@@ -391,6 +405,7 @@ def test_checkpoint_roundtrip(tmp_path):
         assert len(present) == (4 if reg == "aj" else 2)
         for name, params in present.items():
             loaded = nets[name]
+            assert loaded.role == params.role == name
             assert loaded.layer_dims == list(params.layer_dims)
             assert loaded.hidden_activation == params.hidden_activation
             assert loaded.output_activation == params.output_activation

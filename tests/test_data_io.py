@@ -149,37 +149,33 @@ def test_synth_square_metadata():
 
 
 def test_batches_full_dataset_is_permutation():
+    # 16 rows in batches of 4: no tail is left out, so the batches hold every row once
     ds = synth_source("uniform", 16, 2, seed=4)
-    plan = BatchPlan(batch_size=16, seed=0, drop_last=False)
+    plan = BatchPlan(batch_size=4, seed=0)
     out = list(batches(ds, plan, epoch=1))
-    assert len(out) == 1
-    assert np.array_equal(np.sort(out[0], axis=0), np.sort(ds.images, axis=0))
+    assert [b.shape for b in out] == [(4, 2)] * 4
+    assert np.array_equal(np.sort(np.concatenate(out), axis=0), np.sort(ds.images, axis=0))
 
 
 def test_batches_drop_last():
     ds = synth_source("uniform", 5, 2, seed=5)
-    plan = BatchPlan(batch_size=2, seed=0, drop_last=True)
+    plan = BatchPlan(batch_size=2, seed=0)
     out = list(batches(ds, plan, epoch=1))
     assert len(out) == 2
     assert sum(b.shape[0] for b in out) == 4
-
-
-def test_batches_keep_last():
-    ds = synth_source("uniform", 5, 2, seed=5)
-    plan = BatchPlan(batch_size=2, seed=0, drop_last=False)
-    out = list(batches(ds, plan, epoch=1))
-    assert [b.shape[0] for b in out] == [2, 2, 1]
+    # the row left out is the last of the epoch's permutation
+    assert np.array_equal(np.concatenate(out), ds.images[epoch_permutation(plan, 5, epoch=1)[:4]])
 
 
 def test_batches_cover_each_index_exactly_once():
     ds = synth_source("uniform", 12, 1, seed=6)
-    plan = BatchPlan(batch_size=4, seed=3, drop_last=False)
+    plan = BatchPlan(batch_size=4, seed=3)
     seen = np.concatenate([b[:, 0] for b in batches(ds, plan, epoch=2)])
     assert np.array_equal(np.sort(seen), np.sort(ds.images[:, 0]))
 
 
 def test_batches_epochs_differ():
-    plan = BatchPlan(batch_size=4, seed=7, drop_last=True)
+    plan = BatchPlan(batch_size=4, seed=7)
     p1 = epoch_permutation(plan, 32, epoch=1)
     p2 = epoch_permutation(plan, 32, epoch=2)
     assert not np.array_equal(p1, p2)
@@ -187,7 +183,7 @@ def test_batches_epochs_differ():
 
 def test_batches_deterministic_across_runs():
     ds = synth_source("uniform", 10, 2, seed=8)
-    plan = BatchPlan(batch_size=5, seed=9, drop_last=True)
+    plan = BatchPlan(batch_size=5, seed=9)
     a = [b.copy() for b in batches(ds, plan, epoch=3)]
     b = list(batches(ds, plan, epoch=3))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))

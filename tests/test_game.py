@@ -35,20 +35,18 @@ from latentjam.nets import (
 from latentjam.rng import Rng, derive_seed
 
 
-def passthrough_mlp(k: int, hidden: int = 4, skip_scale: float = 1.0,
-                    out: str = "identity") -> MlpParams:
-    """Zero-weight MLP whose skip matrix carries the signal."""
+def passthrough_mlp(role: str, k: int, hidden: int = 4, skip_scale: float = 1.0) -> MlpParams:
+    """Zero-weight g or h whose skip matrix carries the signal."""
     dims = [k, hidden, k]
     weights = [np.zeros((hidden, k)), np.zeros((k, hidden))]
     biases = [np.zeros(hidden), np.zeros(k)]
-    return MlpParams.from_arrays(dims, weights, biases, "relu", out, skip=skip_scale * np.eye(k))
+    return MlpParams.from_arrays(role, dims, weights, biases, skip=skip_scale * np.eye(k))
 
 
-def zero_mlp(n_in: int, n_out: int, hidden: int = 4, out: str = "identity") -> MlpParams:
-    dims = [n_in, hidden, n_out]
-    weights = [np.zeros((hidden, n_in)), np.zeros((n_out, hidden))]
-    biases = [np.zeros(hidden), np.zeros(n_out)]
-    return MlpParams.from_arrays(dims, weights, biases, "relu", out)
+def zero_reconstructor(k: int, n: int, hidden: int = 4) -> MlpParams:
+    """Zero-weight r: its sigmoid head emits 0.5 everywhere."""
+    weights = [np.zeros((hidden, k)), np.zeros((n, hidden))]
+    return MlpParams.from_arrays("r", [k, hidden, n], weights, [np.zeros(hidden), np.zeros(n)])
 
 
 # ============================================================
@@ -156,9 +154,9 @@ def test_jscc_loss_requires_detached_jammer():
     cfg = GameConfig(k=2, n=3, jscc_hidden=8, data_hidden=8, seed=0)
     state = init_state(cfg)
     tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, "g", trainable=True)
-    h_b = BoundMlp(tape, state.networks.h, "h", trainable=True)
+    f_b = BoundMlp(tape, state.networks.f, trainable=True)
+    g_b = BoundMlp(tape, state.networks.g, trainable=True)
+    h_b = BoundMlp(tape, state.networks.h, trainable=True)
     d = tape.const(synth_source("gaussian", 8, 3, seed=0).images)
     x = tape.const(Rng(0).normal((8, 2)))
     z_live = power_normalize(f_b(d), cfg.P_a)
@@ -175,8 +173,8 @@ def scalar(t) -> float:
 def test_jscc_dead_decoder_sees_source_power():
     # h == 0 means x_hat == 0, so the loss is E[x^2] ~ 1
     tape = Tape()
-    g_b = BoundMlp(tape, passthrough_mlp(2), "g", trainable=False)
-    h_b = BoundMlp(tape, zero_mlp(2, 2), "h", trainable=False)
+    g_b = BoundMlp(tape, passthrough_mlp("g", 2), trainable=False)
+    h_b = BoundMlp(tape, passthrough_mlp("h", 2, skip_scale=0.0), trainable=False)
     x = tape.const(Rng(derive_seed(1, "jscc/dead")).normal((4096, 2)))
     z = tape.const(np.zeros((4096, 2)))
     loss = jscc_loss(g_b, h_b, x, z, 1.0, 0.0, Rng(0))
@@ -185,8 +183,8 @@ def test_jscc_dead_decoder_sees_source_power():
 
 def test_jscc_identity_codec_clean_channel():
     tape = Tape()
-    g_b = BoundMlp(tape, passthrough_mlp(2), "g", trainable=False)
-    h_b = BoundMlp(tape, passthrough_mlp(2), "h", trainable=False)
+    g_b = BoundMlp(tape, passthrough_mlp("g", 2), trainable=False)
+    h_b = BoundMlp(tape, passthrough_mlp("h", 2), trainable=False)
     x = tape.const(Rng(derive_seed(2, "jscc/id")).normal((4096, 2)))
     z = tape.const(np.zeros((4096, 2)))
     loss = jscc_loss(g_b, h_b, x, z, 1.0, 0.0, Rng(0))
@@ -196,8 +194,8 @@ def test_jscc_identity_codec_clean_channel():
 def test_jscc_halving_decoder_against_unit_jammer():
     # x_hat = 0.5 (y + z) with y ~ x gives E[(x - x_hat)^2] ~ 0.25 (1 + 1)
     tape = Tape()
-    g_b = BoundMlp(tape, passthrough_mlp(2), "g", trainable=False)
-    h_b = BoundMlp(tape, passthrough_mlp(2, skip_scale=0.5), "h", trainable=False)
+    g_b = BoundMlp(tape, passthrough_mlp("g", 2), trainable=False)
+    h_b = BoundMlp(tape, passthrough_mlp("h", 2, skip_scale=0.5), trainable=False)
     rng = Rng(derive_seed(3, "jscc/half"))
     x = tape.const(rng.spawn("x").normal((4096, 2)))
     z = tape.const(rng.spawn("z").normal((4096, 2)))
@@ -227,7 +225,7 @@ def test_data_loss_subtracts_scaled_channel_term():
 def test_data_loss_exact_on_perfect_reconstruction():
     # zero-weight sigmoid reconstructor emits 0.5 everywhere; feed it 0.5s
     tape = Tape()
-    r_b = BoundMlp(tape, zero_mlp(2, 3, out="sigmoid"), "r", trainable=False)
+    r_b = BoundMlp(tape, zero_reconstructor(2, 3), trainable=False)
     d = tape.const(np.full((16, 3), 0.5))
     z = tape.const(np.zeros((16, 2)))
     recon = ad.mean_all(ad.square(d - r_b(z)))
@@ -315,9 +313,9 @@ def test_phase_a_gradients_blocked_by_detach():
     state = init_state(cfg)
     batch = synth_source("gaussian", 16, 3, seed=5).images
     tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, "g", trainable=True)
-    h_b = BoundMlp(tape, state.networks.h, "h", trainable=True)
+    f_b = BoundMlp(tape, state.networks.f, trainable=True)
+    g_b = BoundMlp(tape, state.networks.g, trainable=True)
+    h_b = BoundMlp(tape, state.networks.h, trainable=True)
     d = tape.const(batch)
     z = detach(power_normalize(f_b(d), cfg.P_a))
     x = tape.const(Rng(derive_seed(5, "phase-a")).normal((16, 2)))
@@ -336,9 +334,9 @@ def test_phase_a_without_detach_would_leak():
     state = init_state(cfg)
     batch = synth_source("gaussian", 16, 3, seed=6).images
     tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, "g", trainable=True)
-    h_b = BoundMlp(tape, state.networks.h, "h", trainable=True)
+    f_b = BoundMlp(tape, state.networks.f, trainable=True)
+    g_b = BoundMlp(tape, state.networks.g, trainable=True)
+    h_b = BoundMlp(tape, state.networks.h, trainable=True)
     d = tape.const(batch)
     z_live = power_normalize(f_b(d), cfg.P_a)
     x = tape.const(Rng(derive_seed(6, "leak")).normal((16, 2)))
@@ -356,7 +354,7 @@ def test_phase_a_update_of_frozen_pair_raises(monkeypatch):
 
     def leaky_update(state, tape, loss, bounds):
         real_update(state, tape, loss, bounds)
-        if bounds[0].name == "g":  # phase (a) also nudges the compressor
+        if bounds[0].params.role == "g":  # phase (a) also nudges the compressor
             w = state.networks.f.weights[0]
             w[0, 0] = np.nextafter(w[0, 0], np.inf)  # the smallest step its dtype can take
 
@@ -373,7 +371,7 @@ def test_phase_b_update_of_frozen_pair_raises(monkeypatch):
 
     def leaky_update(state, tape, loss, bounds):
         real_update(state, tape, loss, bounds)
-        if bounds[0].name == "f":  # phase (b) also nudges the frozen transmitter
+        if bounds[0].params.role == "f":  # phase (b) also nudges the frozen transmitter
             w = state.networks.g.weights[0]
             w[0, 0] = np.nextafter(w[0, 0], np.inf)  # the smallest step its dtype can take
 
@@ -392,7 +390,7 @@ def test_each_update_makes_one_adam_step_per_network(monkeypatch, reg):
     real_update, real_adam = game._update, game.adam_step
 
     def update(state, tape, loss, bounds):
-        updates.append(([b.name for b in bounds], []))
+        updates.append(([b.params.role for b in bounds], []))
         real_update(state, tape, loss, bounds)
 
     def adam(p, grads, opt):
@@ -470,7 +468,7 @@ def test_a_leaf_reached_twice_accumulates_in_backward_order():
     use_grads = []
     for d in parts:
         tape = Tape(np.float32)
-        f_b = BoundMlp(tape, params, "f", trainable=True)
+        f_b = BoundMlp(tape, params, trainable=True)
         loss = ad.mean_all(ad.square(f_b(tape.const(d))))
         use_grads.append(backward_grads(tape, loss, list(f_b.nodes.values())))
     want = [(g3 + g2) + g1 for g1, g2, g3 in zip(*use_grads)]
@@ -478,7 +476,7 @@ def test_a_leaf_reached_twice_accumulates_in_backward_order():
     ad.adam_step(expected, want, ad.AdamState(lr=cfg.lr))
 
     tape = Tape(np.float32)
-    f_b = BoundMlp(tape, params, "f", trainable=True)
+    f_b = BoundMlp(tape, params, trainable=True)
     terms = [ad.mean_all(ad.square(f_b(tape.const(d)))) for d in parts]
     game._update(state, tape, terms[0] + terms[1] + terms[2], [f_b])
     assert np.array_equal(params.buffer, expected.buffer)
@@ -515,9 +513,9 @@ def test_compressor_steers_channel_loss_both_ways():
         train_step(state, data[16 * i:16 * (i + 1)], cfg)
     batch = data[:16]
     tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, "f", trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, "g", trainable=False)
-    h_b = BoundMlp(tape, state.networks.h, "h", trainable=False)
+    f_b = BoundMlp(tape, state.networks.f, trainable=True)
+    g_b = BoundMlp(tape, state.networks.g, trainable=False)
+    h_b = BoundMlp(tape, state.networks.h, trainable=False)
     d = tape.const(batch)
     z = power_normalize(f_b(d), cfg.P_a)
     x = tape.const(Rng(derive_seed(7, "steer")).normal((16, 2)))
@@ -742,7 +740,7 @@ def test_adversarial_game_converges_to_linear_saddle_level():
                      jscc_hidden=32, data_hidden=64)
     ds = synth_source("gaussian", 12800, 2, seed=20)
     state = init_state(cfg)
-    plan = BatchPlan(cfg.batch_size, derive_seed(cfg.seed, "data"), drop_last=True)
+    plan = BatchPlan(cfg.batch_size, derive_seed(cfg.seed, "data"))
     jscc_hist, mse_hist = [], []
     steps, epoch = 0, 1
     while steps < 500:

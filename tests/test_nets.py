@@ -9,16 +9,29 @@ from latentjam import autodiff as ad
 from latentjam.cli import load_checkpoint, save_checkpoint
 from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.game import GameConfig, init_state
-from latentjam.nets import (POWER_EPS, BoundMlp, MlpParams, init_params,
-                            make_networks, mlp_apply, mlp_forward_graph,
+from latentjam.nets import (POWER_EPS, ROLE_TRAITS, BoundMlp, MlpParams, NetworkRoles,
+                            init_params, make_networks, mlp_apply, mlp_forward_graph,
                             power_normalize)
 from latentjam.rng import Rng
 
 
-def linear_net(W, b=None, out="identity"):
+def linear_net(W, b=None, role="f"):
     W = np.asarray(W, dtype=np.float64)
     b = np.zeros(W.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
-    return MlpParams.from_arrays([W.shape[1], W.shape[0]], [W], [b], "relu", out)
+    return MlpParams.from_arrays(role, [W.shape[1], W.shape[0]], [W], [b])
+
+
+def reference_forward(params, x):
+    """Forward pass written from the role table: relu hidden layers, r's sigmoid head, and
+    g's and h's skip path."""
+    h = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w.T + b
+        if i < params.depth - 1:
+            h = np.maximum(h, 0.0)
+    if params.role in ("g", "h"):
+        h = h + x @ params.skip.T
+    return 1.0 / (1.0 + np.exp(-h)) if params.role == "r" else h
 
 
 # ============================================================
@@ -27,18 +40,18 @@ def linear_net(W, b=None, out="identity"):
 
 
 def test_init_deterministic():
-    a = init_params([2, 2], Rng(5))
-    b = init_params([2, 2], Rng(5))
+    a = init_params("f", [2, 2], Rng(5))
+    b = init_params("f", [2, 2], Rng(5))
     assert np.array_equal(a.weights[0], b.weights[0])
 
 
 def test_init_biases_zero():
-    p = init_params([3, 7, 2], Rng(0))
+    p = init_params("f", [3, 7, 2], Rng(0))
     assert all(np.all(bias == 0.0) for bias in p.biases)
 
 
 def test_init_fan_bound():
-    p = init_params([4, 4], Rng(1))
+    p = init_params("r", [4, 4], Rng(1))
     bound = np.sqrt(6.0 / 8.0)
     assert np.all(np.abs(p.weights[0]) <= bound)
     # and the draw actually uses the range, not a degenerate corner of it
@@ -46,17 +59,17 @@ def test_init_fan_bound():
 
 
 def test_init_skip_matrix():
-    p = init_params([3, 8, 3], Rng(2), linear_skip=True)
+    p = init_params("g", [3, 8, 3], Rng(2))
     assert p.skip.shape == (3, 3)
     assert p.array_names() == ["W0", "b0", "W1", "b1", "skip"]
 
 
 def _network_from(source: str, tmp_path) -> MlpParams:
-    made = init_params([3, 5, 2], Rng(6), linear_skip=True)
+    made = init_params("g", [3, 5, 2], Rng(6))
     if source == "init_params":
         return made
     if source == "from_arrays":
-        return MlpParams.from_arrays([3, 5, 2], made.weights, made.biases, skip=made.skip)
+        return MlpParams.from_arrays("g", [3, 5, 2], made.weights, made.biases, skip=made.skip)
     path = tmp_path / "cp.bin"
     save_checkpoint(path, init_state(GameConfig(k=2, n=3, jscc_hidden=5, data_hidden=4)))
     return load_checkpoint(path)["g"]
@@ -72,7 +85,7 @@ def test_parameters_are_views_of_one_buffer(tmp_path, source):
     laid_out = np.concatenate([params.array(name).ravel() for name in params.array_names()])
     assert np.array_equal(laid_out, params.buffer)
     # a trainable binding reads the buffer itself, so an update after backward shows through it
-    bound = BoundMlp(Tape(params.buffer.dtype), params, "g", trainable=True)
+    bound = BoundMlp(Tape(params.buffer.dtype), params, trainable=True)
     leaves = {name: node.value for name, node in bound.nodes.items()}
     before = params.buffer.copy()
     adam_step(params, [np.ones_like(params.array(name)) for name in params.array_names()],
@@ -85,23 +98,32 @@ def test_parameters_are_views_of_one_buffer(tmp_path, source):
 
 def test_buffer_must_fit_the_layer_dims():
     with pytest.raises(ShapeError, match="needs a flat buffer of 9 values"):
-        MlpParams([2, 2, 1], np.zeros(10))
+        MlpParams("f", [2, 2, 1], np.zeros(10))
     with pytest.raises(ShapeError, match="needs a flat buffer of 9 values"):
-        MlpParams([2, 2, 1], np.zeros((3, 3)))
+        MlpParams("r", [2, 2, 1], np.zeros((3, 3)))
     with pytest.raises(ShapeError, match=r"W1 has shape \(1, 2\), given \(2, 1\)"):
-        MlpParams.from_arrays([2, 2, 1], [np.zeros((2, 2)), np.zeros((2, 1))],
+        MlpParams.from_arrays("f", [2, 2, 1], [np.zeros((2, 2)), np.zeros((2, 1))],
                               [np.zeros(2), np.zeros(1)])
+    # g and h carry a skip matrix and f and r do not, so a mismatched one misses the buffer
+    with pytest.raises(ShapeError, match="needs a flat buffer of 11 values"):
+        MlpParams.from_arrays("g", [2, 2, 1], [np.zeros((2, 2)), np.zeros((1, 2))],
+                              [np.zeros(2), np.zeros(1)])
+    with pytest.raises(ShapeError, match="needs a flat buffer of 9 values"):
+        MlpParams.from_arrays("f", [2, 2, 1], [np.zeros((2, 2)), np.zeros((1, 2))],
+                              [np.zeros(2), np.zeros(1)], skip=np.zeros((1, 2)))
     with pytest.raises(ConfigError, match="no skip matrix"):
-        init_params([2, 2], Rng(0)).array("skip")
+        init_params("f", [2, 2], Rng(0)).array("skip")
 
 
 def test_init_bad_dims():
     with pytest.raises(ConfigError):
-        init_params([], Rng(0))
+        init_params("f", [], Rng(0))
     with pytest.raises(ConfigError):
-        init_params([2, 0, 2], Rng(0))
-    with pytest.raises(ConfigError):
-        init_params([2, 2], Rng(0), hidden_activation="swish")
+        init_params("f", [2, 0, 2], Rng(0))
+    with pytest.raises(ConfigError, match="unknown network role 'q'"):
+        init_params("q", [2, 2], Rng(0))
+    with pytest.raises(ConfigError, match="unknown network role 'net'"):
+        MlpParams("net", [2, 2], np.zeros(6))
 
 
 # ============================================================
@@ -124,7 +146,7 @@ def test_single_layer_identity_matrix_is_identity_map():
 def test_hand_computed_hidden_layer():
     # x=[1,2]: pre-act [1-2+0.1, 0.5+0.5-0.2] = [-0.9, 0.8]; relu keeps 0.8;
     # output 2*0 - 1*0.8 + 0.3 = -0.5
-    p = MlpParams.from_arrays([2, 2, 1],
+    p = MlpParams.from_arrays("f", [2, 2, 1],
                   [np.array([[1.0, -1.0], [0.5, 0.25]]), np.array([[2.0, -1.0]])],
                   [np.array([0.1, -0.2]), np.array([0.3])])
     out = mlp_apply(p, np.array([[1.0, 2.0]]))
@@ -132,30 +154,40 @@ def test_hand_computed_hidden_layer():
 
 
 def test_sigmoid_output_at_zero_logits():
-    p = linear_net(np.zeros((2, 2)), out="sigmoid")
+    p = linear_net(np.zeros((2, 2)), role="r")
     out = mlp_apply(p, np.ones((3, 2)))
     assert np.array_equal(out, np.full((3, 2), 0.5))
 
 
 def test_skip_with_zero_mlp_is_pure_linear_map():
     skip = np.array([[2.0, 0.0], [0.0, -1.0]])
-    p = MlpParams.from_arrays([2, 4, 2], [np.zeros((4, 2)), np.zeros((2, 4))],
+    p = MlpParams.from_arrays("h", [2, 4, 2], [np.zeros((4, 2)), np.zeros((2, 4))],
                   [np.zeros(4), np.zeros(2)], skip=skip)
     x = np.array([[1.0, 3.0], [-2.0, 0.5]])
     assert np.array_equal(mlp_apply(p, x), x @ skip.T)
 
 
 def test_record_free_forward_equals_recorded_bitwise():
-    for seed, out_act, use_skip in ((3, "identity", False), (4, "sigmoid", False),
-                                    (5, "identity", True)):
-        p = init_params([4, 6, 3], Rng(seed), output_activation=out_act,
-                        linear_skip=use_skip)
+    for seed, role in enumerate(ROLE_TRAITS, start=3):
+        p = init_params(role, [4, 6, 4], Rng(seed))
         x = Rng(seed + 100).normal((5, 4))
         tape = Tape()
-        bound = BoundMlp(tape, p, "net", trainable=False)
+        bound = BoundMlp(tape, p, trainable=False)
         recorded = bound(tape.const(x)).value
         assert len(tape.nodes) > 0
         assert np.array_equal(mlp_apply(p, x), recorded)
+
+
+@pytest.mark.parametrize("role", ["f", "r", "g", "h"])
+def test_role_forward_matches_numpy_reference(role):
+    p = init_params(role, [4, 6, 3 if role in "fr" else 4], Rng(20))
+    p.buffer[:] = Rng(21).normal(p.buffer.shape)  # nonzero biases too
+    x = Rng(22).normal((7, 4))
+    out = mlp_apply(p, x)
+    assert np.max(np.abs(out - reference_forward(p, x))) <= 1e-5 * max(1.0, np.max(np.abs(out)))
+    assert p.hidden_activation == "relu"  # read by the benchmark's own reference forward
+    if role == "r":
+        assert np.all((out > 0.0) & (out < 1.0))
 
 
 def test_forward_shape_error():
@@ -170,7 +202,7 @@ def test_forward_of_1d_input_is_shape_error():
         mlp_apply(p, np.ones(2))
     tape = Tape()
     with pytest.raises(ShapeError):
-        mlp_forward_graph(BoundMlp(tape, p, "net", trainable=True), tape.const(np.ones(2)))
+        mlp_forward_graph(BoundMlp(tape, p, trainable=True), tape.const(np.ones(2)))
 
 
 def test_forward_overflow_names_the_op_on_record_free_tape():
@@ -315,3 +347,21 @@ def test_validate_catches_dim_mismatch():
         roles.validate(3, 8)
     with pytest.raises(ConfigError):
         roles.validate(2, 9)
+
+
+def test_validate_catches_a_network_in_another_role_slot():
+    roles = make_networks(2, 8, 8, "aj", Rng(0))
+    # r's dims fit f's slot only when n = k, so only the role check can catch it
+    square = make_networks(2, 2, 8, "aj", Rng(0))
+    with pytest.raises(ConfigError, match="the f slot holds a network of role 'r'"):
+        NetworkRoles(f=square.r, r=square.r, g=square.g, h=square.h).validate(2, 2)
+    with pytest.raises(ConfigError, match="the g slot holds a network of role 'h'"):
+        NetworkRoles(f=roles.f, r=roles.r, g=roles.h, h=roles.h).validate(2, 8)
+
+
+def test_validate_needs_g_and_h_together():
+    roles = make_networks(2, 8, 8, "aj", Rng(0))
+    with pytest.raises(ConfigError, match="g and h must be given together"):
+        NetworkRoles(f=roles.f, r=roles.r, g=roles.g).validate(2, 8)
+    with pytest.raises(ConfigError, match="g and h must be given together"):
+        NetworkRoles(f=roles.f, r=roles.r, h=roles.h).validate(2, 8)
