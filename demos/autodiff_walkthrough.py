@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the tape-based reverse-mode engine.
 
-Records a tiny two-layer computation, checks one gradient against central
+Records one tiny dense layer, checks one gradient against central
 finite differences, replays the tape with a swapped input, and shows that
 detach really blocks the backward pass.
 
@@ -17,13 +17,14 @@ from latentjam.rng import Rng
 
 def main():
     rng = Rng(0)
-    W_val = rng.spawn("W").normal((3, 2))
+    W_val = rng.spawn("W").normal((2, 3))
     x_val = rng.spawn("x").normal((5, 3))
 
     tape = Tape()
     W = tape.input("W", W_val)
     x = tape.const(x_val)
-    y = x @ W
+    # tensors have no `@`: a product is one affine node, x @ W.T + b
+    y = ad.affine(x, W, tape.const(np.zeros(2)))
     loss = ad.mean_all(ad.square(y))
     tape.mark_output("loss", loss)
 

@@ -9,13 +9,13 @@ graph code without recording: evaluation and generation use it, so each
 computation is defined once and inference holds no intermediate values.
 
 Each op's forward and backward rules sit together in one `_OPS` entry.
-A dense layer is one `affine` node, x @ w.T + b: one kept value and one
-finiteness check per layer, with the value and gradients of
-`x @ transpose(w) + b` bit for bit.
+`affine`, x @ w.T + b, is the one matrix product: a dense layer is one
+node, one kept value and one finiteness check, and a bias of shape
+(batch, out) makes a linear skip path, x @ skip.T + h, one node too.
+Tensors have no `@`.
 
-Node values may share memory: `transpose` records a view of its input,
-and leaves hold the caller's arrays, so an in-place parameter update
-after backward is visible through the tape. Backward is pruned to the
+Leaves hold the caller's arrays, so an in-place parameter update after
+backward is visible through the tape. Backward is pruned to the
 nodes that depend on a requested tensor (a `detach` node cuts that
 dependence); gradients toward data constants, frozen parameters and
 detached paths are never computed.
@@ -96,9 +96,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return self._lift(other).__truediv__(self)
 
-    def __matmul__(self, other):
-        return self.tape.apply("matmul", [self, self._lift(other)])
-
 
 @dataclass
 class Node:
@@ -129,13 +126,8 @@ class Tape:
         """Unnamed leaf, cast to the tape's dtype and fixed across replays."""
         return self._record("const", (), np.asarray(value, dtype=self.dtype), {})
 
-    def apply(self, op: str, args: list) -> Tensor:
-        return self._apply(op, args, {})
-
-    def apply_attrs(self, op: str, args: list, attrs: dict) -> Tensor:
-        return self._apply(op, args, attrs)
-
-    def _apply(self, op: str, args: list, attrs: dict) -> Tensor:
+    def apply(self, op: str, args: list, attrs: Optional[dict] = None) -> Tensor:
+        attrs = {} if attrs is None else attrs
         if op not in _OPS:
             raise ConfigError(f"unknown op '{op}'")
         for a in args:
@@ -201,20 +193,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _matmul(v, a):
-    _require_2d("matmul", v[0].shape, v[1].shape)
-    if v[0].shape[1] != v[1].shape[0]:
-        raise ShapeError(f"op 'matmul' inner dims differ: {v[0].shape} @ {v[1].shape}")
-    return v[0] @ v[1]
-
-
 def _affine(v, a):
     x, w, b = v
     _require_2d("affine", x.shape, w.shape)
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"op 'affine' inner dims differ: {x.shape} @ {w.shape}.T")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"op 'affine' needs a bias of shape ({w.shape[0]},), got {b.shape}")
+    if b.shape not in ((w.shape[0],), (x.shape[0], w.shape[0])):
+        raise ShapeError(f"op 'affine' needs a bias of shape ({w.shape[0]},) or "
+                         f"{(x.shape[0], w.shape[0])}, got {b.shape}")
     # the product keeps the transposed view: a C-ordered copy of w.T can run
     # another BLAS kernel and move the last bits
     out = x @ w.T
@@ -296,13 +282,10 @@ _OPS = {
     "div": (lambda v, a: v[0] / v[1],
             lambda g, v, out, a, i: _unbroadcast(g / v[1], v[0].shape) if i == 0
             else _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape)),
-    # (g.T @ v[0]).T equals v[0].T @ g but comes out F-ordered, so a weight
-    # reached through `transpose` gets its gradient C-ordered like itself
-    "matmul": (_matmul, lambda g, v, out, a, i: g @ v[1].T if i == 0 else (g.T @ v[0]).T),
     "transpose": (_matrix_op("transpose", lambda x, a: x.T), lambda g, v, out, a, i: g.T),
-    # x @ w.T + b; bit for bit the value and gradients of x @ transpose(w) + b
+    # x @ w.T + b; the weight's gradient g.T @ x comes out C-ordered, as Adam reads it
     "affine": (_affine, lambda g, v, out, a, i: g @ v[1] if i == 0 else g.T @ v[0] if i == 1
-               else g.sum(axis=0)),
+               else _unbroadcast(g, v[2].shape)),
     "relu": (lambda v, a: np.maximum(v[0], 0.0), lambda g, v, out, a, i: g * (v[0] > 0.0)),
     "sigmoid": (_sigmoid, lambda g, v, out, a, i: g * out * (1.0 - out)),
     "exp": (lambda v, a: np.exp(v[0]), lambda g, v, out, a, i: g * out),
@@ -328,7 +311,7 @@ _OPS = {
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """One dense layer, x @ w.T + b, as one node; w is (out, in) and b is (out,)."""
+    """x @ w.T + b as one node; w is (out, in) and b is (out,) or (batch, out)."""
     return x.tape.apply("affine", [x, w, b])
 
 
@@ -349,7 +332,7 @@ def square(t: Tensor) -> Tensor:
 
 
 def clip(t: Tensor, lo: float, hi: float) -> Tensor:
-    return t.tape.apply_attrs("clip", [t], {"lo": float(lo), "hi": float(hi)})
+    return t.tape.apply("clip", [t], {"lo": float(lo), "hi": float(hi)})
 
 
 def mean_all(t: Tensor) -> Tensor:
@@ -371,7 +354,7 @@ def transpose(t: Tensor) -> Tensor:
 
 
 def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:
-    return t.tape.apply_attrs("slice_cols", [t], {"start": int(start), "stop": int(stop)})
+    return t.tape.apply("slice_cols", [t], {"start": int(start), "stop": int(stop)})
 
 
 def detach(t: Tensor) -> Tensor:

@@ -25,7 +25,7 @@ LOG_VAR_MAX = 10.0
 def _sq_dists_graph(a: Tensor, b: Tensor) -> Tensor:
     ra = ad.sum_rows(ad.square(a))
     rb = ad.sum_rows(ad.square(b))
-    cross = a @ ad.transpose(b)
+    cross = ad.affine(a, b, a.tape.const(np.zeros(b.shape[0])))
     # relu clamps the tiny negative residue of the expansion on the diagonal
     return ad.relu(ra + ad.transpose(rb) - 2.0 * cross)
 

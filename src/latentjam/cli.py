@@ -208,9 +208,17 @@ def write_pgm(path, image: np.ndarray) -> None:
     """Binary PGM (P5), one byte per pixel."""
     rows, cols = image.shape
     pixels = np.round(255.0 * np.clip(image, 0.0, 1.0)).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    _write_file(path, f"P5\n{cols} {rows}\n255\n".encode("ascii") + pixels.tobytes())
+
+
+def _write_file(path, data) -> None:
+    """Write one output file of a verb, str as UTF-8 or bytes; a path that cannot take it is a
+    config error naming the path."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
 
 
 def _output_dir(path) -> str:
@@ -269,16 +277,17 @@ def run_experiment(config_path) -> int:
     check_training_inputs(config, dataset, eval_dataset, eval_every)
     out_dir = _output_dir(run_cfg["output_dir"])
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
-    if os.path.isdir(checkpoint_path):
-        raise ConfigError(f"checkpoint path {checkpoint_path} is a directory")
+    metrics_path = os.path.join(out_dir, "metrics.csv")
+    # the files written after training are checked before it
+    for label, path in (("checkpoint", checkpoint_path), ("metrics", metrics_path)):
+        if os.path.isdir(path):
+            raise ConfigError(f"{label} path {path} is a directory")
     samples_dir = _output_dir(os.path.join(out_dir, "samples"))
-    with open(os.path.join(out_dir, "resolved-config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(_resolved_config_text(config, data_cfg, run_cfg))
+    _write_file(os.path.join(out_dir, "resolved-config.txt"),
+                _resolved_config_text(config, data_cfg, run_cfg))
     state = train(config, dataset, eval_dataset, eval_every=eval_every)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for report in state.history:
-            fh.write(report.to_csv_row() + "\n")
+    _write_file(metrics_path, "".join(
+        line + "\n" for line in [CSV_HEADER, *(report.to_csv_row() for report in state.history)]))
     save_checkpoint(checkpoint_path, state)
     _decode_samples(state.networks.r, sample_count, derive_seed(config.seed, "samples"),
                     samples_dir, dataset.metadata.get("rows"), dataset.metadata.get("cols"))
@@ -328,13 +337,12 @@ def run_oracle(config_path) -> int:
     res_u = matching_residual(x_u, zn_u, matching)
     rows.append(("matching_uniform", res_u, 0.05, "pass" if res_u >= 0.05 else "FAIL"))
 
-    report_path = os.path.join(out_dir, "oracle-report.csv")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write("check_name,value,threshold,pass\n")
-        for name, value, threshold, verdict in rows:
-            val = repr(float(value)) if isinstance(value, float) else value
-            thr = f"{threshold:.6g}" if isinstance(threshold, float) else threshold
-            fh.write(f"{name},{val},{thr},{verdict}\n")
+    lines = ["check_name,value,threshold,pass\n"]
+    for name, value, threshold, verdict in rows:
+        val = repr(float(value)) if isinstance(value, float) else value
+        thr = f"{threshold:.6g}" if isinstance(threshold, float) else threshold
+        lines.append(f"{name},{val},{thr},{verdict}\n")
+    _write_file(os.path.join(out_dir, "oracle-report.csv"), "".join(lines))
     for name, value, threshold, verdict in rows:
         log.info("oracle %-22s %-12s threshold=%-8s %s", name,
                  f"{value:.6g}" if isinstance(value, float) else value, threshold, verdict)

@@ -214,7 +214,7 @@ def mlp_forward_graph(bound: BoundMlp, x: Tensor) -> Tensor:
         if i < p.depth - 1:
             h = ad.relu(h)
     if p.linear_skip:
-        h = h + x @ ad.transpose(bound.nodes["skip"])
+        h = ad.affine(x, bound.nodes["skip"], h)
     return ad.sigmoid(h) if p.output_activation == "sigmoid" else h
 
 
@@ -231,8 +231,8 @@ def power_normalize(z: Tensor, target_power: float) -> Tensor:
     """Per-coordinate batch standardization to mean 0, variance ~ P, as one tape node:
     z'_j = sqrt(P) c_j / sigma_j with c_j = z_j - mean(z_j), sigma_j = sqrt(mean(c_j^2) + eps).
     Its backward recomputes c and sigma from z; a batch below 2 rows is a `ShapeError`."""
-    return z.tape.apply_attrs("power_normalize", [z],
-                              {"scale": float(np.sqrt(target_power)), "eps": POWER_EPS})
+    return z.tape.apply("power_normalize", [z],
+                        {"scale": float(np.sqrt(target_power)), "eps": POWER_EPS})
 
 
 def make_networks(k: int, n: int, jscc_hidden: int, regularizer: str, rng: Rng,

@@ -9,6 +9,9 @@ effectively absolute at 1e-9 precision.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +25,7 @@ from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.game import GameConfig, init_state
 from latentjam.rng import Rng
 
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FD_STEP = 1e-5
 FD_FLOOR = 1e-5
 
@@ -52,17 +56,20 @@ def rel_err(fd, an):
 
 
 def test_matmul_identity():
+    # affine is the tape's one product: I @ w.T + 0 is w.T
     tape = Tape()
     a = tape.const(np.eye(2))
-    b = tape.const(np.array([[3.0, 4.0], [5.0, 6.0]]))
-    assert np.array_equal((a @ b).value, [[3.0, 4.0], [5.0, 6.0]])
+    w = tape.const(np.array([[3.0, 5.0], [4.0, 6.0]]))
+    assert np.array_equal(ad.affine(a, w, tape.const(np.zeros(2))).value, [[3.0, 4.0], [5.0, 6.0]])
 
 
 def test_matmul_hand_value():
     tape = Tape()
     a = tape.const(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = tape.const(np.array([[5.0], [6.0]]))
-    assert np.array_equal((a @ b).value, [[17.0], [39.0]])
+    w = tape.const(np.array([[5.0, 6.0]]))
+    assert np.array_equal(ad.affine(a, w, tape.const(np.zeros(1))).value, [[17.0], [39.0]])
+    # a (batch, out) bias adds row by row
+    assert np.array_equal(ad.affine(a, w, tape.const([[1.0], [2.0]])).value, [[18.0], [41.0]])
 
 
 def test_relu_definition():
@@ -115,7 +122,7 @@ def test_grad_linear_regression_hand_value():
     w = tape.input("W", np.array([[1.0, 2.0]]))
     x = tape.const(np.array([[1.0, 1.0]]))
     y = tape.const(np.array([[0.0]]))
-    loss = ad.mean_all(ad.square(x @ ad.transpose(w) - y))
+    loss = ad.mean_all(ad.square(ad.affine(x, w, tape.const(np.zeros(1))) - y))
     (gw,) = backward_grads(tape, loss, [w])
     assert np.array_equal(gw, [[6.0, 6.0]])
     assert rel_err(fd_gradient(tape, loss, "W", w.value), gw) <= 1e-4
@@ -141,7 +148,7 @@ def test_fd_check_every_op():
     x = tape.input("x", xv)
     w = tape.input("w", wv)
     b = tape.input("b", bv)
-    h = x @ w + 1.0
+    h = ad.affine(x, w, b) + 1.0
     parts = [
         ad.relu(h + 3.0),          # shifted well clear of zero
         ad.sigmoid(h),
@@ -150,7 +157,7 @@ def test_fd_check_every_op():
         ad.clip(h, -10.0, 10.0),
         h / -2.0,
         ad.transpose(ad.transpose(h)),
-        ad.affine(h, w, b) - h,
+        ad.affine(h, w, h) - h,    # a (batch, out) bias
     ]
     loss = None
     for part in parts:
@@ -183,7 +190,7 @@ def test_fd_check_random_small_mlps():
             bias = tape.input(f"b{i}", bv)
             params[f"W{i}"] = (w, wv)
             params[f"b{i}"] = (bias, bv)
-            h = h @ ad.transpose(w) + bias
+            h = ad.affine(h, w, bias)
             if i < len(dims) - 2:
                 h = ad.relu(h) if act == "relu" else ad.sigmoid(h)
         loss = ad.mean_all(ad.square(h))
@@ -260,10 +267,11 @@ def test_pruned_gradients_equal_unpruned_reference():
     b1 = tape.input("b1", rng.normal((5,)))
     w2 = tape.input("w2", rng.normal((2, 5)))
     frozen = tape.const(rng.normal((2, 2)))
-    hidden = ad.sigmoid(d @ ad.transpose(w1) + b1)
-    z = hidden @ ad.transpose(w2)
-    jammed = ad.sigmoid(ad.detach(z) @ ad.transpose(frozen)) * tape.const(rng.normal((16, 2)))
-    live = ad.square(z @ frozen) / (ad.mean_all(ad.square(z)) + 1.0)
+    zero = tape.const(np.zeros(2))
+    hidden = ad.sigmoid(ad.affine(d, w1, b1))
+    z = ad.affine(hidden, w2, zero)
+    jammed = ad.sigmoid(ad.affine(ad.detach(z), frozen, zero)) * tape.const(rng.normal((16, 2)))
+    live = ad.square(ad.affine(z, frozen, z)) / (ad.mean_all(ad.square(z)) + 1.0)
     loss = ad.mean_all(live - jammed) + ad.sum_all(ad.square(hidden)) * 0.01
     wrt = [w1, b1, w2, hidden, frozen, d]
     pruned = backward_grads(tape, loss, wrt)
@@ -278,41 +286,46 @@ def test_pruned_gradients_equal_unpruned_reference():
 
 
 def test_transposed_weight_gradient_is_c_contiguous():
+    # Adam reads leaf gradients in place as flat views, so affine's weight gradient g.T @ x
+    # must come out C-ordered: a layer's, and a g network's skip path's
     rng = Rng(29)
     tape = Tape()
-    x = tape.const(rng.normal((32, 7)))
-    w = tape.input("w", rng.normal((3, 7)))
-    (gw,) = backward_grads(tape, ad.mean_all(ad.square(x @ ad.transpose(w))), [w])
-    assert gw.shape == (3, 7) and gw.flags["C_CONTIGUOUS"]
+    x = tape.const(rng.normal((32, 2)))
+    w = tape.input("w", rng.normal((3, 2)))
+    g_net = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4)).networks.g
+    g_b = nets.BoundMlp(tape, g_net, trainable=True)
+    loss = ad.mean_all(ad.square(ad.affine(x, w, tape.const(np.zeros(3))))) \
+        + ad.mean_all(ad.square(g_b(x)))
+    assert g_net.linear_skip and "skip" in g_b.nodes
+    leaves = [w, *g_b.nodes.values()]
+    for t, g in zip(leaves, backward_grads(tape, loss, leaves)):
+        assert g.shape == t.shape and g.flags["C_CONTIGUOUS"], t.shape
 
 
 @pytest.mark.parametrize("m,n,d", [(128, 784, 512), (128, 64, 8)])
 def test_affine_equals_transpose_matmul_add_chain(m, n, d):
+    # value and gradients bit for bit numpy's x @ w.T + b, g @ w, g.T @ x and the sum of g
+    # down to b's shape, g being the gradient the tape reaches `out` with
     rng = Rng(37)
-    values = {"x": rng.normal((m, n)), "w": rng.normal((d, n)) / np.sqrt(n), "b": rng.normal((d,))}
-
-    def record(fused):
+    x, w = rng.normal((m, n)), rng.normal((d, n)) / np.sqrt(n)
+    for b in (rng.normal((d,)), rng.normal((m, d))):
+        values = {"x": x, "w": w, "b": b}
         tape = Tape()
         ins = {name: tape.input(name, v) for name, v in values.items()}
-        out = ad.affine(ins["x"], ins["w"], ins["b"]) if fused \
-            else ins["x"] @ ad.transpose(ins["w"]) + ins["b"]
-        tape.mark_output("out", out)
+        out = tape.mark_output("out", ad.affine(ins["x"], ins["w"], ins["b"]))
         loss = tape.mark_output("loss", ad.mean_all(ad.square(ad.sigmoid(out))))
-        return tape, ins, out, loss
-
-    tape, ins, out, loss = record(fused=True)
-    ref_tape, ref_ins, ref_out, ref_loss = record(fused=False)
-    assert [node.op for node in tape.nodes].count("affine") == 1
-    assert np.array_equal(out.value, ref_out.value)
-    for subset in (["x", "w", "b"], ["x"], ["w"], ["b"], ["x", "w"], ["x", "b"], ["w", "b"]):
-        got = backward_grads(tape, loss, [ins[name] for name in subset])
-        want = backward_grads(ref_tape, ref_loss, [ref_ins[name] for name in subset])
-        for name, g, ref in zip(subset, got, want):
-            assert np.array_equal(g, ref), (subset, name)
-            assert g.flags["C_CONTIGUOUS"] == ref.flags["C_CONTIGUOUS"], (subset, name)
-    replayed = forward_eval(tape, values)
-    assert np.array_equal(replayed["out"], out.value)
-    assert np.array_equal(replayed["loss"], loss.value)
+        assert [node.op for node in tape.nodes].count("affine") == 1
+        assert np.array_equal(out.value, x @ w.T + b)
+        (g,) = backward_grads(tape, loss, [out])
+        want = {"x": g @ w, "w": g.T @ x, "b": g.sum(axis=0) if b.ndim == 1 else g}
+        for subset in (["x", "w", "b"], ["x"], ["w"], ["b"], ["x", "w"], ["x", "b"], ["w", "b"]):
+            got = backward_grads(tape, loss, [ins[name] for name in subset])
+            for name, grad in zip(subset, got):
+                assert np.array_equal(grad, want[name]), (b.shape, subset, name)
+                assert grad.flags["C_CONTIGUOUS"], (b.shape, subset, name)
+        replayed = forward_eval(tape, values)
+        assert np.array_equal(replayed["out"], out.value)
+        assert np.array_equal(replayed["loss"], loss.value)
 
 
 @pytest.mark.parametrize("x_shape,w_shape,b_shape,match", [
@@ -339,7 +352,8 @@ def test_replay_bit_identical():
     xv = rng.normal((8, 4))
     tape = Tape()
     x = tape.input("x", xv)
-    y = ad.mean_all(ad.square(ad.sigmoid(x @ tape.const(rng.normal((4, 4))))))
+    y = ad.mean_all(ad.square(ad.sigmoid(ad.affine(x, tape.const(rng.normal((4, 4))),
+                                                    tape.const(np.zeros(4))))))
     tape.mark_output("y", y)
     replayed = forward_eval(tape, {"x": xv})["y"]
     assert np.array_equal(replayed, y.value)
@@ -347,14 +361,15 @@ def test_replay_bit_identical():
 
 def test_replay_through_transpose_view_bit_identical():
     # (128, 64) @ (64, 8) is a shape where OpenBLAS rounds a transposed view
-    # differently from a C-ordered copy; replay must take the same path
+    # differently from a C-ordered copy; affine multiplies by the view w.T when it
+    # records and when it replays
     rng = Rng(13)
     xv, wv = rng.normal((128, 64)), rng.normal((8, 64))
     tape = Tape()
     w = tape.input("w", wv)
-    wt = ad.transpose(w)
-    assert np.shares_memory(wt.value, w.value)
-    y = ad.mean_all(ad.square(tape.input("x", xv) @ wt))
+    out = ad.affine(tape.input("x", xv), w, tape.const(np.zeros(8)))
+    assert np.array_equal(out.value, xv @ wv.T)
+    y = ad.mean_all(ad.square(out))
     tape.mark_output("y", y)
     assert np.array_equal(forward_eval(tape, {"x": xv, "w": wv})["y"], y.value)
 
@@ -441,14 +456,6 @@ def test_sigmoid_forward_memory():
 # ============================================================
 # Error contracts
 # ============================================================
-
-
-def test_matmul_shape_error_names_op():
-    tape = Tape()
-    a = tape.const(np.ones((2, 3)))
-    b = tape.const(np.ones((2, 3)))
-    with pytest.raises(ShapeError, match="matmul"):
-        _ = a @ b
 
 
 def test_nonfinite_value_raises_with_node_index():
@@ -557,7 +564,7 @@ def test_cross_tape_rejected_with_attrs():
     other = Tape().const(np.ones((2, 2)))
     tape = Tape()
     with pytest.raises(ConfigError, match="different tape"):
-        tape.apply_attrs("clip", [other], {"lo": -1.0, "hi": 1.0})
+        tape.apply("clip", [other], {"lo": -1.0, "hi": 1.0})
     assert tape.nodes == []
 
 
@@ -776,3 +783,13 @@ def test_adam_at_comparison_shapes_equals_whole_array_reference():
     assert max(params.buffer.size for params in networks) <= ad._ADAM_BLOCK == 65536
     buffers = [[params.array(name).shape for name in params.array_names()] for params in networks]
     _assert_adam_matches_reference(buffers + [_MNIST_F])
+
+
+def test_autodiff_walkthrough_demo_runs(tmp_path):
+    demo = os.path.join(_REPO, "demos", "autodiff_walkthrough.py")
+    path = [os.path.join(_REPO, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, demo], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "replay reproduces loss exactly: True" in done.stdout

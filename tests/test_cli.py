@@ -546,12 +546,12 @@ def test_exit_2_unreadable_config(tmp_path, kind, capsys):
 
 def test_exit_2_on_shape_error(tmp_path, monkeypatch, capsys):
     def misshapen(*args, **kwargs):
-        raise ShapeError("op 'matmul' inner dims differ")
+        raise ShapeError("op 'affine' inner dims differ")
 
     monkeypatch.setattr(cli, "train", misshapen)
     cfg = write_cfg(tmp_path, SMALL_TRAIN.format(out=tmp_path / "shape"))
     assert main(["train", cfg]) == 2
-    assert capsys.readouterr().err == "shape error: op 'matmul' inner dims differ\n"
+    assert capsys.readouterr().err == "shape error: op 'affine' inner dims differ\n"
 
 
 @pytest.mark.parametrize("verb", ["train", "oracle", "generate"])
@@ -581,6 +581,42 @@ def test_checkpoint_path_that_is_a_directory_exits_2_before_training(tmp_path, m
     assert capsys.readouterr().err == (f"config error: checkpoint path {out / 'checkpoint.bin'} "
                                        "is a directory\n")
     assert sorted(os.listdir(out)) == ["checkpoint.bin"]
+
+
+def test_metrics_path_that_is_a_directory_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", None)  # training would fail loudly
+    out = tmp_path / "run"
+    (out / "metrics.csv").mkdir(parents=True)
+    assert main(["train", write_cfg(tmp_path, SMALL_TRAIN.format(out=out))]) == 2
+    assert capsys.readouterr().err == (f"config error: metrics path {out / 'metrics.csv'} "
+                                       "is a directory\n")
+    assert sorted(os.listdir(out)) == ["metrics.csv"]
+
+
+@pytest.mark.parametrize("artifact", ["resolved-config.txt", os.path.join("samples", "sample-00000.pgm")])
+def test_train_artifact_that_is_a_directory_exits_2(tmp_path, capsys, artifact):
+    out = tmp_path / "run"
+    (out / artifact).mkdir(parents=True)
+    assert main(["train", write_cfg(tmp_path, SMALL_TRAIN.format(out=out))]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out / artifact}: ")
+
+
+def test_generate_sample_that_is_a_directory_exits_2(tmp_path, capsys):
+    checkpoint = tmp_path / "cp.bin"
+    save_checkpoint(checkpoint, init_state(GameConfig(k=2, n=4, jscc_hidden=4, data_hidden=4)))
+    out = tmp_path / "g"
+    (out / "sample-00000.pgm").mkdir(parents=True)
+    assert main(["generate", str(checkpoint), "--count", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / 'sample-00000.pgm'}: ")
+
+
+def test_oracle_report_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    (out / "oracle-report.csv").mkdir(parents=True)
+    assert main(["oracle", write_cfg(tmp_path, SMALL_ORACLE.format(out=out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / 'oracle-report.csv'}: ")
 
 
 @pytest.mark.parametrize("where", ["a-directory", "under-a-missing-directory"])

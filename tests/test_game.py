@@ -1,6 +1,9 @@
 """Adversarial game: losses, alternation schedule, and the training loop."""
 
 import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,8 @@ from latentjam.nets import (
     power_normalize,
 )
 from latentjam.rng import Rng, derive_seed
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def passthrough_mlp(role: str, k: int, hidden: int = 4, skip_scale: float = 1.0) -> MlpParams:
@@ -483,10 +488,10 @@ def test_a_leaf_reached_twice_accumulates_in_backward_order():
     assert state.opt["f"].step_count == 1
 
 
-@pytest.mark.parametrize("n,data_hidden,jscc_steps,most", [(784, 512, 1, 80), (8, 64, 2, 109)])
+@pytest.mark.parametrize("n,data_hidden,jscc_steps,most", [(784, 512, 1, 72), (8, 64, 2, 97)])
 def test_aj_step_records_few_tape_nodes(monkeypatch, n, data_hidden, jscc_steps, most):
     # the MNIST shape and the comparison shape; each power_normalize is one node: g's on
-    # every tape, f's on phase (b)'s
+    # every tape, f's on phase (b)'s; each g/h skip path is one affine node
     cfg = GameConfig(k=2, n=n, batch_size=128, seed=3, data_hidden=data_hidden, jscc_hidden=64,
                      jscc_steps_per_data_step=jscc_steps)
     state = init_state(cfg)
@@ -502,6 +507,28 @@ def test_aj_step_records_few_tape_nodes(monkeypatch, n, data_hidden, jscc_steps,
     assert sum(len(tape.nodes) for tape in tapes) <= most
     ops = [node.op for tape in tapes for node in tape.nodes]
     assert ops.count("power_normalize") == jscc_steps + 2
+    assert "matmul" not in ops and "transpose" not in ops
+
+
+def test_every_op_has_a_caller(monkeypatch):
+    # one training step of each regularizer at the comparison shape, then `evaluate`, runs
+    # every op of `_OPS`, recorded or on a record-free tape, so an op that outlives its last
+    # caller fails here; `detach` is kept without one: the acceptance tests use it as the
+    # independent stop-gradient reference, and `jscc_loss` accepts a detached z
+    seen = set()
+    real_apply = Tape.apply
+
+    def apply(self, op, args, attrs=None):
+        seen.add(op)
+        return real_apply(self, op, args, attrs)
+
+    monkeypatch.setattr(Tape, "apply", apply)
+    data = synth_source("mixture", 128, 8, seed=3).images
+    for regularizer in ("aj", "kl", "mmd", "none"):
+        cfg = GameConfig(k=2, n=8, batch_size=128, seed=3, data_hidden=64, jscc_hidden=64,
+                         jscc_steps_per_data_step=2, regularizer=regularizer)
+        evaluate(train_step(init_state(cfg), data, cfg), cfg, data, epoch=1)
+    assert seen | {"detach"} == set(ad._OPS)
 
 
 def test_compressor_steers_channel_loss_both_ways():
@@ -776,3 +803,12 @@ def test_adversarial_game_converges_to_linear_saddle_level():
     assert abs(float(np.mean(z * z)) - expected) < 1e-12
     assert cfg.P_a * 0.99 <= float(np.mean(z * z)) <= cfg.P_a + 1e-12
 
+
+def test_train_synthetic_demo_runs(tmp_path):
+    demo = os.path.join(_REPO, "demos", "train_synthetic.py")
+    path = [os.path.join(_REPO, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, demo], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "final jscc_mse" in done.stdout
