@@ -8,8 +8,7 @@ linear-Gaussian ground truth that validates the game independently of any
 training.
 """
 
-from .autodiff import (AdamState, EagerTape, Tape, Tensor, adam_step, backward_grads,
-                       forward_eval)
+from .autodiff import AdamState, EagerTape, Tape, Tensor, adam_step, backward_grads
 from .data_io import BatchPlan, Dataset, batches, load_idx, synth_source
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)

@@ -2,11 +2,12 @@
 
 A `Tensor` carries its value, set when the op that made it runs. A `Tape`
 also records every op in insertion order, which is also a topological
-order, so backward is a single reverse sweep and `forward_eval` can replay
-the recorded graph against fresh input values (used for finite-difference
-checks and for bit-identical recomputation). An `EagerTape` runs the same
-graph code without recording: evaluation and generation use it, so each
-computation is defined once and inference holds no intermediate values.
+order, so backward is a single reverse sweep. A recorded tape holds `const`
+leaves and ops: a parameter is a leaf like any other, differentiated when
+backward is asked for it, and new values mean a new graph. An `EagerTape`
+runs the same graph code without recording: evaluation and generation use
+it, so each computation is defined once and inference holds no
+intermediate values.
 
 Each op's forward and backward rules sit together in one `_OPS` entry.
 `affine`, x @ w.T + b, is the one matrix product: a dense layer is one
@@ -21,11 +22,11 @@ dependence); gradients toward data constants, frozen parameters and
 detached paths are never computed.
 
 A recorded tape has one dtype, float64 unless given: its leaves, scalar
-constants, replay inputs and gradients are cast to it, so every value and
-gradient stays in it. Training records float32 tapes; finite-difference
-checks use the float64 default. An `EagerTape` casts nothing: float32
-parameters meet float64 data inside an op, where numpy promotes, so
-evaluation runs in float64. NaN/Inf detection runs at every op boundary, on
+constants and gradients are cast to it, so every value and gradient stays
+in it. Training records float32 tapes; finite-difference checks use the
+float64 default. An `EagerTape` casts nothing: float32 parameters meet
+float64 data inside an op, where numpy promotes, so evaluation runs in
+float64. NaN/Inf detection runs at every op boundary, on
 every value and every gradient, recorded or not, and on Adam's second moment
 once per step; it is always on: a training failure must surface loudly, not
 corrupt the minimax dynamics. `_all_finite` makes each check one `np.vdot`.
@@ -111,19 +112,14 @@ class Tape:
     def __init__(self, dtype=np.float64):
         self.dtype = dtype
         self.nodes: list[Node] = []
-        self.outputs: dict[str, int] = {}
 
     def _record(self, op: str, inputs: tuple, value: np.ndarray, attrs: dict) -> Tensor:
         value = _checked(op, value, len(self.nodes))
         self.nodes.append(Node(op, inputs, value, attrs))
         return Tensor(self, len(self.nodes) - 1, value)
 
-    def input(self, name: str, value) -> Tensor:
-        """Named leaf, cast to the tape's dtype; replay and gradients may rebind it."""
-        return self._record("input", (), np.asarray(value, dtype=self.dtype), {"name": name})
-
     def const(self, value) -> Tensor:
-        """Unnamed leaf, cast to the tape's dtype and fixed across replays."""
+        """Leaf, cast to the tape's dtype; an array already in it is held, not copied."""
         return self._record("const", (), np.asarray(value, dtype=self.dtype), {})
 
     def apply(self, op: str, args: list, attrs: Optional[dict] = None) -> Tensor:
@@ -136,15 +132,11 @@ class Tape:
         out = _OPS[op][0]([a.value for a in args], attrs)
         return self._record(op, tuple(a.node_id for a in args), out, attrs)
 
-    def mark_output(self, name: str, t: Tensor) -> Tensor:
-        self.outputs[name] = t.node_id
-        return t
-
 
 class EagerTape(Tape):
     """Record-free tape: each op runs and is checked at once, and nothing is kept.
 
-    Its tensors have no node, so they cannot be differentiated or replayed. Its
+    Its tensors have no node, so they cannot be differentiated. Its
     dtype is None: leaves keep their own dtype, and mixed operands promote.
     """
 
@@ -360,34 +352,6 @@ def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:
 def detach(t: Tensor) -> Tensor:
     """Stop-gradient marker: value passes, gradient does not."""
     return t.tape.apply("detach", [t])
-
-
-def forward_eval(tape: Tape, inputs: dict) -> dict:
-    """Replay the tape with rebound named inputs; returns marked outputs.
-
-    With inputs identical to the recorded ones, outputs are bit-identical
-    to the recorded values (same ops, same order, same dtype). A name that
-    matches no input node raises `ConfigError`; a rebound value must keep
-    its recorded shape, else `ShapeError`.
-    """
-    unknown = set(inputs) - {node.attrs["name"] for node in tape.nodes if node.op == "input"}
-    if unknown:
-        raise ConfigError(f"replay given values for unknown inputs {sorted(unknown)}")
-    values: list[np.ndarray] = []
-    for idx, node in enumerate(tape.nodes):
-        if node.op == "input":
-            name = node.attrs["name"]
-            v = np.asarray(inputs.get(name, node.value), dtype=tape.dtype)
-            if v.shape != node.value.shape:
-                raise ShapeError(f"input '{name}' recorded as {node.value.shape}, rebound as {v.shape}")
-        elif node.op == "const":
-            v = node.value
-        else:
-            v = _OPS[node.op][0]([values[i] for i in node.inputs], node.attrs)
-        if not _all_finite(v):
-            raise NumericError(f"non-finite value out of op '{node.op}' at node {idx} during replay")
-        values.append(v)
-    return {name: values[nid] for name, nid in tape.outputs.items()}
 
 
 def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:

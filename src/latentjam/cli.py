@@ -247,7 +247,11 @@ def _decode_samples(r_params: MlpParams, count: int, seed: int, out_dir, rows=No
         side = int(np.sqrt(n))
         rows, cols = (side, side) if side * side == n else (1, n)
     for i in range(count):
-        write_pgm(os.path.join(out_dir, f"sample-{i:05d}.pgm"), decoded[i].reshape(rows, cols))
+        write_pgm(_sample_path(out_dir, i), decoded[i].reshape(rows, cols))
+
+
+def _sample_path(out_dir, i: int) -> str:
+    return os.path.join(out_dir, f"sample-{i:05d}.pgm")
 
 
 # ============================================================
@@ -278,11 +282,13 @@ def run_experiment(config_path) -> int:
     out_dir = _output_dir(run_cfg["output_dir"])
     checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
     metrics_path = os.path.join(out_dir, "metrics.csv")
+    samples_dir = os.path.join(out_dir, "samples")
     # the files written after training are checked before it
-    for label, path in (("checkpoint", checkpoint_path), ("metrics", metrics_path)):
+    for label, path in (("checkpoint", checkpoint_path), ("metrics", metrics_path),
+                        *(("sample", _sample_path(samples_dir, i)) for i in range(sample_count))):
         if os.path.isdir(path):
             raise ConfigError(f"{label} path {path} is a directory")
-    samples_dir = _output_dir(os.path.join(out_dir, "samples"))
+    _output_dir(samples_dir)
     _write_file(os.path.join(out_dir, "resolved-config.txt"),
                 _resolved_config_text(config, data_cfg, run_cfg))
     state = train(config, dataset, eval_dataset, eval_every=eval_every)

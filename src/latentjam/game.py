@@ -203,8 +203,8 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
     nets = state.networks
     m = d_batch.shape[0]
     tape = Tape(TRAIN_DTYPE)
-    f_b = BoundMlp(tape, nets.f, trainable=True)
-    r_b = BoundMlp(tape, nets.r, trainable=True)
+    f_b = BoundMlp(tape, nets.f)
+    r_b = BoundMlp(tape, nets.r)
     d = tape.const(d_batch)
     reg = None
     # kl and mmd record the regularizer before r(z): backward sums z's gradients in this order
@@ -225,8 +225,8 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
         frozen = _snapshot(nets, ("f", "r"))
         for _ in range(config.jscc_steps_per_data_step):
             tape_a = Tape(TRAIN_DTYPE)
-            g_b = BoundMlp(tape_a, nets.g, trainable=True)
-            h_b = BoundMlp(tape_a, nets.h, trainable=True)
+            g_b = BoundMlp(tape_a, nets.g)
+            h_b = BoundMlp(tape_a, nets.h)
             x = tape_a.const(state.streams["x"].normal((m, config.k)))
             jscc = jscc_loss(g_b, h_b, x, tape_a.const(z.value), config.P_t, config.sigma_n_sq,
                              state.streams["noise"])
@@ -235,8 +235,8 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
         # (b) f and r learn through z into the pair, bound frozen once updated
         frozen = _snapshot(nets, ("g", "h"))
         if config.eta > 0:
-            g_b = BoundMlp(tape, nets.g, trainable=False)
-            h_b = BoundMlp(tape, nets.h, trainable=False)
+            g_b = BoundMlp(tape, nets.g)
+            h_b = BoundMlp(tape, nets.h)
             x = tape.const(state.streams["x"].normal((m, config.k)))
             jt = _jscc_graph(g_b, h_b, x, z, config.P_t, config.sigma_n_sq, state.streams["noise"])
             loss = data_loss(loss, jt, config.eta)
@@ -268,8 +268,8 @@ def evaluate(state: TrainState, config: GameConfig, d_eval: np.ndarray, epoch: i
     jscc = None
     if config.regularizer == "aj":
         tape = EagerTape()
-        g_b = BoundMlp(tape, state.networks.g, trainable=False)
-        h_b = BoundMlp(tape, state.networks.h, trainable=False)
+        g_b = BoundMlp(tape, state.networks.g)
+        h_b = BoundMlp(tape, state.networks.h)
         x = tape.const(state.streams["eval"].normal((z.shape[0], config.k)))
         jt = _jscc_graph(g_b, h_b, x, tape.const(z), config.P_t, config.sigma_n_sq,
                          state.streams["eval"])
@@ -296,9 +296,13 @@ def check_training_inputs(config: GameConfig, dataset: Dataset,
         raise ConfigError("eval_every must be >= 1")
     if dataset.count == 0:
         raise ConfigError("dataset is empty")
-    if float(dataset.images.min()) < 0.0 or float(dataset.images.max()) > 1.0:
-        raise ConfigError("dataset values must lie in [0, 1]")
     train_images, eval_images = split_eval(dataset, eval_dataset)
+    for split, images in (("training", train_images), ("evaluation", eval_images)):
+        if images.shape[1:] != (config.n,):
+            raise ConfigError(f"{split} images have shape {images.shape}, need [rows, {config.n}]")
+        # min and max carry a NaN through, and a NaN fails both comparisons
+        if images.size and not (0.0 <= float(images.min()) and float(images.max()) <= 1.0):
+            raise ConfigError(f"{split} values must be finite and lie in [0, 1]")
     if train_images.shape[0] < config.batch_size:
         raise ConfigError(
             f"batch_size {config.batch_size} exceeds training rows {train_images.shape[0]}")

@@ -186,19 +186,12 @@ def init_params(role: str, layer_dims, rng: Rng) -> MlpParams:
 
 
 class BoundMlp:
-    """One network's parameters recorded onto a tape.
+    """One network's parameters recorded onto a tape as leaves, one per parameter in
+    `array_names()` order; a network is trained when backward is asked for its `nodes`."""
 
-    Trainable binding records parameters as inputs named `<role>.<param>` so
-    gradients can target them; frozen binding records constants.
-    """
-
-    def __init__(self, tape: Tape, params: MlpParams, trainable: bool):
+    def __init__(self, tape: Tape, params: MlpParams):
         self.params = params
-        self.nodes: dict[str, Tensor] = {}
-        for pname in params.array_names():
-            arr = params.array(pname)
-            self.nodes[pname] = (tape.input(f"{params.role}.{pname}", arr) if trainable
-                                 else tape.const(arr))
+        self.nodes: dict[str, Tensor] = {p: tape.const(params.array(p)) for p in params.array_names()}
 
     def __call__(self, x: Tensor) -> Tensor:
         return mlp_forward_graph(self, x)
@@ -221,7 +214,7 @@ def mlp_forward_graph(bound: BoundMlp, x: Tensor) -> Tensor:
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Inference forward pass: the graph forward on a record-free tape."""
     tape = EagerTape()
-    return mlp_forward_graph(BoundMlp(tape, params, trainable=False), tape.const(x)).value
+    return mlp_forward_graph(BoundMlp(tape, params), tape.const(x)).value
 
 
 POWER_EPS = 1e-5

@@ -1,4 +1,5 @@
-"""Shared fixtures: fabricated IDX payloads, record-free normalization, MNIST discovery."""
+"""Shared fixtures: fabricated IDX payloads, record-free normalization, finite differences,
+MNIST discovery."""
 
 import os
 
@@ -33,6 +34,25 @@ def power_normalize_reference(z, target_power):
     z = np.asarray(z, dtype=np.float64)
     c = z - z.mean(axis=0)
     return np.sqrt(target_power) * c / np.sqrt((c * c).mean(axis=0) + POWER_EPS)
+
+
+def fd_gradient(loss_of, array, h=1e-5):
+    """Central differences of `loss_of()` with respect to each entry of the float64 `array`.
+
+    `loss_of` records a fresh graph that reads `array` and returns its shape-[1] loss; each
+    entry is bumped in place by +-h around one call each, then restored.
+    """
+    assert array.dtype == np.float64, "a float32 array would lose the step"
+    grad = np.zeros_like(array)
+    for i in range(array.size):
+        base = array.flat[i]
+        array.flat[i] = base + h
+        hi = loss_of().value[0]
+        array.flat[i] = base - h
+        lo = loss_of().value[0]
+        array.flat[i] = base
+        grad.flat[i] = (hi - lo) / (2 * h)
+    return grad
 
 
 def traced_peak(fn):

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import kl_diag_gaussian, mmd_imq, reparameterize
-from latentjam.autodiff import Tape, backward_grads, detach, forward_eval
+from conftest import fd_gradient, kl_diag_gaussian, mmd_imq, reparameterize
+from latentjam.autodiff import Tape, backward_grads, detach
 from latentjam.data_io import BatchPlan, batches, load_idx, synth_source
 from latentjam.game import (GameConfig, channel_output, data_loss, init_state,
                             jscc_loss, train, train_step)
 from latentjam.metrics import pearson_dpc
-from latentjam.nets import BoundMlp, make_networks, power_normalize
+from latentjam.nets import BoundMlp, MlpParams, NetworkRoles, make_networks, power_normalize
 from latentjam.oracle import (OracleSpec, isotropic_matching, matching_residual,
                               matching_samples, mc_game_value, saddle_strategy,
                               saddle_verify, scalar_saddle_distortion)
@@ -33,7 +33,6 @@ from latentjam import game
 
 MNIST_SEED = 0  # the single fixed seed used by every MNIST benchmark below
 
-FD_STEP = 1e-5
 FD_FLOOR = 1e-5
 
 
@@ -96,34 +95,24 @@ def test_criterion_03_matching_residual_separates_gaussian_from_uniform():
 # ============================================================
 
 
-def _fd_against_analytic(tape, loss, bound_list):
+def _fd_against_analytic(loss_of, roles):
     """Worst relative error between backward pass and central differences.
 
-    Probes every parameter of the listed bound networks. Replays see
-    through a detach (the forward value is recomputed), so each loss is
-    checked only on the parameters its training phase actually updates.
+    `loss_of()` records the loss on a fresh float64 tape and returns (tape, bound networks by
+    role, loss); every parameter of the listed roles is probed. A rebuilt graph recomputes
+    the value behind a detach too, so each loss is checked only on the parameters its
+    training phase actually updates.
     """
-    tape.mark_output("fd_loss", loss)
+    tape, bound, loss = loss_of()
     # the differences need the tape's float64 default, whatever the parameters' dtype
     assert {node.value.dtype for node in tape.nodes} == {np.dtype(np.float64)}
     worst = 0.0
-    for b in bound_list:
-        names = list(b.nodes)
-        analytic = backward_grads(tape, loss, [b.nodes[p] for p in names])
-        for pname, an in zip(names, analytic):
-            node_name = f"{b.params.role}.{pname}"
-            base = np.asarray(b.nodes[pname].value, dtype=np.float64)
-            fd = np.zeros_like(base)
-            flat = fd.ravel()
-            for i in range(base.size):
-                bump = base.ravel().copy()
-                bump[i] += FD_STEP
-                hi = forward_eval(tape, {node_name: bump.reshape(base.shape)})["fd_loss"]
-                bump[i] -= 2.0 * FD_STEP
-                lo = forward_eval(tape, {node_name: bump.reshape(base.shape)})["fd_loss"]
-                flat[i] = (float(np.ravel(hi)[0]) - float(np.ravel(lo)[0])) / (2.0 * FD_STEP)
-            denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), FD_FLOOR)
-            worst = max(worst, float(np.max(np.abs(fd - an) / denom)))
+    for role in roles:
+        b = bound[role]
+        an = np.concatenate([g.ravel() for g in backward_grads(tape, loss, list(b.nodes.values()))])
+        fd = fd_gradient(lambda: loss_of()[2], b.params.buffer)
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), FD_FLOOR)
+        worst = max(worst, float(np.max(np.abs(fd - an) / denom)))
     return worst
 
 
@@ -135,34 +124,37 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
                                                               sigma_n_sq, eta, seed):
     rng = Rng(seed)
     nets = make_networks(k, n, jh, "aj", rng.spawn("init"), dh)
+    # float64 copies to bump: a float32 buffer would lose the step
+    nets = NetworkRoles(**{role: MlpParams(p.role, p.layer_dims, p.buffer.astype(np.float64))
+                           for role, p in nets.present().items()})
     d_batch = rng.spawn("d").normal((8, n))
     x_batch = rng.spawn("x").normal((8, k))
 
-    # auxiliary loss, gradients wrt (g, h) with z detached
-    tape = Tape()
-    f_b = BoundMlp(tape, nets.f, trainable=True)
-    g_b = BoundMlp(tape, nets.g, trainable=True)
-    h_b = BoundMlp(tape, nets.h, trainable=True)
-    d = tape.const(d_batch)
-    z = detach(power_normalize(f_b(d), 1.0))
-    x = tape.const(x_batch)
-    loss_a = jscc_loss(g_b, h_b, x, z, 1.0, sigma_n_sq, rng.spawn("noise/a"))
-    assert _fd_against_analytic(tape, loss_a, [g_b, h_b]) <= 1e-4
+    def bind(tape):
+        return {role: BoundMlp(tape, p) for role, p in nets.present().items()}
 
-    # compressor loss, gradients wrt (f, r) through the frozen channel pair
-    tape = Tape()
-    f_b = BoundMlp(tape, nets.f, trainable=True)
-    r_b = BoundMlp(tape, nets.r, trainable=True)
-    g_b = BoundMlp(tape, nets.g, trainable=False)
-    h_b = BoundMlp(tape, nets.h, trainable=False)
-    d = tape.const(d_batch)
-    z = power_normalize(f_b(d), 1.0)
-    recon = ad.mean_all(ad.square(d - r_b(z)))
-    y = power_normalize(g_b(tape.const(x_batch)), 1.0)
-    x_hat = h_b(channel_output(y, z, sigma_n_sq, rng.spawn("noise/b")))
-    jt = ad.mean_all(ad.square(tape.const(x_batch) - x_hat))
-    loss_b = data_loss(recon, jt, eta)
-    assert _fd_against_analytic(tape, loss_b, [f_b, r_b]) <= 1e-4
+    def auxiliary_loss():
+        # gradients wrt (g, h) with z detached
+        tape = Tape()
+        b = bind(tape)
+        z = detach(power_normalize(b["f"](tape.const(d_batch)), 1.0))
+        x = tape.const(x_batch)
+        return tape, b, jscc_loss(b["g"], b["h"], x, z, 1.0, sigma_n_sq, rng.spawn("noise/a"))
+
+    def compressor_loss():
+        # gradients wrt (f, r) through the frozen channel pair
+        tape = Tape()
+        b = bind(tape)
+        d = tape.const(d_batch)
+        z = power_normalize(b["f"](d), 1.0)
+        recon = ad.mean_all(ad.square(d - b["r"](z)))
+        y = power_normalize(b["g"](tape.const(x_batch)), 1.0)
+        x_hat = b["h"](channel_output(y, z, sigma_n_sq, rng.spawn("noise/b")))
+        jt = ad.mean_all(ad.square(tape.const(x_batch) - x_hat))
+        return tape, b, data_loss(recon, jt, eta)
+
+    assert _fd_against_analytic(auxiliary_loss, ("g", "h")) <= 1e-4
+    assert _fd_against_analytic(compressor_loss, ("f", "r")) <= 1e-4
 
 
 # ============================================================
@@ -210,9 +202,9 @@ def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
         # independent phase (a) replica: backward through a detached z
         probe = Rng(derive_seed(cfg.seed, f"probe/{i}"))
         tape = Tape()
-        f_b = BoundMlp(tape, state.networks.f, trainable=True)
-        g_b = BoundMlp(tape, state.networks.g, trainable=True)
-        h_b = BoundMlp(tape, state.networks.h, trainable=True)
+        f_b = BoundMlp(tape, state.networks.f)
+        g_b = BoundMlp(tape, state.networks.g)
+        h_b = BoundMlp(tape, state.networks.h)
         z = detach(power_normalize(f_b(tape.const(batch)), cfg.P_a))
         x = tape.const(probe.spawn("x").normal((batch.shape[0], cfg.k)))
         loss = jscc_loss(g_b, h_b, x, z, cfg.P_t, cfg.sigma_n_sq, probe.spawn("noise"))

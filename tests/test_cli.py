@@ -11,6 +11,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from conftest import idx_image_bytes
 from latentjam.cli import (
     load_checkpoint,
     main,
@@ -246,6 +247,25 @@ data.images = {tmp_path}/missing-images.idx
 run.output_dir = {out}
 """)
     assert main(["train", cfg]) == 3
+
+
+def test_exit_2_before_training_when_eval_images_are_another_width(tmp_path, monkeypatch,
+                                                                      write_idx, capsys):
+    monkeypatch.setattr(game, "train_step", None)  # any training step would fail loudly
+    pixels = np.arange(256 * 9, dtype=np.uint8).reshape(256, 3, 3)
+    out = tmp_path / "widths"
+    cfg = write_cfg(tmp_path, f"""
+game.k = 2
+game.batch_size = 32
+data.kind = idx
+data.images = {write_idx("train.idx", idx_image_bytes(pixels[:, :2, :2]))}
+data.eval_images = {write_idx("eval.idx", idx_image_bytes(pixels))}
+run.output_dir = {out}
+""")
+    assert main(["train", cfg]) == 2
+    assert capsys.readouterr().err == ("config error: evaluation images have shape (256, 9), "
+                                       "need [rows, 4]\n")
+    assert not (out / "metrics.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -593,7 +613,17 @@ def test_metrics_path_that_is_a_directory_exits_2_before_training(tmp_path, monk
     assert sorted(os.listdir(out)) == ["metrics.csv"]
 
 
-@pytest.mark.parametrize("artifact", ["resolved-config.txt", os.path.join("samples", "sample-00000.pgm")])
+def test_sample_path_that_is_a_directory_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", None)  # training would fail loudly
+    out = tmp_path / "run"
+    sample = out / "samples" / "sample-00002.pgm"  # the last of run.sample_count = 3
+    sample.mkdir(parents=True)
+    assert main(["train", write_cfg(tmp_path, SMALL_TRAIN.format(out=out))]) == 2
+    assert capsys.readouterr().err == f"config error: sample path {sample} is a directory\n"
+    assert sorted(os.listdir(out)) == ["samples"]
+
+
+@pytest.mark.parametrize("artifact", ["resolved-config.txt"])
 def test_train_artifact_that_is_a_directory_exits_2(tmp_path, capsys, artifact):
     out = tmp_path / "run"
     (out / artifact).mkdir(parents=True)

@@ -12,7 +12,7 @@ from scipy.special import expit
 from conftest import normalized
 from latentjam import autodiff as ad
 from latentjam import game
-from latentjam.autodiff import Tape, backward_grads, detach, forward_eval
+from latentjam.autodiff import Tape, backward_grads, detach
 from latentjam.data_io import BatchPlan, Dataset, batches, synth_source
 from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.game import (
@@ -159,9 +159,9 @@ def test_jscc_loss_requires_detached_jammer():
     cfg = GameConfig(k=2, n=3, jscc_hidden=8, data_hidden=8, seed=0)
     state = init_state(cfg)
     tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, trainable=True)
-    h_b = BoundMlp(tape, state.networks.h, trainable=True)
+    f_b = BoundMlp(tape, state.networks.f)
+    g_b = BoundMlp(tape, state.networks.g)
+    h_b = BoundMlp(tape, state.networks.h)
     d = tape.const(synth_source("gaussian", 8, 3, seed=0).images)
     x = tape.const(Rng(0).normal((8, 2)))
     z_live = power_normalize(f_b(d), cfg.P_a)
@@ -178,8 +178,8 @@ def scalar(t) -> float:
 def test_jscc_dead_decoder_sees_source_power():
     # h == 0 means x_hat == 0, so the loss is E[x^2] ~ 1
     tape = Tape()
-    g_b = BoundMlp(tape, passthrough_mlp("g", 2), trainable=False)
-    h_b = BoundMlp(tape, passthrough_mlp("h", 2, skip_scale=0.0), trainable=False)
+    g_b = BoundMlp(tape, passthrough_mlp("g", 2))
+    h_b = BoundMlp(tape, passthrough_mlp("h", 2, skip_scale=0.0))
     x = tape.const(Rng(derive_seed(1, "jscc/dead")).normal((4096, 2)))
     z = tape.const(np.zeros((4096, 2)))
     loss = jscc_loss(g_b, h_b, x, z, 1.0, 0.0, Rng(0))
@@ -188,8 +188,8 @@ def test_jscc_dead_decoder_sees_source_power():
 
 def test_jscc_identity_codec_clean_channel():
     tape = Tape()
-    g_b = BoundMlp(tape, passthrough_mlp("g", 2), trainable=False)
-    h_b = BoundMlp(tape, passthrough_mlp("h", 2), trainable=False)
+    g_b = BoundMlp(tape, passthrough_mlp("g", 2))
+    h_b = BoundMlp(tape, passthrough_mlp("h", 2))
     x = tape.const(Rng(derive_seed(2, "jscc/id")).normal((4096, 2)))
     z = tape.const(np.zeros((4096, 2)))
     loss = jscc_loss(g_b, h_b, x, z, 1.0, 0.0, Rng(0))
@@ -199,8 +199,8 @@ def test_jscc_identity_codec_clean_channel():
 def test_jscc_halving_decoder_against_unit_jammer():
     # x_hat = 0.5 (y + z) with y ~ x gives E[(x - x_hat)^2] ~ 0.25 (1 + 1)
     tape = Tape()
-    g_b = BoundMlp(tape, passthrough_mlp("g", 2), trainable=False)
-    h_b = BoundMlp(tape, passthrough_mlp("h", 2, skip_scale=0.5), trainable=False)
+    g_b = BoundMlp(tape, passthrough_mlp("g", 2))
+    h_b = BoundMlp(tape, passthrough_mlp("h", 2, skip_scale=0.5))
     rng = Rng(derive_seed(3, "jscc/half"))
     x = tape.const(rng.spawn("x").normal((4096, 2)))
     z = tape.const(rng.spawn("z").normal((4096, 2)))
@@ -230,7 +230,7 @@ def test_data_loss_subtracts_scaled_channel_term():
 def test_data_loss_exact_on_perfect_reconstruction():
     # zero-weight sigmoid reconstructor emits 0.5 everywhere; feed it 0.5s
     tape = Tape()
-    r_b = BoundMlp(tape, zero_reconstructor(2, 3), trainable=False)
+    r_b = BoundMlp(tape, zero_reconstructor(2, 3))
     d = tape.const(np.full((16, 3), 0.5))
     z = tape.const(np.zeros((16, 2)))
     recon = ad.mean_all(ad.square(d - r_b(z)))
@@ -318,14 +318,13 @@ def test_phase_a_gradients_blocked_by_detach():
     state = init_state(cfg)
     batch = synth_source("gaussian", 16, 3, seed=5).images
     tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, trainable=True)
-    h_b = BoundMlp(tape, state.networks.h, trainable=True)
+    f_b = BoundMlp(tape, state.networks.f)
+    g_b = BoundMlp(tape, state.networks.g)
+    h_b = BoundMlp(tape, state.networks.h)
     d = tape.const(batch)
     z = detach(power_normalize(f_b(d), cfg.P_a))
     x = tape.const(Rng(derive_seed(5, "phase-a")).normal((16, 2)))
     loss = jscc_loss(g_b, h_b, x, z, cfg.P_t, cfg.sigma_n_sq, Rng(6))
-    tape.mark_output("loss", loss)
     f_tensors = list(f_b.nodes.values())
     grads = backward_grads(tape, loss, f_tensors)
     assert all(np.all(g == 0.0) for g in grads)
@@ -339,14 +338,13 @@ def test_phase_a_without_detach_would_leak():
     state = init_state(cfg)
     batch = synth_source("gaussian", 16, 3, seed=6).images
     tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, trainable=True)
-    h_b = BoundMlp(tape, state.networks.h, trainable=True)
+    f_b = BoundMlp(tape, state.networks.f)
+    g_b = BoundMlp(tape, state.networks.g)
+    h_b = BoundMlp(tape, state.networks.h)
     d = tape.const(batch)
     z_live = power_normalize(f_b(d), cfg.P_a)
     x = tape.const(Rng(derive_seed(6, "leak")).normal((16, 2)))
     loss = _jscc_graph(g_b, h_b, x, z_live, cfg.P_t, cfg.sigma_n_sq, Rng(7))
-    tape.mark_output("loss", loss)
     grads = backward_grads(tape, loss, list(f_b.nodes.values()))
     assert any(np.any(g != 0.0) for g in grads)
 
@@ -473,7 +471,7 @@ def test_a_leaf_reached_twice_accumulates_in_backward_order():
     use_grads = []
     for d in parts:
         tape = Tape(np.float32)
-        f_b = BoundMlp(tape, params, trainable=True)
+        f_b = BoundMlp(tape, params)
         loss = ad.mean_all(ad.square(f_b(tape.const(d))))
         use_grads.append(backward_grads(tape, loss, list(f_b.nodes.values())))
     want = [(g3 + g2) + g1 for g1, g2, g3 in zip(*use_grads)]
@@ -481,7 +479,7 @@ def test_a_leaf_reached_twice_accumulates_in_backward_order():
     ad.adam_step(expected, want, ad.AdamState(lr=cfg.lr))
 
     tape = Tape(np.float32)
-    f_b = BoundMlp(tape, params, trainable=True)
+    f_b = BoundMlp(tape, params)
     terms = [ad.mean_all(ad.square(f_b(tape.const(d)))) for d in parts]
     game._update(state, tape, terms[0] + terms[1] + terms[2], [f_b])
     assert np.array_equal(params.buffer, expected.buffer)
@@ -539,24 +537,24 @@ def test_compressor_steers_channel_loss_both_ways():
     for i in range(20):
         train_step(state, data[16 * i:16 * (i + 1)], cfg)
     batch = data[:16]
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f, trainable=True)
-    g_b = BoundMlp(tape, state.networks.g, trainable=False)
-    h_b = BoundMlp(tape, state.networks.h, trainable=False)
-    d = tape.const(batch)
-    z = power_normalize(f_b(d), cfg.P_a)
-    x = tape.const(Rng(derive_seed(7, "steer")).normal((16, 2)))
-    jt = _jscc_graph(g_b, h_b, x, z, cfg.P_t, cfg.sigma_n_sq, Rng(8))
-    tape.mark_output("jt", jt)
-    f_tensors = list(f_b.nodes.values())
-    grads = backward_grads(tape, jt, f_tensors)
-    base = scalar(jt)
+    x_batch = Rng(derive_seed(7, "steer")).normal((16, 2))
+    f = state.networks.f
+    f = MlpParams(f.role, f.layer_dims, f.buffer.astype(np.float64))
+
+    def jscc_of():
+        tape = Tape()
+        f_b = BoundMlp(tape, f)
+        g_b, h_b = BoundMlp(tape, state.networks.g), BoundMlp(tape, state.networks.h)
+        z = power_normalize(f_b(tape.const(batch)), cfg.P_a)
+        jt = _jscc_graph(g_b, h_b, tape.const(x_batch), z, cfg.P_t, cfg.sigma_n_sq, Rng(8))
+        return tape, f_b, jt
+
+    tape, f_b, jt = jscc_of()
+    grad = np.concatenate([g.ravel() for g in backward_grads(tape, jt, list(f_b.nodes.values()))])
+    base, start = scalar(jt), f.buffer.copy()
     for sign, cmp in ((+1.0, np.greater), (-1.0, np.less)):
-        bumped = {}
-        for (pname, tensor), g in zip(f_b.nodes.items(), grads):
-            bumped[f"f.{pname}"] = tensor.value + sign * 1e-3 * g
-        replay = forward_eval(tape, bumped)["jt"]
-        assert cmp(float(np.asarray(replay).ravel()[0]), base), f"sign {sign}"
+        f.buffer[:] = start + sign * 1e-3 * grad
+        assert cmp(scalar(jscc_of()[2]), base), f"sign {sign}"
 
 
 # ============================================================
@@ -573,6 +571,16 @@ def test_train_validates_inputs():
     with pytest.raises(ConfigError, match=r"\[0, 1\]"):
         train(cfg, bad_range)
     ds = synth_source("gaussian", 64, 3, seed=0)
+    # both splits are checked: width, and every value finite and in [0, 1]
+    for images, eval_images, match in (
+            (ds.images[:, :2], ds.images, r"training images have shape \(64, 2\), need \[rows, 3\]"),
+            (ds.images, ds.images[:, :2], r"evaluation images have shape \(64, 2\)"),
+            (np.where(np.arange(3) == 1, np.nan, ds.images), None, "training values must be finite"),
+            (ds.images, np.where(np.arange(3) == 1, 5.0, ds.images), r"evaluation values .*\[0, 1\]"),
+            (ds.images, np.where(np.arange(3) == 1, np.nan, ds.images), "evaluation values")):
+        eval_ds = None if eval_images is None else Dataset(eval_images, {})
+        with pytest.raises(ConfigError, match=match):
+            train(cfg, Dataset(images, {}), eval_ds)
     with pytest.raises(ConfigError, match="eval_every"):
         train(cfg, ds, eval_every=0)
     with pytest.raises(ConfigError, match="batch_size"):

@@ -37,7 +37,7 @@ def _trained_pair_value(family: str, variance: float):
     source, jam, noise = (Rng(SEED).spawn(label) for label in ("x", "jammer", "noise"))
     for _ in range(UPDATES):
         tape = Tape(TRAIN_DTYPE)
-        g_b, h_b = BoundMlp(tape, g, trainable=True), BoundMlp(tape, h, trainable=True)
+        g_b, h_b = BoundMlp(tape, g), BoundMlp(tape, h)
         x = tape.const(source.normal((BATCH, 1)))
         z = tape.const(_jammer(family, variance, BATCH, jam))
         _update(state, tape, jscc_loss(g_b, h_b, x, z, cfg.P_t, cfg.sigma_n_sq, noise), [g_b, h_b])

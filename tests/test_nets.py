@@ -84,8 +84,8 @@ def test_parameters_are_views_of_one_buffer(tmp_path, source):
     assert sum(v.size for v in views) == params.buffer.size
     laid_out = np.concatenate([params.array(name).ravel() for name in params.array_names()])
     assert np.array_equal(laid_out, params.buffer)
-    # a trainable binding reads the buffer itself, so an update after backward shows through it
-    bound = BoundMlp(Tape(params.buffer.dtype), params, trainable=True)
+    # a binding reads the buffer itself, so an update after backward shows through it
+    bound = BoundMlp(Tape(params.buffer.dtype), params)
     leaves = {name: node.value for name, node in bound.nodes.items()}
     before = params.buffer.copy()
     adam_step(params, [np.ones_like(params.array(name)) for name in params.array_names()],
@@ -172,7 +172,7 @@ def test_record_free_forward_equals_recorded_bitwise():
         p = init_params(role, [4, 6, 4], Rng(seed))
         x = Rng(seed + 100).normal((5, 4))
         tape = Tape()
-        bound = BoundMlp(tape, p, trainable=False)
+        bound = BoundMlp(tape, p)
         recorded = bound(tape.const(x)).value
         assert len(tape.nodes) > 0
         assert np.array_equal(mlp_apply(p, x), recorded)
@@ -202,7 +202,7 @@ def test_forward_of_1d_input_is_shape_error():
         mlp_apply(p, np.ones(2))
     tape = Tape()
     with pytest.raises(ShapeError):
-        mlp_forward_graph(BoundMlp(tape, p, trainable=True), tape.const(np.ones(2)))
+        mlp_forward_graph(BoundMlp(tape, p), tape.const(np.ones(2)))
 
 
 def test_forward_overflow_names_the_op_on_record_free_tape():
@@ -283,9 +283,9 @@ def test_power_normalize_is_one_node():
     # the backward recomputes the batch statistics from the input, so the node keeps only
     # its output
     tape = Tape(np.float32)
-    z = tape.input("z", Rng(49).normal((128, 2)))
+    z = tape.const(Rng(49).normal((128, 2)))
     out = power_normalize(z, 1.0)
-    assert [node.op for node in tape.nodes] == ["input", "power_normalize"]
+    assert [node.op for node in tape.nodes] == ["const", "power_normalize"]
     assert out.value.dtype == np.float32
     (g,) = backward_grads(tape, ad.sum_all(out * tape.const(np.ones((128, 2)))), [z])
     assert g.dtype == np.float32 and g.shape == (128, 2)
@@ -294,7 +294,7 @@ def test_power_normalize_is_one_node():
 def test_power_normalize_is_differentiable():
     z = Rng(10).normal((16, 2))
     tape = Tape()
-    zt = tape.input("z", z)
+    zt = tape.const(z)
     loss = ad.mean_all(ad.square(power_normalize(zt, 1.0)))
     (g,) = backward_grads(tape, loss, [zt])
     assert g.shape == z.shape
