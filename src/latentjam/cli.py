@@ -19,6 +19,7 @@ import dataclasses
 import logging
 import os
 import sys
+import typing
 import zipfile
 
 import numpy as np
@@ -45,25 +46,22 @@ _MEMBER_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest a zip member can carry
 # ============================================================
 
 
+def _casters(config_class) -> dict:
+    """{field: type} of a config dataclass, in field order; an Optional[T] field is cast as T."""
+    hints = typing.get_type_hints(config_class)
+    return {f.name: next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
+                         hints[f.name]) for f in dataclasses.fields(config_class)}
+
+
+_SUITE_KEYS = {"samples": int, "grid_samples": int, "matching_samples": int, "seed": int}
 _SCHEMA = {
-    "game": {
-        "k": int, "n": int, "P_t": float, "P_a": float, "sigma_n_sq": float,
-        "eta": float, "regularizer": str, "batch_size": int, "epochs": int,
-        "lr": float, "jscc_steps_per_data_step": int, "seed": int,
-        "jscc_hidden": int, "data_hidden": int, "lambda_weight": float,
-        "mmd_scale": float,
-    },
+    "game": _casters(GameConfig),
     "data": {
-        "kind": str, "images": str, "labels": str, "eval_images": str,
-        "eval_labels": str, "synth_kind": str, "count": int, "eval_count": int,
-        "n": int, "seed": int,
+        "kind": str, "images": str, "eval_images": str, "synth_kind": str, "count": int,
+        "eval_count": int, "n": int, "seed": int,
     },
     "run": {"output_dir": str, "eval_every": int, "sample_count": int},
-    "oracle": {
-        "sigma_x_sq": float, "P_t": float, "P_a": float, "sigma_n_sq": float,
-        "k": int, "samples": int, "grid_samples": int, "matching_samples": int,
-        "seed": int,
-    },
+    "oracle": {**_casters(OracleSpec), **_SUITE_KEYS},  # spec fields, then the suite's own keys
 }
 
 
@@ -106,11 +104,8 @@ def _load_datasets(data_cfg: dict, game_seed: int):
     if kind == "idx":
         if "images" not in data_cfg:
             raise ConfigError("data.kind=idx requires data.images")
-        ds = load_idx(data_cfg["images"], data_cfg.get("labels"), split="train")
-        eval_ds = None
-        if "eval_images" in data_cfg:
-            eval_ds = load_idx(data_cfg["eval_images"], data_cfg.get("eval_labels"), split="test")
-        return ds, eval_ds
+        eval_ds = load_idx(data_cfg["eval_images"]) if "eval_images" in data_cfg else None
+        return load_idx(data_cfg["images"]), eval_ds
     if kind == "synth":
         for req in ("synth_kind", "count", "n"):
             if req not in data_cfg:
@@ -309,10 +304,8 @@ def run_oracle(config_path) -> int:
     run_cfg = sections["run"]
     if "output_dir" not in run_cfg:
         raise ConfigError("run.output_dir is required")
-    spec = OracleSpec(
-        sigma_x_sq=ocfg.get("sigma_x_sq", 1.0), P_t=ocfg.get("P_t", 1.0),
-        P_a=ocfg.get("P_a", 1.0), sigma_n_sq=ocfg.get("sigma_n_sq", 0.0),
-        k=ocfg.get("k", 2))
+    # the suite defaults to k = 2; every other spec default is OracleSpec's own
+    spec = OracleSpec(**{"k": 2, **{key: v for key, v in ocfg.items() if key not in _SUITE_KEYS}})
     samples = _sample_count(ocfg.get("samples", 1_000_000), "oracle.samples", MC_MIN_SAMPLES)
     grid_samples = _sample_count(ocfg.get("grid_samples", 400_000), "oracle.grid_samples",
                                  MC_MIN_SAMPLES)
@@ -329,8 +322,8 @@ def run_oracle(config_path) -> int:
     rel = abs(mc.value - d_star) / d_star if d_star != 0 else abs(mc.value)
     rows.append(("saddle_mc_rel_err", rel, 0.01, "pass" if rel <= 0.01 else "FAIL"))
     for k in (1, 2, 8):
-        spec_k = OracleSpec(spec.sigma_x_sq, spec.P_t, spec.P_a, spec.sigma_n_sq, k)
-        report = saddle_verify(spec_k, samples=grid_samples, seed=derive_seed(seed, f"verify/{k}"))
+        report = saddle_verify(dataclasses.replace(spec, k=k), samples=grid_samples,
+                               seed=derive_seed(seed, f"verify/{k}"))
         worst = max(report.max_jammer_gain, report.max_codec_loss)
         rows.append((f"saddle_verify_k{k}", worst, "3se",
                      "pass" if report.passed else "FAIL"))

@@ -1,9 +1,9 @@
 """Dataset ingestion (IDX image files), synthetic sources, deterministic batching.
 
 IDX is the classic big-endian digit-image format: a u32 magic (0x00000803
-for image tensors, 0x00000801 for label vectors), u32 dimension sizes, then
-raw unsigned bytes. Pixels land in [0, 1] as float64; nothing here touches
-the network.
+for image tensors), u32 dimension sizes, then raw unsigned bytes. Only
+images are read; no verb uses labels. Pixels land in [0, 1] as float64;
+nothing here touches the network.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from .errors import ConfigError, DataFormatError
 from .rng import Rng, derive_seed
 
 IMAGES_MAGIC = 0x00000803
-LABELS_MAGIC = 0x00000801
 
 
 @dataclass
 class Dataset:
-    """Flattened image rows in [0, 1] plus descriptive metadata."""
+    """Flattened image rows in [0, 1]; metadata holds the image `rows` and `cols`."""
 
     images: np.ndarray  # [count, n] float64
     metadata: dict
@@ -50,8 +49,8 @@ def _u32(buf: bytes, offset: int) -> int:
     return int.from_bytes(buf[offset:offset + 4], byteorder="big")
 
 
-def load_idx(images_path, labels_path=None, name: str = "idx", split: str = "train") -> Dataset:
-    """Parse an IDX image file (and optional label file) into a Dataset."""
+def load_idx(images_path) -> Dataset:
+    """Parse an IDX image file into a Dataset."""
     buf = _read_file(images_path)
     if len(buf) < 16:
         raise DataFormatError(f"{images_path}: truncated header ({len(buf)} bytes)")
@@ -66,21 +65,7 @@ def load_idx(images_path, labels_path=None, name: str = "idx", split: str = "tra
         raise DataFormatError(f"{images_path}: length {len(buf)} != expected {expected} for {count}x{rows}x{cols}")
     pixels = np.frombuffer(buf, dtype=np.uint8, offset=16).astype(np.float64) / 255.0
     images = pixels.reshape(count, rows * cols)
-    metadata = {"name": name, "rows": rows, "cols": cols, "channels": 1, "split": split}
-    if labels_path is not None:
-        lbuf = _read_file(labels_path)
-        if len(lbuf) < 8:
-            raise DataFormatError(f"{labels_path}: truncated header")
-        lmagic = _u32(lbuf, 0)
-        if lmagic != LABELS_MAGIC:
-            raise DataFormatError(f"{labels_path}: bad magic 0x{lmagic:08X}, expected 0x{LABELS_MAGIC:08X}")
-        lcount = _u32(lbuf, 4)
-        if len(lbuf) != 8 + lcount:
-            raise DataFormatError(f"{labels_path}: length {len(lbuf)} != expected {8 + lcount}")
-        if lcount != count:
-            raise DataFormatError(f"label count {lcount} != image count {count}")
-        metadata["labels"] = np.frombuffer(lbuf, dtype=np.uint8, offset=8).copy()
-    return Dataset(images, metadata)
+    return Dataset(images, {"rows": rows, "cols": cols})
 
 
 _MIXTURE_CENTERS = np.array([0.25, 0.75])
@@ -111,8 +96,7 @@ def synth_source(kind: str, count: int, n: int, seed: int) -> Dataset:
     images = np.clip(x, 0.0, 1.0, out=x)
     side = int(np.sqrt(n))
     rows, cols = (side, side) if side * side == n else (1, n)
-    return Dataset(images, {"name": f"synth-{kind}", "rows": rows, "cols": cols,
-                            "channels": 1, "split": "train"})
+    return Dataset(images, {"rows": rows, "cols": cols})
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .autodiff import _all_finite
-from .errors import ConfigError, DegenerateGameError, NumericError
+from .errors import ConfigError, DegenerateGameError, NumericError, ShapeError
 from .rng import _BLOCK, Rng
 
 MC_MIN_SAMPLES = 10_000  # the fewest draws a Monte-Carlo game value takes
@@ -253,25 +253,23 @@ def saddle_verify(spec: OracleSpec, perturbations=None, samples: int = 400_000,
 
 @dataclass
 class MatchingSpec:
-    """Diagonalized matching-condition data for S = Sigma Lambda_X Sigma Lambda_Z^-1.
+    """Diagonal matching-condition data for S = Sigma Lambda_X Sigma Lambda_Z^-1.
 
-    sigma, lambda_x, lambda_z hold the diagonals; q_x, q_z are the
-    orthonormal eigenbases. The evaluation grid is axis-aligned: omega =
-    t * e_i for each dimension i and each radius t.
+    sigma, lambda_x, lambda_z hold the diagonals, one entry per dimension; the
+    eigenbases are the coordinate axes. The evaluation grid is axis-aligned:
+    omega = t * e_i for each dimension i and each radius t.
     """
 
     sigma: np.ndarray
     lambda_x: np.ndarray
     lambda_z: np.ndarray
-    q_x: np.ndarray
-    q_z: np.ndarray
     radii: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def __post_init__(self):
-        k = len(self.sigma)
-        for q, label in ((self.q_x, "q_x"), (self.q_z, "q_z")):
-            if not np.allclose(q.T @ q, np.eye(k), atol=1e-10):
-                raise ConfigError(f"{label} is not orthonormal within 1e-10")
+        shapes = [np.shape(d) for d in (self.sigma, self.lambda_x, self.lambda_z)]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+            raise ConfigError(f"sigma, lambda_x and lambda_z must be 1-D and of one length, "
+                              f"got shapes {shapes}")
         if np.any(self.sigma <= 0) or np.any(self.lambda_x <= 0) or np.any(self.lambda_z <= 0):
             raise ConfigError("sigma and eigenvalue diagonals must be positive")
         if max(self.radii) > 1.0 + 1e-12:
@@ -283,24 +281,22 @@ class MatchingSpec:
 
 
 def isotropic_matching(spec: OracleSpec, radii=(0.0, 0.25, 0.5, 0.75, 1.0)) -> MatchingSpec:
-    """Identity eigenbases, Sigma = sqrt(P_t/sigma_x^2) I, Lambda_Z = (sigma_n^2 + P_a) I."""
+    """Sigma = sqrt(P_t/sigma_x^2) I, Lambda_X = sigma_x^2 I, Lambda_Z = (sigma_n^2 + P_a) I."""
     if spec.sigma_x_sq <= 0:
         raise DegenerateGameError("matching condition needs a nondegenerate source")
     if spec.P_t == 0:
         raise DegenerateGameError("zero transmit power gives a degenerate power allocation")
     k = spec.k
-    eye = np.eye(k)
     return MatchingSpec(
         sigma=np.full(k, np.sqrt(spec.P_t / spec.sigma_x_sq)),
         lambda_x=np.full(k, spec.sigma_x_sq),
-        lambda_z=np.full(k, spec.sigma_n_sq + spec.P_a),
-        q_x=eye, q_z=eye, radii=tuple(radii))
+        lambda_z=np.full(k, spec.sigma_n_sq + spec.P_a), radii=tuple(radii))
 
 
 def matching_samples(spec: OracleSpec, jammer: tuple, samples: int, seed: int):
     """Draw (X, N+Z) sample blocks for matching_residual."""
     x, n, z = _draw_game(spec, jammer, (samples, spec.k), Rng(seed))
-    return x, n + z
+    return x, np.add(z, n, out=z)
 
 
 def _cis(arg: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -344,37 +340,40 @@ def _log_cf_slopes(blocks, radii) -> list:
     return slopes
 
 
-def _projected(samples: np.ndarray, basis_column: np.ndarray, scale: float):
-    """(samples @ basis_column) * scale, `_BLOCK` rows at a time."""
+def _column_blocks(samples: np.ndarray, i: int, scale: float):
+    """samples[:, i] * scale, `_BLOCK` rows at a time."""
     for lo in range(0, samples.shape[0], _BLOCK):
-        block = samples[lo:lo + _BLOCK] @ basis_column
-        block *= scale
-        yield block
+        yield samples[lo:lo + _BLOCK, i] * scale
 
 
 def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
                       matching: MatchingSpec) -> float:
     """Max over grid and dims of |dlogF_A/dw_i - S_i dlogF_B/dw_i|.
 
-    A = Sigma Q_X^T X and B = Q_Z^T (N+Z); both log-CFs are quadratic with
-    ratio exactly S when the jammer-plus-noise is Gaussian matched to the
-    source, so the residual is a direct linearity-of-estimation probe. The
-    log-CF slopes are the exact slopes of the empirical CFs (`_log_cf_slopes`).
-    Each column of A and B is projected and consumed `_BLOCK` rows at a
-    time, so no temporary grows with the sample count. A NaN or +-inf
-    sample raises `NumericError` before any projection.
+    A = Sigma X and B = N+Z; both log-CFs are quadratic with ratio exactly S
+    when the jammer-plus-noise is Gaussian matched to the source, so the
+    residual is a direct linearity-of-estimation probe. The log-CF slopes are
+    the exact slopes of the empirical CFs (`_log_cf_slopes`). Each column of A
+    and B is scaled and consumed `_BLOCK` rows at a time, so no temporary
+    grows with the sample count. Either block needs one column per entry of
+    sigma, else `ShapeError`; a NaN or +-inf sample raises `NumericError`
+    before any column is read.
     """
     x = np.asarray(samples_x, dtype=np.float64)
     zn = np.asarray(samples_zn, dtype=np.float64)
+    k = len(matching.sigma)
+    if x.shape[1:] != (k,) or zn.shape[1:] != (k,):
+        raise ShapeError(f"matching_residual needs (rows, {k}) blocks for {k} sigma entries, "
+                         f"got {x.shape} and {zn.shape}")
     if min(x.shape[0], zn.shape[0]) < MATCHING_MIN_SAMPLES:
         raise ConfigError("matching_residual needs >= 1e5 samples per block")
     if not (_all_finite(x) and _all_finite(zn)):
         raise NumericError("matching_residual samples must be finite")
     s = matching.s_diag
     worst = 0.0
-    for i in range(x.shape[1]):
-        lhs = _log_cf_slopes(_projected(x, matching.q_x[:, i], matching.sigma[i]), matching.radii)
-        rhs = _log_cf_slopes(_projected(zn, matching.q_z[:, i], 1.0), matching.radii)
+    for i in range(k):
+        lhs = _log_cf_slopes(_column_blocks(x, i, matching.sigma[i]), matching.radii)
+        rhs = _log_cf_slopes(_column_blocks(zn, i, 1.0), matching.radii)
         for l_t, r_t in zip(lhs, rhs):
             worst = max(worst, abs(l_t - s[i] * r_t))
     return worst

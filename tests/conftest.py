@@ -130,11 +130,6 @@ def idx_image_bytes(pixels: np.ndarray) -> bytes:
     return header + pixels.astype(np.uint8).tobytes()
 
 
-def idx_label_bytes(labels: np.ndarray) -> bytes:
-    header = struct.pack(">II", 0x00000801, len(labels))
-    return header + labels.astype(np.uint8).tobytes()
-
-
 @pytest.fixture
 def write_idx(tmp_path):
     def _write(name: str, payload: bytes):
@@ -146,14 +141,12 @@ def write_idx(tmp_path):
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
     "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
 }
 
 
 def mnist_dir():
-    """Directory holding the four standard IDX files, or None.
+    """Directory holding the two standard IDX image files, or None.
 
     Checked in order: $MNIST_DIR, then data/mnist/ relative to the repo root.
     """
@@ -169,10 +162,8 @@ def mnist_dir():
 
 
 MNIST_SKIP_REASON = (
-    "MNIST IDX files not found; place train-images-idx3-ubyte, train-labels-idx1-ubyte, "
-    "t10k-images-idx3-ubyte, t10k-labels-idx1-ubyte (uncompressed) under $MNIST_DIR or "
-    "data/mnist/ at the repo root. This sandbox has no network access, so the files "
-    "cannot be fetched automatically."
+    "MNIST IDX files not found; place train-images-idx3-ubyte and t10k-images-idx3-ubyte "
+    "(uncompressed) under $MNIST_DIR or data/mnist/ at the repo root; no download is performed."
 )
 
 

@@ -227,13 +227,8 @@ def _mnist_datasets():
         pytest.skip(conftest.MNIST_SKIP_REASON)
     if "data" not in _mnist_cache:
         f = conftest.MNIST_FILES
-        train_ds = load_idx(os.path.join(d, f["train_images"]),
-                            os.path.join(d, f["train_labels"]),
-                            name="mnist", split="train")
-        test_ds = load_idx(os.path.join(d, f["test_images"]),
-                           os.path.join(d, f["test_labels"]),
-                           name="mnist", split="test")
-        _mnist_cache["data"] = (train_ds, test_ds)
+        _mnist_cache["data"] = (load_idx(os.path.join(d, f["train_images"])),
+                                load_idx(os.path.join(d, f["test_images"])))
     return _mnist_cache["data"]
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -122,9 +123,32 @@ def test_parse_config_unknown_key(tmp_path):
         parse_config(path)
 
 
-def test_game_schema_keys_are_the_config_fields():
+def test_game_schema_keys_are_the_config_fields(tmp_path):
     # a deleted setting leaves no live key behind, and a new one cannot miss the schema
     assert set(cli._SCHEMA["game"]) == {f.name for f in dataclasses.fields(GameConfig)}
+    assert set(cli._SCHEMA["oracle"]) == {f.name for f in dataclasses.fields(OracleSpec)} | {
+        "samples", "grid_samples", "matching_samples", "seed"}
+    sections = parse_config(write_cfg(tmp_path, "game.lambda_weight = 2\noracle.k = 2\n"))
+    weight, k = sections["game"]["lambda_weight"], sections["oracle"]["k"]
+    assert (type(weight), weight, type(k), k) == (float, 2.0, int, 2)
+
+
+def test_readme_config_examples_parse(tmp_path):
+    # every `section.key = value` line of each fenced README block is a key the parser accepts
+    with open(os.path.join(_REPO, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    configs = ["".join(line + "\n" for line in block.splitlines()
+                       if re.match(r"[a-z]+\.\w+\s*=", line)) for block in blocks]
+    configs = [text for text in configs if text]
+    assert len(configs) >= 2  # the synthetic and the MNIST training examples
+    for i, text in enumerate(configs):
+        parse_config(write_cfg(tmp_path, text, f"readme-{i}.cfg"))
+
+
+@pytest.mark.parametrize("key", ["data.labels", "data.eval_labels"])
+def test_label_keys_are_unknown(tmp_path, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(write_cfg(tmp_path, f"{key} = labels-idx1-ubyte\n"))
 
 
 def test_removed_check_gradients_key_exits_2(tmp_path, capsys):

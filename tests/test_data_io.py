@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import idx_image_bytes, idx_label_bytes, traced_peak_ratio
+from conftest import idx_image_bytes, traced_peak_ratio
 from latentjam.data_io import BatchPlan, batches, epoch_permutation, load_idx, synth_source
 from latentjam.errors import ConfigError, DataFormatError
 
@@ -58,29 +58,6 @@ def test_load_idx_roundtrip_bytes(write_idx):
     ds = load_idx(write_idx("rt.idx", idx_image_bytes(pixels)))
     back = np.round(ds.images * 255.0).astype(np.uint8)
     assert np.array_equal(back.reshape(pixels.shape), pixels)
-
-
-def test_load_idx_with_labels(write_idx):
-    imgs = write_idx("li.idx", idx_image_bytes(np.zeros((3, 2, 2), dtype=np.uint8)))
-    lbls = write_idx("ll.idx", idx_label_bytes(np.array([7, 0, 9], dtype=np.uint8)))
-    ds = load_idx(imgs, lbls)
-    assert np.array_equal(ds.metadata["labels"], [7, 0, 9])
-
-
-def test_load_idx_label_count_mismatch(write_idx):
-    imgs = write_idx("mi.idx", idx_image_bytes(np.zeros((3, 2, 2), dtype=np.uint8)))
-    lbls = write_idx("ml.idx", idx_label_bytes(np.array([1, 2], dtype=np.uint8)))
-    with pytest.raises(DataFormatError, match="count"):
-        load_idx(imgs, lbls)
-
-
-def test_load_idx_label_bad_magic(write_idx):
-    imgs = write_idx("bi.idx", idx_image_bytes(np.zeros((1, 2, 2), dtype=np.uint8)))
-    bad = bytearray(idx_label_bytes(np.array([1], dtype=np.uint8)))
-    bad[:4] = (0x00000803).to_bytes(4, "big")  # image magic in a label file
-    lbls = write_idx("bl.idx", bytes(bad))
-    with pytest.raises(DataFormatError, match="magic"):
-        load_idx(imgs, lbls)
 
 
 # ============================================================

@@ -4,14 +4,12 @@ import struct
 import zipfile
 import zlib
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import idx_image_bytes
 from latentjam.cli import _SCHEMA, load_checkpoint, parse_config, save_checkpoint
-from latentjam.data_io import IMAGES_MAGIC, LABELS_MAGIC, load_idx
+from latentjam.data_io import IMAGES_MAGIC, load_idx
 from latentjam.errors import CheckpointError, ConfigError, DataFormatError
 from latentjam.game import GameConfig, init_state
 
@@ -65,7 +63,8 @@ def test_parse_config_unreadable_paths(tmp_path):
 
 _DIM = st.one_of(st.integers(0, 4), st.sampled_from([0, 2 ** 16, 2 ** 32 - 1]),
                  st.integers(0, 2 ** 32 - 1))
-_MAGIC = st.one_of(st.sampled_from([IMAGES_MAGIC, LABELS_MAGIC]), st.integers(0, 2 ** 32 - 1))
+_LABELS_MAGIC = 0x00000801  # an IDX label file, which load_idx rejects
+_MAGIC = st.one_of(st.sampled_from([IMAGES_MAGIC, _LABELS_MAGIC]), st.integers(0, 2 ** 32 - 1))
 
 
 @st.composite
@@ -86,15 +85,6 @@ def test_load_idx_on_arbitrary_headers_and_bodies(fuzz_dir, payload):
     path.write_bytes(payload)
     ds = _ends_typed(load_idx, str(path), DataFormatError)
     assert ds is None or (ds.count > 0 and ds.n > 0 and ds.images.shape[0] == ds.count)
-
-
-@given(st.binary(max_size=24))
-def test_load_idx_on_arbitrary_labels(fuzz_dir, payload):
-    images = fuzz_dir / "labelled.idx"
-    images.write_bytes(idx_image_bytes(np.zeros((2, 2, 2), dtype=np.uint8)))
-    labels = fuzz_dir / "fuzz-labels.idx"
-    labels.write_bytes(payload)
-    _ends_typed(lambda p: load_idx(str(images), str(p)), labels, DataFormatError)
 
 
 def test_load_idx_directory_is_data_error(tmp_path):

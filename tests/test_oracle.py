@@ -10,7 +10,7 @@ import pytest
 
 from conftest import traced_peak
 from latentjam import cli, oracle
-from latentjam.errors import ConfigError, DegenerateGameError, NumericError
+from latentjam.errors import ConfigError, DegenerateGameError, NumericError, ShapeError
 from latentjam.oracle import (
     LinearStrategy,
     MatchingSpec,
@@ -351,21 +351,27 @@ def test_saddle_verify_seed_changes_rows_not_verdict():
 
 
 def test_matching_spec_s_diag_by_hand():
-    m = MatchingSpec(sigma=np.array([2.0]), lambda_x=np.array([3.0]),
-                     lambda_z=np.array([4.0]), q_x=np.eye(1), q_z=np.eye(1))
+    m = MatchingSpec(sigma=np.array([2.0]), lambda_x=np.array([3.0]), lambda_z=np.array([4.0]))
     assert abs(m.s_diag[0] - 3.0) < 1e-15  # 2*3*2/4
 
 
 def test_matching_spec_validation():
-    eye = np.eye(2)
     ones = np.ones(2)
-    skew = np.array([[1.0, 0.2], [0.0, 1.0]])
-    with pytest.raises(ConfigError, match="orthonormal"):
-        MatchingSpec(ones, ones, ones, skew, eye)
     with pytest.raises(ConfigError, match="positive"):
-        MatchingSpec(ones, ones, -ones, eye, eye)
+        MatchingSpec(ones, ones, -ones)
     with pytest.raises(ConfigError, match="omega"):
-        MatchingSpec(ones, ones, ones, eye, eye, radii=(0.0, 1.5))
+        MatchingSpec(ones, ones, ones, radii=(0.0, 1.5))
+
+
+@pytest.mark.parametrize("diagonals", [
+    (np.ones(2), np.ones(3), np.ones(2)),
+    (np.ones(2), np.ones(2), np.ones(1)),
+    (np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))),
+    (np.float64(1.0), np.float64(1.0), np.float64(1.0)),
+], ids=["ragged-x", "ragged-z", "2-D", "0-D"])
+def test_matching_spec_rejects_diagonals_not_1d_of_one_length(diagonals):
+    with pytest.raises(ConfigError, match="1-D and of one length"):
+        MatchingSpec(*diagonals)
 
 
 def test_isotropic_matching_unit_game():
@@ -415,8 +421,7 @@ def test_matching_cf_magnitude_guard():
     # inflating sigma pushes |F| below 0.1 inside the radius-1 grid
     spec = OracleSpec(1.0, 1.0, 1.0, 0.0, k=1)
     m = isotropic_matching(spec)
-    wide = MatchingSpec(sigma=6.0 * m.sigma, lambda_x=m.lambda_x, lambda_z=m.lambda_z,
-                        q_x=m.q_x, q_z=m.q_z)
+    wide = MatchingSpec(sigma=6.0 * m.sigma, lambda_x=m.lambda_x, lambda_z=m.lambda_z)
     x, zn = matching_samples(spec, ("gaussian", spec.P_a), 200_000, seed=2)
     with pytest.raises(NumericError, match="0.1"):
         matching_residual(x, zn, wide)
@@ -463,24 +468,18 @@ def test_matching_residual_memory_stays_block_sized():
     assert peak < 0.1 * x.nbytes
 
 
-def _rotation(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 @pytest.mark.parametrize("radii", [(0.0, 0.3, 0.75, 1.0), (0.0,)], ids=["grid", "origin"])
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_matching_residual_matches_complex_exponential_reference(family, radii):
     spec = OracleSpec(1.0, 1.0, 1.0, 0.0, k=2)
+    # a distinct sigma per dimension, so reading the wrong column or scale shows
     m = MatchingSpec(sigma=np.array([0.8, 1.3]), lambda_x=np.array([1.0, 0.7]),
-                     lambda_z=np.array([1.2, 0.9]), q_x=_rotation(0.3), q_z=_rotation(1.1),
-                     radii=radii)
+                     lambda_z=np.array([1.2, 0.9]), radii=radii)
     x, zn = matching_samples(spec, (family, spec.P_a), 200_000, seed=5)
     x = x + np.array([0.1, -0.2])  # a nonzero mean gives the slope at t = 0 a real size
-    a = (x @ m.q_x) * m.sigma
-    b = zn @ m.q_z
+    a = x * m.sigma
     expected = max(abs(_exact_log_cf_slope(a[:, i], t)
-                       - m.s_diag[i] * _exact_log_cf_slope(b[:, i], t))
+                       - m.s_diag[i] * _exact_log_cf_slope(zn[:, i], t))
                    for i in range(2) for t in m.radii)
     got = matching_residual(x, zn, m)
     assert abs(got - expected) <= 1e-10 * expected
@@ -489,8 +488,7 @@ def test_matching_residual_matches_complex_exponential_reference(family, radii):
 @pytest.mark.parametrize("wide", ["source", "noise"])
 def test_matching_cf_magnitude_guard_either_block_rotated(wide):
     spec = OracleSpec(1.0, 1.0, 1.0, 0.0, k=2)
-    m = MatchingSpec(sigma=np.array([0.8, 1.3]), lambda_x=np.ones(2), lambda_z=np.ones(2),
-                     q_x=_rotation(0.3), q_z=_rotation(1.1))
+    m = MatchingSpec(sigma=np.array([0.8, 1.3]), lambda_x=np.ones(2), lambda_z=np.ones(2))
     x, zn = matching_samples(spec, ("gaussian", spec.P_a), 200_000, seed=2)
     if wide == "source":
         x = 6.0 * x
@@ -553,3 +551,12 @@ def test_oracle_demo_runs(tmp_path):
 def test_matching_samples_unknown_family():
     with pytest.raises(ConfigError):
         matching_samples(OracleSpec(), ("triangular", 1.0), 200_000, seed=0)
+
+
+@pytest.mark.parametrize("block", ["source", "noise"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_matching_residual_rejects_blocks_without_one_column_per_sigma(block, k):
+    right, wrong = np.zeros((100_000, 2)), np.zeros((100_000, k))
+    x, zn = (wrong, right) if block == "source" else (right, wrong)
+    with pytest.raises(ShapeError, match="2 sigma entries"):
+        matching_residual(x, zn, isotropic_matching(OracleSpec(k=2)))
