@@ -21,7 +21,8 @@ def dense_loss(W_val, x_val):
     W = tape.const(W_val)
     # tensors have no `@`: a product is one affine node, x @ W.T + b
     y = ad.affine(tape.const(x_val), W, tape.const(np.zeros(2)))
-    return tape, W, ad.mean_all(ad.square(y))
+    # a squared error is one node, mse(a, b) = mean((a - b)^2)
+    return tape, W, ad.mse(y, tape.const(np.zeros(y.shape)))
 
 
 def main():
@@ -50,9 +51,9 @@ def main():
     tape2 = Tape()
     a = tape2.const(np.array([[2.0]]))
     blocked = detach(ad.square(a))
-    out = ad.mean_all(blocked * a)
+    out = ad.sum_all(blocked * a)
     (ga,) = backward_grads(tape2, out, [a])
-    print("d(mean(detach(a^2) * a))/da =", float(np.ravel(ga)[0]),
+    print("d(sum(detach(a^2) * a))/da =", float(np.ravel(ga)[0]),
           " (the constant 4.0; a live square path would give 3a^2 = 12)")
 
 

@@ -13,7 +13,10 @@ Each op's forward and backward rules sit together in one `_OPS` entry.
 `affine`, x @ w.T + b, is the one matrix product: a dense layer is one
 node, one kept value and one finiteness check, and a bias of shape
 (batch, out) makes a linear skip path, x @ skip.T + h, one node too.
-Tensors have no `@`.
+Tensors have no `@` and no `/`. A loss is one node as well: `mse` runs the
+float operations of mean((a - b)^2) in both directions, and `imq_mmd`, the
+unbiased IMQ-kernel MMD^2 of the mmd regularizer, has a closed-form
+backward instead of a graph of 128 x 128 kernel matrices.
 
 Leaves hold the caller's arrays, so an in-place parameter update after
 backward is visible through the tape. Backward is pruned to the
@@ -76,26 +79,14 @@ class Tensor:
     def __add__(self, other):
         return self.tape.apply("add", [self, self._lift(other)])
 
-    def __radd__(self, other):
-        return self._lift(other).__add__(self)
-
     def __sub__(self, other):
         return self.tape.apply("sub", [self, self._lift(other)])
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
 
     def __mul__(self, other):
         return self.tape.apply("mul", [self, self._lift(other)])
 
     def __rmul__(self, other):
         return self._lift(other).__mul__(self)
-
-    def __truediv__(self, other):
-        return self.tape.apply("div", [self, self._lift(other)])
-
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
 
 
 @dataclass
@@ -205,14 +196,6 @@ def _affine(v, a):
 _SIGMOID_BYTES = 1 << 19
 
 
-def _matrix_op(op: str, fn):
-    """Forward of a one-operand op defined on 2-D values only."""
-    def forward(v, a):
-        _require_2d(op, v[0].shape)
-        return fn(v[0], a)
-    return forward
-
-
 def _sigmoid(v, a):
     # exp(-|x|) never overflows; per element this is 1/(1+exp(-x)) for x >= 0 and
     # exp(x)/(1+exp(x)) otherwise, the operations of splitting by sign; an array larger
@@ -256,6 +239,55 @@ def _power_normalize_grad(g, v, out, a, i):
     return grad * (a["scale"] / sigma)
 
 
+def _mse(v, a):
+    if v[0].shape != v[1].shape:
+        raise ShapeError(f"op 'mse' needs operands of one shape, got {v[0].shape} and {v[1].shape}")
+    return np.mean(np.square(v[0] - v[1])).reshape(1)
+
+
+def _imq_block(u, w, C):
+    """C / (D + C) with D_jl = |u_j|^2 + |w_l|^2 - 2 u_j . w_l, clamped at 0 against the
+    expansion's tiny negative residue on a diagonal."""
+    ru = np.sum(u * u, axis=1, keepdims=True)
+    rw = np.sum(w * w, axis=1, keepdims=True)
+    return C / (np.maximum(ru + rw.T - 2.0 * (u @ w.T), 0.0) + C)
+
+
+def _imq_within(u, C):
+    k = _imq_block(u, u, C)
+    np.fill_diagonal(k, 0.0)  # the unbiased within-block means skip j = l
+    return k
+
+
+def _imq_mmd(v, a):
+    x, y = v
+    _require_2d("imq_mmd", x.shape, y.shape)
+    if x.shape != y.shape or len(x) < 2:
+        raise ShapeError(f"op 'imq_mmd' needs two blocks of one shape with >= 2 rows, "
+                         f"got {x.shape} and {y.shape}")
+    off = float(len(x) * (len(x) - 1))
+    xx, yy = (np.sum(_imq_within(u, a["C"])).reshape(1) / off for u in (x, y))
+    return xx + yy - 2.0 * np.mean(_imq_block(x, y, a["C"])).reshape(1)
+
+
+def _imq_mmd_grad(g, v, out, a, i):
+    # dK/dD = -K^2 / C and dD_jl/du_j = 2 (u_j - w_l), so a block's term moves u_j by
+    # sum_l K_jl^2 (u_j - w_l): row sums times u less one product. MMD^2 is symmetric in
+    # its blocks, so u is the block asked for and w the other. The clamp binds only where
+    # two points (nearly) coincide, and there u_j - w_l is (nearly) 0.
+    u, w, C = v[i], v[1 - i], a["C"]
+    m = len(u)
+    within, cross = np.square(_imq_within(u, C)), np.square(_imq_block(u, w, C))
+    pull = (np.sum(cross, axis=1, keepdims=True) * u - cross @ w) / float(m * m)
+    push = (np.sum(within, axis=1, keepdims=True) * u - within @ u) / float(m * (m - 1))
+    return (g * (4.0 / C)) * (pull - push)
+
+
+def _slice_cols(v, a):
+    _require_2d("slice_cols", v[0].shape)
+    return v[0][:, a["start"]:a["stop"]].copy()
+
+
 def _slice_cols_grad(g, v, out, a, i):
     full = np.zeros_like(v[0])
     full[:, a["start"]:a["stop"]] = g
@@ -271,10 +303,6 @@ _OPS = {
             lambda g, v, out, a, i: _unbroadcast(g if i == 0 else -g, v[i].shape)),
     "mul": (lambda v, a: v[0] * v[1],
             lambda g, v, out, a, i: _unbroadcast(g * v[1 - i], v[i].shape)),
-    "div": (lambda v, a: v[0] / v[1],
-            lambda g, v, out, a, i: _unbroadcast(g / v[1], v[0].shape) if i == 0
-            else _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape)),
-    "transpose": (_matrix_op("transpose", lambda x, a: x.T), lambda g, v, out, a, i: g.T),
     # x @ w.T + b; the weight's gradient g.T @ x comes out C-ordered, as Adam reads it
     "affine": (_affine, lambda g, v, out, a, i: g @ v[1] if i == 0 else g.T @ v[0] if i == 1
                else _unbroadcast(g, v[2].shape)),
@@ -284,15 +312,14 @@ _OPS = {
     "square": (lambda v, a: v[0] * v[0], lambda g, v, out, a, i: g * 2.0 * v[0]),
     "clip": (lambda v, a: np.clip(v[0], a["lo"], a["hi"]),
              lambda g, v, out, a, i: g * ((v[0] > a["lo"]) & (v[0] < a["hi"]))),
-    "mean": (lambda v, a: np.mean(v[0]).reshape(1),
-             lambda g, v, out, a, i: np.broadcast_to(g / v[0].size, v[0].shape)),
+    # the sub, square and mean chain's operations, so the bits are its bits; IEEE products
+    # are symmetric in sign, so -2.0 gives the negated gradient toward b
+    "mse": (_mse, lambda g, v, out, a, i: (g / v[0].size) * (2.0 if i == 0 else -2.0) * (v[0] - v[1])),
     "sum": (lambda v, a: np.sum(v[0]).reshape(1),
             lambda g, v, out, a, i: np.broadcast_to(g, v[0].shape)),
-    "sum1": (_matrix_op("sum1", lambda x, a: np.sum(x, axis=1, keepdims=True)),
-             lambda g, v, out, a, i: np.broadcast_to(g, v[0].shape)),
+    "imq_mmd": (_imq_mmd, _imq_mmd_grad),
     "power_normalize": (_power_normalize, _power_normalize_grad),
-    "slice_cols": (_matrix_op("slice_cols", lambda x, a: x[:, a["start"]:a["stop"]].copy()),
-                   _slice_cols_grad),
+    "slice_cols": (_slice_cols, _slice_cols_grad),
     "detach": (lambda v, a: v[0], lambda g, v, out, a, i: None),
 }
 
@@ -327,22 +354,19 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     return t.tape.apply("clip", [t], {"lo": float(lo), "hi": float(hi)})
 
 
-def mean_all(t: Tensor) -> Tensor:
-    return t.tape.apply("mean", [t])
+def mse(a: Tensor, b: Tensor) -> Tensor:
+    """mean((a - b)^2) over every element, shape [1]; a and b have one shape."""
+    return a.tape.apply("mse", [a, b])
 
 
 def sum_all(t: Tensor) -> Tensor:
     return t.tape.apply("sum", [t])
 
 
-def sum_rows(t: Tensor) -> Tensor:
-    """Per-row sum over columns, shape [m, 1]."""
-    return t.tape.apply("sum1", [t])
-
-
-def transpose(t: Tensor) -> Tensor:
-    """2-D transpose as a view: the value shares memory with `t`'s value."""
-    return t.tape.apply("transpose", [t])
+def imq_mmd(a: Tensor, b: Tensor, C: float) -> Tensor:
+    """Unbiased MMD^2 of two [m, k] blocks (m >= 2) under the kernel C / (C + |u - v|^2),
+    shape [1]: the off-diagonal means within a and within b, less twice the mean across."""
+    return a.tape.apply("imq_mmd", [a, b], {"C": float(C)})
 
 
 def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:

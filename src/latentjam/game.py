@@ -92,6 +92,8 @@ class GameConfig:
             raise ConfigError("eta must be >= 0")
         if self.k < 1 or self.n < 1:
             raise ConfigError("k and n must be >= 1")
+        if self.data_hidden < 1 or self.jscc_hidden < 1:
+            raise ConfigError("data_hidden and jscc_hidden must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.jscc_steps_per_data_step < 1:
@@ -148,7 +150,7 @@ def _jscc_graph(g_b: BoundMlp, h_b: BoundMlp, x: Tensor, z: Tensor,
                 P_t: float, sigma_n_sq: float, rng: Rng) -> Tensor:
     y = power_normalize(g_b(x), P_t)
     x_hat = h_b(channel_output(y, z, sigma_n_sq, rng))
-    return ad.mean_all(ad.square(x - x_hat))
+    return ad.mse(x, x_hat)
 
 
 def jscc_loss(g_b: BoundMlp, h_b: BoundMlp, x: Tensor, z_detached: Tensor,
@@ -160,12 +162,10 @@ def jscc_loss(g_b: BoundMlp, h_b: BoundMlp, x: Tensor, z_detached: Tensor,
     return _jscc_graph(g_b, h_b, x, z_detached, P_t, sigma_n_sq, rng)
 
 
-def data_loss(recon_mse: Tensor, jscc_term, eta: float) -> Tensor:
+def data_loss(recon_mse: Tensor, jscc_term: Tensor, eta: float) -> Tensor:
     """Compressor objective: reconstruction MSE minus eta times the channel term."""
     if eta < 0:
         raise ConfigError("eta must be >= 0")
-    if not isinstance(jscc_term, Tensor):
-        jscc_term = recon_mse.tape.const(np.asarray([float(jscc_term)]))
     return recon_mse - eta * jscc_term
 
 
@@ -215,8 +215,8 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
         z = power_normalize(f_b(d), config.P_a)
         if config.regularizer == "mmd":
             prior = tape.const(state.streams["noise"].normal((m, config.k)))
-            reg = baselines.mmd_imq_graph(z, prior, config.mmd_scale)
-    loss = ad.mean_all(ad.square(d - r_b(z)))
+            reg = ad.imq_mmd(z, prior, config.mmd_scale)
+    loss = ad.mse(d, r_b(z))
     if reg is not None:
         loss = loss + config.lambda_weight * reg
     frozen: dict = {}

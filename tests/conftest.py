@@ -71,7 +71,7 @@ def traced_peak_ratio(fn) -> float:
     return peak / out.nbytes
 
 
-# Numpy references for the regularizers' graph builders and criterion 10
+# Numpy references for the regularizers (the KL graph builders, the imq_mmd op) and criterion 10
 
 
 def kl_diag_gaussian(mu: np.ndarray, log_var: np.ndarray) -> float:

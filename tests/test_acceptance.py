@@ -147,10 +147,10 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
         b = bind(tape)
         d = tape.const(d_batch)
         z = power_normalize(b["f"](d), 1.0)
-        recon = ad.mean_all(ad.square(d - b["r"](z)))
+        recon = ad.mse(d, b["r"](z))
         y = power_normalize(b["g"](tape.const(x_batch)), 1.0)
         x_hat = b["h"](channel_output(y, z, sigma_n_sq, rng.spawn("noise/b")))
-        jt = ad.mean_all(ad.square(tape.const(x_batch) - x_hat))
+        jt = ad.mse(tape.const(x_batch), x_hat)
         return tape, b, data_loss(recon, jt, eta)
 
     assert _fd_against_analytic(auxiliary_loss, ("g", "h")) <= 1e-4

@@ -29,6 +29,11 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FD_FLOOR = 1e-5
 
 
+def mean_square(t):
+    """mean(t^2) as one `mse` node against zeros: the bits of a square-then-mean chain."""
+    return ad.mse(t, t.tape.const(np.zeros(t.shape)))
+
+
 def rel_err(fd, an):
     denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), FD_FLOOR)
     return np.max(np.abs(fd - an) / denom)
@@ -73,8 +78,8 @@ def test_scalar_sugar():
     tape = Tape()
     x = tape.const(np.array([[2.0]]))
     assert (3.0 * x + 1.0).value[0, 0] == 7.0
-    assert (1.0 - x).value[0, 0] == -1.0
-    assert (x / 4.0).value[0, 0] == 0.5
+    assert (x - 1.0).value[0, 0] == 1.0
+    assert (x * 0.25).value[0, 0] == 0.5
 
 
 # ============================================================
@@ -109,7 +114,7 @@ def test_grad_linear_regression_hand_value():
         w = tape.const(wv)
         x = tape.const(np.array([[1.0, 1.0]]))
         y = tape.const(np.array([[0.0]]))
-        return tape, w, ad.mean_all(ad.square(ad.affine(x, w, tape.const(np.zeros(1))) - y))
+        return tape, w, ad.mse(ad.affine(x, w, tape.const(np.zeros(1))), y)
 
     tape, w, loss = graph()
     (gw,) = backward_grads(tape, loss, [w])
@@ -120,7 +125,7 @@ def test_grad_linear_regression_hand_value():
 def test_grad_linearity_in_scalar_factor():
     tape = Tape()
     x = tape.const(np.array([[0.3, -0.7], [1.1, 0.2]]))
-    loss = ad.mean_all(ad.square(ad.sigmoid(x)))
+    loss = mean_square(ad.sigmoid(x))
     scaled = 2.5 * loss
     (g1,) = backward_grads(tape, loss, [x])
     (g2,) = backward_grads(tape, scaled, [x])
@@ -144,15 +149,14 @@ def test_fd_check_every_op():
             ad.exp(0.3 * h),
             nets.power_normalize(h, 2.0),
             ad.clip(h, -10.0, 10.0),
-            h / -2.0,
-            ad.transpose(ad.transpose(h)),
             ad.affine(h, w, h) - h,    # a (batch, out) bias
         ]
         loss = None
         for part in parts:
             q = part * 0.25
-            term = ad.mean_all(ad.square(ad.slice_cols(q, 1, 3))) + ad.sum_all(q) * 0.1 \
-                + ad.mean_all(ad.sum_rows(q))
+            # both operands of mse and imq_mmd are live, so both of their gradients are checked
+            term = ad.mse(ad.slice_cols(q, 1, 3), ad.slice_cols(h, 0, 2)) \
+                + ad.sum_all(ad.square(q)) * 0.1 + ad.imq_mmd(q, h, 2.0)
             loss = term if loss is None else loss + term
         return tape, [x, w, b], loss
 
@@ -183,7 +187,7 @@ def test_fd_check_random_small_mlps():
                 h = ad.affine(h, leaves[f"W{i}"], leaves[f"b{i}"])
                 if i < len(dims) - 2:
                     h = ad.relu(h) if act == "relu" else ad.sigmoid(h)
-            return tape, list(leaves.values()), ad.mean_all(ad.square(h))
+            return tape, list(leaves.values()), mean_square(h)
 
         tape, leaves, loss = graph()
         for (name, base), g in zip(params.items(), backward_grads(tape, loss, leaves)):
@@ -218,16 +222,16 @@ def test_detach_blocks_gradient():
     tape1 = Tape()
     a1 = tape1.const(av)
     b1 = ad.detach(ad.square(a1))
-    loss1 = ad.mean_all(a1 * b1)
+    loss1 = ad.sum_all(a1 * b1)
     (g1,) = backward_grads(tape1, loss1, [a1])
 
     tape2 = Tape()
     a2 = tape2.const(av)
     b2 = tape2.const(av * av)
-    loss2 = ad.mean_all(a2 * b2)
+    loss2 = ad.sum_all(a2 * b2)
     (g2,) = backward_grads(tape2, loss2, [a2])
     assert np.array_equal(g1, g2)
-    assert np.array_equal(g1, av * av / av.size)
+    assert np.array_equal(g1, av * av)
 
 
 def test_detach_preserves_value():
@@ -266,8 +270,8 @@ def test_pruned_gradients_equal_unpruned_reference():
     hidden = ad.sigmoid(ad.affine(d, w1, b1))
     z = ad.affine(hidden, w2, zero)
     jammed = ad.sigmoid(ad.affine(ad.detach(z), frozen, zero)) * tape.const(rng.normal((16, 2)))
-    live = ad.square(ad.affine(z, frozen, z)) / (ad.mean_all(ad.square(z)) + 1.0)
-    loss = ad.mean_all(live - jammed) + ad.sum_all(ad.square(hidden)) * 0.01
+    live = ad.square(ad.affine(z, frozen, z)) * (mean_square(z) + 1.0)
+    loss = ad.mse(live, jammed) + ad.sum_all(ad.square(hidden)) * 0.01
     wrt = [w1, b1, w2, hidden, frozen, d]
     pruned = backward_grads(tape, loss, wrt)
     reference = _unpruned_grads(tape, loss, wrt)
@@ -289,8 +293,7 @@ def test_transposed_weight_gradient_is_c_contiguous():
     w = tape.const(rng.normal((3, 2)))
     g_net = init_state(GameConfig(k=2, n=3, jscc_hidden=4, data_hidden=4)).networks.g
     g_b = nets.BoundMlp(tape, g_net)
-    loss = ad.mean_all(ad.square(ad.affine(x, w, tape.const(np.zeros(3))))) \
-        + ad.mean_all(ad.square(g_b(x)))
+    loss = mean_square(ad.affine(x, w, tape.const(np.zeros(3)))) + mean_square(g_b(x))
     assert g_net.linear_skip and "skip" in g_b.nodes
     leaves = [w, *g_b.nodes.values()]
     for t, g in zip(leaves, backward_grads(tape, loss, leaves)):
@@ -308,7 +311,7 @@ def test_affine_equals_transpose_matmul_add_chain(m, n, d):
         tape = Tape()
         ins = {name: tape.const(v) for name, v in values.items()}
         out = ad.affine(ins["x"], ins["w"], ins["b"])
-        loss = ad.mean_all(ad.square(ad.sigmoid(out)))
+        loss = mean_square(ad.sigmoid(out))
         assert [node.op for node in tape.nodes].count("affine") == 1
         assert np.array_equal(out.value, x @ w.T + b)
         (g,) = backward_grads(tape, loss, [out])
@@ -332,6 +335,28 @@ def test_affine_shape_errors(x_shape, w_shape, b_shape, match):
     with pytest.raises(ShapeError, match=f"op 'affine'.*{match}"):
         ad.affine(x, w, b)
     assert len(tape.nodes) == 3
+
+
+def test_mse_is_one_node_with_the_bits_of_sub_square_mean():
+    # the forward and both gradients are the float32 operations of mean((a - b)^2)'s chain
+    rng = Rng(39)
+    av, bv = (rng.normal((128, 8)).astype(np.float32) for _ in range(2))
+    tape = Tape(np.float32)
+    a, b = tape.const(av), tape.const(bv)
+    loss = ad.mse(a, b)
+    assert [node.op for node in tape.nodes] == ["const", "const", "mse"]
+    assert np.array_equal(loss.value, np.mean(np.square(av - bv)).reshape(1))
+    want = (np.ones(1, np.float32) / av.size) * 2.0 * (av - bv)
+    ga, gb = backward_grads(tape, loss, [a, b])
+    assert ga.dtype == np.float32 and np.array_equal(ga, want) and np.array_equal(gb, -want)
+
+
+def test_mse_rejects_operands_of_unequal_shape():
+    tape = Tape()
+    a, b = tape.const(np.ones((4, 3))), tape.const(np.ones((4, 1)))
+    with pytest.raises(ShapeError, match=r"op 'mse'.*\(4, 3\) and \(4, 1\)"):
+        ad.mse(a, b)
+    assert len(tape.nodes) == 2
 
 
 def _split_by_sign_sigmoid(x):
@@ -384,11 +409,10 @@ def test_sigmoid_forward_memory():
 
 def test_nonfinite_value_raises_with_node_index():
     tape = Tape()
-    zero = tape.const(np.zeros((1, 1)))
-    one = tape.const(np.ones((1, 1)))
-    with np.errstate(divide="ignore"):
+    big = tape.const(np.array([[1000.0]]))
+    with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="node"):
-            _ = one / zero
+            ad.exp(big)
 
 
 _NONFINITE = [np.nan, np.inf, -np.inf]
@@ -400,12 +424,10 @@ def test_nonfinite_forward_value_names_op_and_node(bad):
     tape.const(np.ones(3))
     with pytest.raises(NumericError, match=r"op 'const' at node 1"):
         tape.const(np.array([1.0, bad, 3.0]))
-    # a value that only turns bad inside an op: 0/0, 1/0 and -1/0
-    num = tape.const(np.array([1.0, np.copysign(1.0, bad) if np.isinf(bad) else 0.0]))
-    den = tape.const(np.array([1.0, 0.0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=r"op 'div' at node 3"):
-            _ = num / den
+    # a value that only turns bad inside an op: clipped to bounds of nan, inf or -inf
+    num = tape.const(np.array([1.0, 2.0]))
+    with pytest.raises(NumericError, match=r"op 'clip' at node 2"):
+        ad.clip(num, bad, bad)
 
 
 @pytest.mark.parametrize("bad", _NONFINITE)
@@ -414,11 +436,9 @@ def test_nonfinite_value_on_record_free_tape_names_op(bad):
     message = r"^non-finite value out of op '{}' on a record-free tape$"
     with pytest.raises(NumericError, match=message.format("const")):
         tape.const(np.array([1.0, bad]))
-    num = tape.const(np.array([1.0, np.copysign(1.0, bad) if np.isinf(bad) else 0.0]))
-    den = tape.const(np.array([1.0, 0.0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=message.format("div")):
-            _ = num / den
+    num = tape.const(np.array([1.0, 2.0]))
+    with pytest.raises(NumericError, match=message.format("clip")):
+        ad.clip(num, bad, bad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -447,14 +467,14 @@ def test_record_free_tape_keeps_no_graph():
 
 @pytest.mark.parametrize("bad", _NONFINITE)
 def test_nonfinite_gradient_names_op_and_node(bad):
-    # 1 / 1e-300 is finite, its derivative -1 / (1e-300)^2 is not: 0 * inf, -inf or +inf
-    # for the upstream sign
-    scale = 0.0 if np.isnan(bad) else -np.copysign(1.0, bad)
+    # 0.36 * 1.5e308 is finite, square's backward 1.5e308 * 2.0 * x is not: inf * 0, +inf or
+    # -inf for x = 0, 0.6 and -0.6
+    s = 0.0 if np.isnan(bad) else 0.6 * np.copysign(1.0, bad)
     tape = Tape()
-    x = tape.const(np.array([[4.0, 1e-300]]))
-    loss = ad.sum_all(tape.const(np.ones((1, 2))) / x * tape.const(np.array([[1.0, scale]])))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=r"gradient at op 'div', node 2"):
+    x = tape.const(np.array([[0.25, s]]))
+    loss = ad.sum_all(ad.square(x) * tape.const(np.array([[1.0, 1.5e308]])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"gradient at op 'square', node 1"):
             backward_grads(tape, loss, [x])
 
 

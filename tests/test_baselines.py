@@ -5,8 +5,8 @@ import pytest
 
 from latentjam import autodiff as ad
 from latentjam.autodiff import EagerTape, Tape
-from conftest import kl_diag_gaussian, mmd_imq, reparameterize
-from latentjam.baselines import kl_diag_gaussian_graph, mmd_imq_graph, vae_sample
+from conftest import fd_gradient, kl_diag_gaussian, mmd_imq, reparameterize
+from latentjam.baselines import kl_diag_gaussian_graph, vae_sample
 from latentjam.errors import ConfigError, ShapeError
 from latentjam.game import GameConfig, init_state, train_step
 from latentjam.data_io import synth_source
@@ -149,17 +149,40 @@ def test_mmd_validation():
 
 
 # ============================================================
-# Graph twins
+# The imq_mmd op and the KL graph against their numpy references
 # ============================================================
 
 
-def test_mmd_graph_matches_numpy():
+@pytest.mark.parametrize("m,k", [(48, 3), (2, 3)])
+def test_imq_mmd_op_matches_numpy(m, k):
+    # the value, and the closed-form gradient toward each block against central differences
+    # of the numpy reference; m = 2 is the smallest legal block
     rng = Rng(derive_seed(10, "mmd/graph"))
-    a = rng.spawn("a").normal((48, 3))
-    b = rng.spawn("b").normal((48, 3)) + 0.5
+    a = rng.spawn("a").normal((m, k))
+    b = rng.spawn("b").normal((m, k)) + 0.5
     tape = Tape()
-    val = mmd_imq_graph(tape.const(a), tape.const(b), 6.0)
-    assert abs(float(np.asarray(val.value).ravel()[0]) - mmd_imq(a, b, 6.0)) < 1e-12
+    at, bt = tape.const(a), tape.const(b)
+    val = ad.imq_mmd(at, bt, 6.0)
+    assert [node.op for node in tape.nodes] == ["const", "const", "imq_mmd"]
+    assert abs(float(val.value[0]) - mmd_imq(a, b, 6.0)) < 1e-12
+    for block, grad in zip((a, b), ad.backward_grads(tape, val, [at, bt])):
+        fd = fd_gradient(lambda: EagerTape().const([mmd_imq(a, b, 6.0)]), block, h=1e-6)
+        assert np.max(np.abs(fd - grad)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("a_shape,b_shape,match", [
+    ((4, 2), (3, 2), "one shape"),
+    ((4, 2), (4, 3), "one shape"),
+    ((1, 2), (1, 2), ">= 2 rows"),
+    ((4,), (4,), "2-D"),
+    ((2, 2, 2), (2, 2, 2), "2-D"),
+])
+def test_imq_mmd_op_shape_errors(a_shape, b_shape, match):
+    tape = Tape()
+    a, b = tape.const(np.zeros(a_shape)), tape.const(np.ones(b_shape))
+    with pytest.raises(ShapeError, match=f"op 'imq_mmd'.*{match}"):
+        ad.imq_mmd(a, b, 1.0)
+    assert len(tape.nodes) == 2
 
 
 def test_kl_graph_matches_numpy():

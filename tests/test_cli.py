@@ -528,13 +528,16 @@ def test_truncated_checkpoint_is_typed(tmp_path, cut):
 
 
 @pytest.mark.parametrize("line", ["game.P_t = nan", "game.eta = inf", "game.lr = -1",
-                                  "game.epochs = -3"])
+                                  "game.epochs = -3", "game.data_hidden = 0",
+                                  "game.jscc_hidden = -3"])
 def test_exit_2_nonfinite_or_negative_game_value(tmp_path, line):
+    # refused at parse time: no output directory, so no resolved-config.txt naming the value
     key = line.split("=")[0].strip()
     kept = [l for l in SMALL_TRAIN.format(out=tmp_path / "bad").split("\n")
             if not l.startswith(key + " ")]
     cfg = write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
     assert main(["train", cfg]) == 2
+    assert not (tmp_path / "bad" / "resolved-config.txt").exists()
     assert not (tmp_path / "bad").exists()
 
 

@@ -29,7 +29,7 @@ from latentjam.data_io import BatchPlan, batches, synth_source
 from latentjam.game import GameConfig, init_state, train, train_step
 
 HASH_MNIST_STEPS = "f2adde9a3d7824188e31e36759bab5c7f47ba953b9d11b135b8559c36a20cf51"
-HASH_COMPARISON = "cf50355de8e9ebb762cfb37966e713fbe52548b1b1bf62d2eca909f3b60d6eb7"
+HASH_COMPARISON = "7db0aaba212764fa5470e2e143595ade217b18f6a89de86aa708f33af77dd225"
 
 
 def _fingerprint(state) -> str:

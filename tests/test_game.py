@@ -83,11 +83,16 @@ def test_config_validation():
     ("eta", float("inf")), ("eta", float("nan")), ("lr", float("nan")),
     ("lr", float("inf")), ("lambda_weight", float("nan")), ("mmd_scale", float("inf")),
     ("lr", -1.0), ("epochs", -3), ("lambda_weight", -1.0), ("mmd_scale", 0.0),
+    ("data_hidden", 0), ("jscc_hidden", -3),
 ])
 def test_config_rejects_nonfinite_and_negative(field, value):
     # mmd reads every one of these fields
     with pytest.raises(ConfigError, match=field):
         GameConfig(k=2, n=4, regularizer="mmd", **{field: value})
+    if field.endswith("_hidden"):  # refused for every regularizer, also one that builds no g or h
+        for reg in ("aj", "kl", "none"):
+            with pytest.raises(ConfigError, match=field):
+                GameConfig(k=2, n=4, regularizer=reg, **{field: value})
 
 
 def test_regularizer_defaults():
@@ -215,15 +220,15 @@ def test_jscc_halving_decoder_against_unit_jammer():
 
 def test_data_loss_eta_zero_is_reconstruction():
     tape = Tape()
-    recon = ad.mean_all(ad.square(tape.const(np.array([[1.0, 2.0]]))))
-    out = data_loss(recon, 0.7, 0.0)
+    recon = ad.sum_all(ad.square(tape.const(np.array([[1.0, 2.0]]))))
+    out = data_loss(recon, tape.const([0.7]), 0.0)
     assert scalar(out) == scalar(recon)
 
 
 def test_data_loss_subtracts_scaled_channel_term():
     tape = Tape()
-    recon = ad.mean_all(ad.square(tape.const(np.array([[2.0]]))))  # 4.0
-    out = data_loss(recon, 0.3, 2.0)
+    recon = ad.sum_all(ad.square(tape.const(np.array([[2.0]]))))  # 4.0
+    out = data_loss(recon, tape.const([0.3]), 2.0)
     assert abs(scalar(out) - (4.0 - 0.6)) < 1e-14
 
 
@@ -233,16 +238,16 @@ def test_data_loss_exact_on_perfect_reconstruction():
     r_b = BoundMlp(tape, zero_reconstructor(2, 3))
     d = tape.const(np.full((16, 3), 0.5))
     z = tape.const(np.zeros((16, 2)))
-    recon = ad.mean_all(ad.square(d - r_b(z)))
-    out = data_loss(recon, 0.3, 1.0)
+    recon = ad.mse(d, r_b(z))
+    out = data_loss(recon, tape.const([0.3]), 1.0)
     assert scalar(out) == -0.3
 
 
 def test_data_loss_rejects_negative_eta():
     tape = Tape()
-    recon = ad.mean_all(ad.square(tape.const(np.zeros((2, 2)))))
+    recon = ad.sum_all(ad.square(tape.const(np.zeros((2, 2)))))
     with pytest.raises(ConfigError):
-        data_loss(recon, 0.1, -1.0)
+        data_loss(recon, tape.const([0.1]), -1.0)
 
 
 # ============================================================
@@ -472,7 +477,7 @@ def test_a_leaf_reached_twice_accumulates_in_backward_order():
     for d in parts:
         tape = Tape(np.float32)
         f_b = BoundMlp(tape, params)
-        loss = ad.mean_all(ad.square(f_b(tape.const(d))))
+        loss = ad.sum_all(ad.square(f_b(tape.const(d))))
         use_grads.append(backward_grads(tape, loss, list(f_b.nodes.values())))
     want = [(g3 + g2) + g1 for g1, g2, g3 in zip(*use_grads)]
     expected = copy.deepcopy(params)
@@ -480,18 +485,20 @@ def test_a_leaf_reached_twice_accumulates_in_backward_order():
 
     tape = Tape(np.float32)
     f_b = BoundMlp(tape, params)
-    terms = [ad.mean_all(ad.square(f_b(tape.const(d)))) for d in parts]
+    terms = [ad.sum_all(ad.square(f_b(tape.const(d)))) for d in parts]
     game._update(state, tape, terms[0] + terms[1] + terms[2], [f_b])
     assert np.array_equal(params.buffer, expected.buffer)
     assert state.opt["f"].step_count == 1
 
 
-@pytest.mark.parametrize("n,data_hidden,jscc_steps,most", [(784, 512, 1, 72), (8, 64, 2, 97)])
-def test_aj_step_records_few_tape_nodes(monkeypatch, n, data_hidden, jscc_steps, most):
+@pytest.mark.parametrize("regularizer,n,data_hidden,jscc_steps,most", [
+    ("aj", 784, 512, 1, 66), ("aj", 8, 64, 2, 89), ("mmd", 8, 64, 2, 23)])
+def test_step_records_few_tape_nodes(monkeypatch, regularizer, n, data_hidden, jscc_steps, most):
     # the MNIST shape and the comparison shape; each power_normalize is one node: g's on
-    # every tape, f's on phase (b)'s; each g/h skip path is one affine node
+    # every tape, f's on phase (b)'s; each g/h skip path is one affine node; each squared
+    # error is one mse node, and the mmd penalty one imq_mmd node
     cfg = GameConfig(k=2, n=n, batch_size=128, seed=3, data_hidden=data_hidden, jscc_hidden=64,
-                     jscc_steps_per_data_step=jscc_steps)
+                     jscc_steps_per_data_step=jscc_steps, regularizer=regularizer)
     state = init_state(cfg)
     tapes = []
     real_grads = game.backward_grads
@@ -504,8 +511,10 @@ def test_aj_step_records_few_tape_nodes(monkeypatch, n, data_hidden, jscc_steps,
     train_step(state, synth_source("mixture", 128, n, seed=3).images, cfg)
     assert sum(len(tape.nodes) for tape in tapes) <= most
     ops = [node.op for tape in tapes for node in tape.nodes]
-    assert ops.count("power_normalize") == jscc_steps + 2
-    assert "matmul" not in ops and "transpose" not in ops
+    aj = regularizer == "aj"
+    assert ops.count("power_normalize") == (jscc_steps + 2 if aj else 1)
+    assert ops.count("mse") == (jscc_steps + 2 if aj else 1)
+    assert ops.count("imq_mmd") == (regularizer == "mmd")
 
 
 def test_every_op_has_a_caller(monkeypatch):
