@@ -13,8 +13,7 @@ from .data_io import BatchPlan, Dataset, batches, load_idx, synth_source
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DegenerateGameError, NumericError, ShapeError)
 from .game import GameConfig, TrainState, channel_output, data_loss, init_state, jscc_loss, train, train_step
-from .metrics import (GaussianityStats, MetricsReport, gaussianity_report,
-                      mse_metric, pearson_dpc)
+from .metrics import GaussianityStats, MetricsReport, gaussianity_report, pearson_dpc
 from .nets import (MlpParams, NetworkRoles, init_params, make_networks,
                    mlp_apply, power_normalize)
 from .oracle import (LinearStrategy, MatchingSpec, OracleSpec, isotropic_matching,

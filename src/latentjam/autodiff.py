@@ -242,7 +242,8 @@ def _power_normalize_grad(g, v, out, a, i):
 def _mse(v, a):
     if v[0].shape != v[1].shape:
         raise ShapeError(f"op 'mse' needs operands of one shape, got {v[0].shape} and {v[1].shape}")
-    return np.mean(np.square(v[0] - v[1])).reshape(1)
+    diff = v[0] - v[1]  # squared in place: the bits of np.square, one buffer
+    return np.mean(np.multiply(diff, diff, out=diff)).reshape(1)
 
 
 def _imq_block(u, w, C):

@@ -20,9 +20,10 @@ place, so all four regularizers share one step. Every update goes through
 one gradient-and-Adam helper, and an aj phase that changes a network it froze
 raises `NumericError`.
 
-Evaluation runs the same graph code on record-free tapes: f's latent goes
-through `power_normalize` (or the shared VAE sampler for kl), the decoder
-through `mlp_apply`, and the aj channel through `_jscc_graph`.
+Evaluation (`evaluate`) builds the same graph on one record-free tape: f's
+latent goes through `power_normalize` (or the shared VAE sampler for kl),
+the data MSE is the `mse` op on r's output, and aj's channel term is
+`_jscc_graph`; `metrics.evaluate_latents` only builds the report.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .autodiff import AdamState, EagerTape, Tape, Tensor, adam_step, backward_gr
 from .data_io import BatchPlan, Dataset, batches
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MIN_EVAL_ROWS, MetricsReport, evaluate_latents
-from .nets import TRAIN_DTYPE, BoundMlp, NetworkRoles, make_networks, mlp_apply, power_normalize
+from .nets import TRAIN_DTYPE, BoundMlp, NetworkRoles, make_networks, power_normalize
 from .rng import Rng, derive_seed
 
 log = logging.getLogger("latentjam")
@@ -250,31 +251,29 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
 # ============================================================
 
 
-def eval_latents(state: TrainState, config: GameConfig, d_eval: np.ndarray) -> np.ndarray:
-    """Latent codes as the metrics see them; normalization uses eval-batch stats.
-
-    The kl path draws through the sampler its training step uses, on the eval stream.
-    """
-    head = EagerTape().const(mlp_apply(state.networks.f, d_eval))
-    if config.regularizer == "kl":
-        return baselines.vae_sample(head, config.k, state.streams["eval"])[0].value
-    return power_normalize(head, config.P_a).value
-
-
 def evaluate(state: TrainState, config: GameConfig, d_eval: np.ndarray, epoch: int) -> MetricsReport:
-    """One evaluation pass; aj's channel MSE is `_jscc_graph` on a fresh eval-stream source."""
-    z = eval_latents(state, config, d_eval)
-    d_hat = mlp_apply(state.networks.r, z)
+    """One evaluation pass: the training step's graph on one record-free tape.
+
+    The eval stream stands in for training's streams, in their order: kl's sampler draws eps,
+    then aj's channel term draws a fresh source and the channel noise. Power normalization
+    uses the eval batch's statistics.
+    """
+    tape = EagerTape()
+    nets = state.networks
+    d = tape.const(d_eval)
+    head = BoundMlp(tape, nets.f)(d)
+    if config.regularizer == "kl":
+        z = baselines.vae_sample(head, config.k, state.streams["eval"])[0]
+    else:
+        z = power_normalize(head, config.P_a)
+    data_mse = float(ad.mse(d, BoundMlp(tape, nets.r)(z)).value[0])
     jscc = None
     if config.regularizer == "aj":
-        tape = EagerTape()
-        g_b = BoundMlp(tape, state.networks.g)
-        h_b = BoundMlp(tape, state.networks.h)
         x = tape.const(state.streams["eval"].normal((z.shape[0], config.k)))
-        jt = _jscc_graph(g_b, h_b, x, tape.const(z), config.P_t, config.sigma_n_sq,
-                         state.streams["eval"])
+        jt = _jscc_graph(BoundMlp(tape, nets.g), BoundMlp(tape, nets.h), x, z, config.P_t,
+                         config.sigma_n_sq, state.streams["eval"])
         jscc = float(jt.value[0])
-    return evaluate_latents(epoch, d_eval, d_hat, z, jscc)
+    return evaluate_latents(epoch, data_mse, z.value, jscc)
 
 
 def split_eval(dataset: Dataset, eval_dataset: Optional[Dataset]):

@@ -1,4 +1,8 @@
-"""Evaluation metrics: reconstruction MSE, latent decorrelation, Gaussianity.
+"""Evaluation metrics: latent decorrelation and Gaussianity, bundled into a report.
+
+The data MSE is not computed here: evaluation takes it from the `mse` tape op
+that training uses, and `evaluate_latents` reports it beside the latent
+statistics.
 
 DPC is the determinant of the Pearson correlation matrix of the latent
 coordinates: 1 means pairwise uncorrelated, 0 means a linear dependence.
@@ -19,15 +23,6 @@ from .errors import ShapeError
 
 CSV_HEADER = "epoch,data_mse,jscc_mse,dpc,mean_skew_abs,mean_exkurt_abs,mean_ks,mean_norm,mean_power"
 MIN_EVAL_ROWS = 100  # fewest latent rows the Gaussianity report accepts
-
-
-def mse_metric(d: np.ndarray, d_hat: np.ndarray) -> float:
-    d = np.asarray(d, dtype=np.float64)
-    d_hat = np.asarray(d_hat, dtype=np.float64)
-    if d.shape != d_hat.shape:
-        raise ShapeError(f"mse_metric shapes differ: {d.shape} vs {d_hat.shape}")
-    diff = d - d_hat
-    return float(np.mean(np.multiply(diff, diff, out=diff)))
 
 
 def pearson_dpc(latents: np.ndarray) -> float:
@@ -62,7 +57,6 @@ class GaussianityStats:
     skewness: np.ndarray
     excess_kurtosis: np.ndarray
     ks_stat: np.ndarray
-    degenerate: np.ndarray  # boolean mask, True where the column was constant
 
 
 def gaussianity_report(latents: np.ndarray) -> GaussianityStats:
@@ -78,7 +72,6 @@ def gaussianity_report(latents: np.ndarray) -> GaussianityStats:
     skew = np.full(k, np.nan)
     exkurt = np.full(k, np.nan)
     ks = np.full(k, np.nan)
-    degenerate = np.zeros(k, dtype=bool)
     steps_hi = np.arange(1, m + 1) / m
     steps_lo = np.arange(0, m) / m
     for j in range(k):
@@ -86,7 +79,6 @@ def gaussianity_report(latents: np.ndarray) -> GaussianityStats:
         centered = col - col.mean()
         m2 = np.mean(centered * centered)
         if m2 == 0.0:
-            degenerate[j] = True
             continue
         m3 = np.mean(centered ** 3)
         m4 = np.mean(centered ** 4)
@@ -95,7 +87,7 @@ def gaussianity_report(latents: np.ndarray) -> GaussianityStats:
         std = np.sort(centered / np.sqrt(m2))
         cdf = ndtr(std)
         ks[j] = max(np.max(steps_hi - cdf), np.max(cdf - steps_lo))
-    return GaussianityStats(skew, exkurt, ks, degenerate)
+    return GaussianityStats(skew, exkurt, ks)
 
 
 @dataclass
@@ -137,14 +129,14 @@ class MetricsReport:
         return ",".join(fields)
 
 
-def evaluate_latents(epoch: int, d: np.ndarray, d_hat: np.ndarray, z: np.ndarray,
+def evaluate_latents(epoch: int, data_mse: float, z: np.ndarray,
                      jscc_mse: Optional[float] = None) -> MetricsReport:
-    """Bundle the standard per-evaluation metrics into one report."""
+    """Bundle the data MSE, the channel MSE and the latent statistics of z into one report."""
     stats = gaussianity_report(z)
     mean_vec = z.mean(axis=0)
     return MetricsReport(
         epoch=epoch,
-        data_mse=mse_metric(d, d_hat),
+        data_mse=data_mse,
         jscc_mse=jscc_mse,
         dpc=pearson_dpc(z),
         per_dim_skewness=stats.skewness,

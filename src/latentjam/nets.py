@@ -5,9 +5,10 @@ g (k -> k), receiver h (k -> k). The role alone fixes a network's architecture
 (`ROLE_TRAITS`): hidden layers are relu, r ends in a sigmoid, and g and h add a
 linear skip path from input to output to the MLP stack.
 
-Training and inference run the same graph code: `mlp_apply` is
-`mlp_forward_graph` on a record-free tape, and evaluation power-normalizes
-with `power_normalize` on such a tape, so there is no numpy twin.
+Training and inference run the same graph code, so there is no numpy twin:
+evaluation binds the networks on one record-free tape as a training step binds
+them on its recorded one, and `mlp_apply`, `mlp_forward_graph` on a record-free
+tape of its own, decodes latents for sample generation.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import _all_finite
 from .errors import ConfigError, DegenerateGameError, NumericError, ShapeError
-from .rng import _BLOCK, Rng
+from .rng import _BLOCK, Rng, _cos_sin_turn
 
 MC_MIN_SAMPLES = 10_000  # the fewest draws a Monte-Carlo game value takes
 MATCHING_MIN_SAMPLES = 100_000  # the fewest rows per block the matching residual takes
@@ -147,14 +147,22 @@ def _draw_game(spec: OracleSpec, jammer: tuple, shape, rng: Rng):
 
 
 def _game_value(x: np.ndarray, n, z: np.ndarray, alpha: float, gamma: float) -> McResult:
-    """Mean and standard error of err^2, err = x - gamma (alpha x + n + z): numpy's mean and std
-    (the root of the mean of (sq - mean)^2) in one buffer, with numpy's operations and order."""
-    sq = np.multiply(x, alpha)
-    sq += n
-    sq += z
-    sq *= gamma
-    np.subtract(x, sq, out=sq)
-    sq = np.multiply(sq, sq, out=sq).ravel()
+    """Mean and standard error of err^2, err = x - gamma (alpha x + n + z), with numpy's mean and
+    std (the root of the mean of (sq - mean)^2) and numpy's operations in order. err^2 overwrites
+    z a block at a time, and the rest runs in place there. n is an array or 0.0, which is not
+    added: its sign of zero cannot survive the square."""
+    rows = max(1, _BLOCK // x.shape[1])
+    scratch = np.empty((min(rows, len(x)), x.shape[1]))
+    for lo in range(0, len(x), rows):
+        xb = x[lo:lo + rows]
+        e = np.multiply(xb, alpha, out=scratch[:len(xb)])
+        if isinstance(n, np.ndarray):
+            e += n[lo:lo + rows]
+        e += z[lo:lo + rows]
+        e *= gamma
+        np.subtract(xb, e, out=e)
+        np.multiply(e, e, out=z[lo:lo + rows])
+    sq = z.reshape(-1)
     mean = sq.mean()
     sq -= mean
     sq *= sq
@@ -299,41 +307,39 @@ def matching_samples(spec: OracleSpec, jammer: tuple, samples: int, seed: int):
     return x, np.add(z, n, out=z)
 
 
-def _cis(arg: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(i arg) into complex `out`, from one real cosine and one real sine."""
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
-
-
 def _log_cf_slopes(blocks, radii) -> list:
     """d/dw log E[exp(iwc)] = i E[c exp(iwc)] / E[exp(iwc)] at w = t for each t in radii.
 
     `blocks` yields the column c at most `_BLOCK` values at a time; s0 = sum exp(itc) and
-    s1 = sum c exp(itc), one complex dot product each, are added up block by block, so the
-    working set stays cache-sized. exp(itc) starts at 1 and steps from the previous radius
-    by the product with exp(igc) for the gap g: one `_cis` pass per block for each new gap.
+    s1 = sum c exp(itc), each one real product of a row of ones or of c with the (re, im)
+    pairs of exp(itc), are added up block by block, so the working set stays cache-sized.
+    exp(itc) starts at 1 and steps from the previous radius by the product with exp(igc)
+    for the gap g: one cosine-sine pass per block for each new gap, `rng._cos_sin_turn` on
+    the turn gc / 2 pi less its floor.
     """
-    scratch = (np.ones(_BLOCK, dtype=np.complex128), np.empty(_BLOCK),
-               *(np.empty(_BLOCK, dtype=np.complex128) for _ in range(3)))
-    sums = np.zeros((len(radii), 2), dtype=np.complex128)
+    scratch = (np.ones(_BLOCK), np.empty(_BLOCK, dtype=np.intp), *(np.empty(_BLOCK) for _ in range(4)),
+               *(np.empty(_BLOCK, dtype=np.complex128) for _ in range(2)))
+    sums = np.zeros((len(radii), 2, 2))
     n = 0
     for column in blocks:
-        ones, arg, c, e_gap, e_t = (s[:column.size] for s in scratch)
-        np.copyto(c, column)
-        np.copyto(e_t, ones)
+        ones, idx, turn, p, q, r, e_gap, e_t = (s[:column.size] for s in scratch)
+        e_t.fill(1.0)
+        pairs = e_t.view(np.float64).reshape(column.size, 2)
         t_prev, g_prev = 0.0, None
         for j, t in enumerate(radii):
             if t != t_prev:
                 if t - t_prev != g_prev:
                     g_prev = t - t_prev
-                    _cis(np.multiply(column, g_prev, out=arg), e_gap)
+                    np.multiply(column, g_prev / (2.0 * np.pi), out=turn)
+                    turn -= np.floor(turn, out=p)
+                    _cos_sin_turn(turn, e_gap.real, idx, p, q, r)
+                    e_gap.imag = turn  # the sine
                 e_t *= e_gap
                 t_prev = t
-            sums[j] += e_t @ ones, e_t @ c
+            sums[j] += ones @ pairs, column @ pairs
         n += column.size
     slopes = []
-    for t, (s0, s1) in zip(radii, sums):
+    for t, (s0, s1) in zip(radii, sums @ np.array([1.0, 1j])):
         if abs(s0) < 0.1 * n:
             raise NumericError(f"characteristic function magnitude below 0.1 at w={t}; grid too wide")
         slopes.append(1j * complex(s1) / complex(s0))

@@ -35,7 +35,7 @@ _COS, _SIN = _COS - _J * (_ARC - _HI) * _SIN, _SIN + _J * (_ARC - _HI) * _COS
 
 
 def _cos_sin_turn(t, cos, idx, p, q, r) -> None:
-    """cos(2 pi t) into `cos` and sin(2 pi t) into `t`, t in [0, 1); `idx` (intp), `p`, `q`, `r` scratch.
+    """cos(2 pi t) into `cos` and sin(2 pi t) into `t`, t in [0, 1]; `idx` (intp), `p`, `q`, `r` scratch.
 
     2 pi t = j * _ARC + d, |d| <= pi/1024: the table gives j's part, Taylor polynomials give cos d - 1
     and sin d (first dropped terms below 1e-17), and angle addition joins them."""

@@ -12,7 +12,8 @@ from scipy.special import expit
 from conftest import normalized
 from latentjam import autodiff as ad
 from latentjam import game
-from latentjam.autodiff import Tape, backward_grads, detach
+from latentjam.autodiff import EagerTape, Tape, backward_grads, detach
+from latentjam.baselines import vae_sample
 from latentjam.data_io import BatchPlan, Dataset, batches, synth_source
 from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.game import (
@@ -20,7 +21,6 @@ from latentjam.game import (
     _jscc_graph,
     channel_output,
     data_loss,
-    eval_latents,
     evaluate,
     init_state,
     jscc_loss,
@@ -28,7 +28,6 @@ from latentjam.game import (
     train,
     train_step,
 )
-from latentjam.metrics import mse_metric
 from latentjam.nets import (
     BoundMlp,
     MlpParams,
@@ -669,24 +668,57 @@ def test_split_eval_rules():
     assert ev.shape[0] == 7
 
 
-def test_eval_latents_deterministic_for_aj():
+def _evaluated_latents(monkeypatch, state, cfg, d_eval, calls=2) -> list:
+    """The latent z each of `calls` evaluations hands to the report."""
+    seen, real = [], game.evaluate_latents
+    monkeypatch.setattr(game, "evaluate_latents",
+                        lambda epoch, data_mse, z, jscc: seen.append(z) or real(epoch, data_mse, z, jscc))
+    for _ in range(calls):
+        evaluate(state, cfg, d_eval, epoch=1)
+    return seen
+
+
+def test_evaluate_latents_deterministic_for_aj(monkeypatch):
     cfg = small_cfg()
-    state = init_state(cfg)
     d_eval = synth_source("gaussian", 200, 3, seed=8).images
-    a = eval_latents(state, cfg, d_eval)
-    b = eval_latents(state, cfg, d_eval)
+    a, b = _evaluated_latents(monkeypatch, init_state(cfg), cfg, d_eval)
     assert a.shape == (200, 2)
     assert np.array_equal(a, b)  # deterministic path, no stream draws
 
 
-def test_eval_latents_kl_resamples():
+def test_evaluate_latents_kl_resamples(monkeypatch):
     cfg = small_cfg(regularizer="kl")
-    state = init_state(cfg)
     d_eval = synth_source("gaussian", 200, 3, seed=9).images
-    a = eval_latents(state, cfg, d_eval)
-    b = eval_latents(state, cfg, d_eval)
+    a, b = _evaluated_latents(monkeypatch, init_state(cfg), cfg, d_eval)
     assert a.shape == (200, 2)
     assert not np.array_equal(a, b)  # fresh reparameterization draws
+
+
+@pytest.mark.parametrize("reg", ["aj", "kl", "mmd", "none"])
+def test_evaluate_data_mse_is_the_decoders_mse_on_one_tape(monkeypatch, reg):
+    cfg = small_cfg(regularizer=reg)
+    state = init_state(cfg)
+    train_step(state, synth_source("gaussian", 16, 3, seed=6).images, cfg)
+    d_eval = synth_source("gaussian", 200, 3, seed=7).images
+    sampler = Rng(state.streams["eval"]._seed)  # kl's eps, redrawn at the eval stream's counter
+    sampler._counter = state.streams["eval"]._counter
+    head = mlp_apply(state.networks.f, d_eval)
+    if reg == "kl":
+        z = vae_sample(EagerTape().const(head), cfg.k, sampler)[0].value
+    else:
+        z = normalized(head, cfg.P_a)
+    d_hat = mlp_apply(state.networks.r, z)
+    tapes = []
+
+    class CountedTape(EagerTape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(game, "EagerTape", CountedTape)
+    report = evaluate(state, cfg, d_eval, epoch=1)
+    assert len(tapes) == 1
+    assert report.data_mse == float(np.mean(np.square(d_eval - d_hat)))
 
 
 def test_evaluate_jscc_field_presence():
@@ -794,11 +826,11 @@ def test_adversarial_game_converges_to_linear_saddle_level():
             train_step(state, d_batch, cfg)
             z = normalized(mlp_apply(state.networks.f, d_batch), cfg.P_a)
             d_hat = mlp_apply(state.networks.r, z)
-            mse_hist.append(mse_metric(d_batch, d_hat))
+            mse_hist.append(float(np.mean(np.square(d_batch - d_hat))))
             x = state.streams["eval"].normal((d_batch.shape[0], cfg.k))
             y = normalized(mlp_apply(state.networks.g, x), cfg.P_t)
             x_hat = mlp_apply(state.networks.h, y + z)
-            jscc_hist.append(mse_metric(x, x_hat))
+            jscc_hist.append(float(np.mean(np.square(x - x_hat))))
             steps += 1
         epoch += 1
     wins_j = [float(np.mean(jscc_hist[100 * i:100 * (i + 1)])) for i in range(5)]

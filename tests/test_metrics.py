@@ -3,42 +3,51 @@
 import numpy as np
 import pytest
 
+from latentjam import autodiff as ad
+from latentjam.autodiff import EagerTape
 from latentjam.errors import ShapeError
 from latentjam.metrics import (CSV_HEADER, MetricsReport, evaluate_latents,
-                               gaussianity_report, mse_metric, pearson_dpc)
+                               gaussianity_report, pearson_dpc)
 from latentjam.rng import Rng, derive_seed
+
+
+def _mse(a, b) -> float:
+    """The data MSE as evaluation computes it: the `mse` op on a record-free tape."""
+    tape = EagerTape()
+    return float(ad.mse(tape.const(a), tape.const(b)).value[0])
 
 
 def test_mse_identical_is_zero():
     x = np.arange(12.0).reshape(3, 4)
-    assert mse_metric(x, x) == 0.0
+    assert _mse(x, x) == 0.0
 
 
 def test_mse_unit_offset():
-    assert mse_metric(np.zeros((2, 2)), np.ones((2, 2))) == 1.0
+    assert _mse(np.zeros((2, 2)), np.ones((2, 2))) == 1.0
 
 
 def test_mse_hand_value():
-    assert mse_metric(np.array([[0.0, 0.0]]), np.array([[1.0, 3.0]])) == 5.0
+    assert _mse(np.array([[0.0, 0.0]]), np.array([[1.0, 3.0]])) == 5.0
 
 
 def test_mse_symmetric():
     a = Rng(0).normal((10, 3))
     b = Rng(1).normal((10, 3))
-    assert mse_metric(a, b) == mse_metric(b, a)
+    assert _mse(a, b) == _mse(b, a)
 
 
 def test_mse_leaves_inputs_unchanged_and_equals_whole_array_formula():
+    # the op squares its difference in place; that buffer is its own, never an input
     a = Rng(2).normal((50, 7))
     b = Rng(3).normal((50, 7))
     a0, b0 = a.copy(), b.copy()
-    assert mse_metric(a, b) == float(np.mean((a0 - b0) * (a0 - b0)))
+    assert _mse(a, b) == float(np.mean((a0 - b0) * (a0 - b0)))
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 def test_mse_shape_mismatch():
     with pytest.raises(ShapeError):
-        mse_metric(np.zeros((2, 2)), np.zeros((2, 3)))
+        _mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 # ============================================================
@@ -103,7 +112,7 @@ def test_gaussianity_on_standard_normal():
     assert np.max(np.abs(rep.skewness)) <= 0.05
     assert np.max(np.abs(rep.excess_kurtosis)) <= 0.1
     assert np.max(rep.ks_stat) <= 0.01
-    assert not np.any(rep.degenerate)
+    assert np.all(np.isfinite(rep.skewness))
 
 
 def test_gaussianity_uniform_kurtosis():
@@ -117,8 +126,8 @@ def test_gaussianity_uniform_kurtosis():
 def test_gaussianity_constant_column_flagged():
     z = np.column_stack([np.full(200, 2.0), Rng(1).normal((200,))])
     rep = gaussianity_report(z)
-    assert rep.degenerate[0] and not rep.degenerate[1]
-    assert np.isnan(rep.skewness[0]) and np.isfinite(rep.skewness[1])
+    for stat in (rep.skewness, rep.excess_kurtosis, rep.ks_stat):
+        assert np.isnan(stat[0]) and np.isfinite(stat[1])
 
 
 def test_gaussianity_ks_converges_with_samples():
@@ -171,13 +180,10 @@ def test_csv_row_nan_sentinels_ignored_in_means():
 
 
 def test_evaluate_latents_bundles_everything():
-    rng = Rng(9)
-    d = rng.uniform((500, 6))
-    d_hat = d + 0.1
-    z = rng.normal((500, 2))
-    rep = evaluate_latents(7, d, d_hat, z, jscc_mse=0.42)
+    z = Rng(9).normal((500, 2))
+    rep = evaluate_latents(7, 0.01, z, jscc_mse=0.42)
     assert rep.epoch == 7
-    assert abs(rep.data_mse - 0.01) <= 1e-12
+    assert rep.data_mse == 0.01
     assert rep.jscc_mse == 0.42
     assert 0.9 <= rep.dpc <= 1.0
     assert abs(rep.mean_power - float(np.mean(z.var(axis=0)))) <= 1e-15

@@ -220,11 +220,12 @@ def test_mc_in_place_equals_whole_array_reference_bit_for_bit(sigma_n_sq):
 
 
 def test_mc_memory_is_the_draws_and_one_buffer():
-    # x, z and one error buffer; whole-array temporaries held five arrays of the draws' size
+    # x, z and one block of scratch: the squared error overwrites z (a whole-sample error
+    # buffer read 3.0 draws, and whole-array temporaries held five arrays of the draws' size)
     spec = OracleSpec(k=2)
     draw_bytes = 400_000 * 8
     _, peak = traced_peak(lambda: mc_game_value(spec, saddle_strategy(spec), 400_000, seed=1))
-    assert peak < 3.5 * draw_bytes
+    assert peak < 2.5 * draw_bytes
 
 
 # ============================================================
@@ -450,8 +451,8 @@ _CF_GRIDS = [((0.0,), 0), ((0.0, 0.25, 0.5, 0.75, 1.0), 1), ((1.0,), 1), ((0.3, 
 def test_blocked_log_cf_slopes_match_whole_array(cf_column, monkeypatch, radii, cis_per_block, size):
     column = cf_column[:size]
     calls = []
-    real_cis = oracle._cis
-    monkeypatch.setattr(oracle, "_cis", lambda arg, out: calls.append(arg.size) or real_cis(arg, out))
+    real_pass = oracle._cos_sin_turn
+    monkeypatch.setattr(oracle, "_cos_sin_turn", lambda t, *out: calls.append(t.size) or real_pass(t, *out))
     blocks = (column[lo:lo + _BLOCK] for lo in range(0, size, _BLOCK))
     got = oracle._log_cf_slopes(blocks, radii)
     expected = [_exact_log_cf_slope(column, t) for t in radii]
