@@ -2,8 +2,9 @@
 """Tour of the tape-based reverse-mode engine.
 
 Records one tiny dense layer, checks its gradient against central finite
-differences of graphs rebuilt with bumped weights, and shows that detach
-really blocks the backward pass.
+differences of graphs rebuilt with bumped weights, and shows how a value is
+kept out of the backward pass: it enters the graph as a constant leaf, the
+way the game's phase (a) reads the compressor's latent.
 
 Run: python3 demos/autodiff_walkthrough.py
 """
@@ -11,7 +12,7 @@ Run: python3 demos/autodiff_walkthrough.py
 import numpy as np
 
 from latentjam import autodiff as ad
-from latentjam.autodiff import Tape, backward_grads, detach
+from latentjam.autodiff import Tape, backward_grads
 from latentjam.rng import Rng
 
 
@@ -47,13 +48,14 @@ def main():
         fd.flat[i] = (float(hi.value[0]) - float(lo.value[0])) / (2 * h)
     print("max |analytic - fd| =", float(np.max(np.abs(gW - fd))))
 
-    # a detached value contributes to the forward pass but not to gradients
+    # backward differentiates only the leaves it is asked for: a value read back as a
+    # constant leaf of its own contributes to the forward pass but not to gradients
     tape2 = Tape()
     a = tape2.const(np.array([[2.0]]))
-    blocked = detach(ad.square(a))
-    out = ad.sum_all(blocked * a)
+    frozen = tape2.const(ad.square(a).value)
+    out = ad.sum_all(frozen * a)
     (ga,) = backward_grads(tape2, out, [a])
-    print("d(sum(detach(a^2) * a))/da =", float(np.ravel(ga)[0]),
+    print("d(sum(const(a^2) * a))/da =", float(np.ravel(ga)[0]),
           " (the constant 4.0; a live square path would give 3a^2 = 12)")
 
 

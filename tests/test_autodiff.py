@@ -161,8 +161,8 @@ def test_fd_check_every_op():
         return tape, [x, w, b], loss
 
     tape, leaves, loss = graph()
-    # a new op cannot land without a finite-difference check; detach has its own tests
-    unchecked = set(ad._OPS) - {"detach"} - {node.op for node in tape.nodes}
+    # a new op cannot land without a finite-difference check
+    unchecked = set(ad._OPS) - {node.op for node in tape.nodes}
     assert not unchecked, sorted(unchecked)
     for value, g in zip((xv, wv, bv), backward_grads(tape, loss, leaves)):
         assert rel_err(fd_gradient(lambda: graph()[2], value), g) <= 1e-4
@@ -216,30 +216,6 @@ def test_power_normalize_gradient_matches_finite_differences(case):
     assert rel_err(fd_gradient(lambda: graph()[2], zv, h=1e-6), g) <= 1e-6
 
 
-def test_detach_blocks_gradient():
-    # L(a, detach(b(a))) must match the graph where b's value enters as a constant
-    av = np.array([[0.5, -1.2], [0.3, 0.8]])
-    tape1 = Tape()
-    a1 = tape1.const(av)
-    b1 = ad.detach(ad.square(a1))
-    loss1 = ad.sum_all(a1 * b1)
-    (g1,) = backward_grads(tape1, loss1, [a1])
-
-    tape2 = Tape()
-    a2 = tape2.const(av)
-    b2 = tape2.const(av * av)
-    loss2 = ad.sum_all(a2 * b2)
-    (g2,) = backward_grads(tape2, loss2, [a2])
-    assert np.array_equal(g1, g2)
-    assert np.array_equal(g1, av * av)
-
-
-def test_detach_preserves_value():
-    tape = Tape()
-    x = tape.const(np.array([[1.0, 2.0]]))
-    assert np.array_equal(ad.detach(x).value, x.value)
-
-
 def _unpruned_grads(tape, out, wrt):
     """Reference sweep: every rule run on every input, every gradient kept."""
     acc = {out.node_id: np.ones(1)}
@@ -250,14 +226,13 @@ def _unpruned_grads(tape, out, wrt):
         in_values = [tape.nodes[i].value for i in node.inputs]
         for i, in_id in enumerate(node.inputs):
             gi = ad._OPS[node.op][1](acc[nid], in_values, node.value, node.attrs, i)
-            if gi is not None:
-                acc[in_id] = gi if in_id not in acc else acc[in_id] + gi
+            acc[in_id] = gi if in_id not in acc else acc[in_id] + gi
     return [acc.get(t.node_id, np.zeros(t.shape)) for t in wrt]
 
 
 def test_pruned_gradients_equal_unpruned_reference():
     # a game-like graph: data constants, an encoder being trained whose output is
-    # used both live and detached, a frozen pair of constants, and a non-leaf
+    # used both live and as a constant leaf, a frozen pair of constants, and a non-leaf
     # hidden layer among the requested tensors
     rng = Rng(23)
     tape = Tape()
@@ -269,7 +244,7 @@ def test_pruned_gradients_equal_unpruned_reference():
     zero = tape.const(np.zeros(2))
     hidden = ad.sigmoid(ad.affine(d, w1, b1))
     z = ad.affine(hidden, w2, zero)
-    jammed = ad.sigmoid(ad.affine(ad.detach(z), frozen, zero)) * tape.const(rng.normal((16, 2)))
+    jammed = ad.sigmoid(ad.affine(tape.const(z.value), frozen, zero)) * tape.const(rng.normal((16, 2)))
     live = ad.square(ad.affine(z, frozen, z)) * (mean_square(z) + 1.0)
     loss = ad.mse(live, jammed) + ad.sum_all(ad.square(hidden)) * 0.01
     wrt = [w1, b1, w2, hidden, frozen, d]
@@ -277,10 +252,9 @@ def test_pruned_gradients_equal_unpruned_reference():
     reference = _unpruned_grads(tape, loss, wrt)
     for t, g, ref in zip(wrt, pruned, reference):
         assert np.array_equal(g, ref), f"node {t.node_id}"
-    # constants never requested, and the detach node itself, are never marked
+    # constants never requested are never marked
     marked = ad._depends_on(tape, {t.node_id for t in wrt[:4]}, loss.node_id)
     assert not marked[d.node_id] and not marked[frozen.node_id]
-    assert not any(marked[n] for n, node in enumerate(tape.nodes) if node.op == "detach")
     assert marked[hidden.node_id] and marked[loss.node_id]
 
 
@@ -607,13 +581,13 @@ def test_adam_moments_match_param_shapes():
 
 def test_adam_equals_textbook_reference_in_float64():
     # Kingma and Ba's algorithm as printed: unscaled m and v, each bias-corrected per step
-    lr, beta1, beta2, eps = 2e-3, 0.9, 0.999, 1e-8
+    lr, beta1, beta2, eps = 2e-3, ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPSILON
     rng = Rng(43)
     shapes = [(7, 5), (5,), (3,)]
     p = _Flat([rng.normal(s) for s in shapes])
     start = p.buffer.copy()
     want, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=eps)
+    state = AdamState(lr=lr)
     for t in range(1, 101):
         # a tenth of the steps see no gradient at the last array, so m decays toward 0 there
         grads = [rng.normal(s) * (t % 10 != 0 or i < 2) for i, s in enumerate(shapes)]
@@ -666,7 +640,8 @@ def _assert_adam_matches_reference(buffers, order="C", grad_kind="C", dtype=np.f
                 else:
                     grads.append(np.asarray(rng.normal(shape), dtype, order=grad_kind))
             for arrays, g in zip(ref, grads):
-                _adam_reference(*arrays, g, t, state.lr, state.beta1, state.beta2, state.epsilon)
+                _adam_reference(*arrays, g, t, state.lr, ad.ADAM_BETA1, ad.ADAM_BETA2,
+                                ad.ADAM_EPSILON)
             adam_step(flat, grads, state)
             assert flat.buffer.dtype == state.m.dtype == state.v.dtype == dtype, (t, shapes)
             for i, got in enumerate((flat.buffer, state.m, state.v)):
@@ -694,7 +669,7 @@ def test_adam_sets_subnormal_first_moments_to_zero():
     state = AdamState()
     state.m = np.array([tiny, smallest, 1e-3], np.float32)
     state.v = np.ones(3, np.float32)
-    assert smallest * np.float32(state.beta1) == smallest
+    assert smallest * np.float32(ad.ADAM_BETA1) == smallest
     adam_step(p, [np.zeros(3, np.float32)], state)
     assert np.array_equal(state.m, [0.0, 0.0, np.float32(1e-3) * np.float32(0.9)])
 

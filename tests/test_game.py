@@ -1,6 +1,7 @@
 """Adversarial game: losses, alternation schedule, and the training loop."""
 
 import copy
+import gc
 import os
 import subprocess
 import sys
@@ -12,13 +13,12 @@ from scipy.special import expit
 from conftest import normalized
 from latentjam import autodiff as ad
 from latentjam import game
-from latentjam.autodiff import EagerTape, Tape, backward_grads, detach
+from latentjam.autodiff import EagerTape, Tape, backward_grads
 from latentjam.baselines import vae_sample
 from latentjam.data_io import BatchPlan, Dataset, batches, synth_source
 from latentjam.errors import ConfigError, NumericError, ShapeError
 from latentjam.game import (
     GameConfig,
-    _jscc_graph,
     channel_output,
     data_loss,
     evaluate,
@@ -159,22 +159,6 @@ def test_channel_noise_deterministic():
 # ============================================================
 
 
-def test_jscc_loss_requires_detached_jammer():
-    cfg = GameConfig(k=2, n=3, jscc_hidden=8, data_hidden=8, seed=0)
-    state = init_state(cfg)
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f)
-    g_b = BoundMlp(tape, state.networks.g)
-    h_b = BoundMlp(tape, state.networks.h)
-    d = tape.const(synth_source("gaussian", 8, 3, seed=0).images)
-    x = tape.const(Rng(0).normal((8, 2)))
-    z_live = power_normalize(f_b(d), cfg.P_a)
-    with pytest.raises(ConfigError, match="detach"):
-        jscc_loss(g_b, h_b, x, z_live, cfg.P_t, cfg.sigma_n_sq, Rng(1))
-    # the detached twin is accepted
-    jscc_loss(g_b, h_b, x, detach(z_live), cfg.P_t, cfg.sigma_n_sq, Rng(1))
-
-
 def scalar(t) -> float:
     return float(np.asarray(t.value).ravel()[0])
 
@@ -305,7 +289,7 @@ def test_eta_only_touches_the_compressor_side():
         train_step(state, batch, cfg)
         states[eta] = state
     a, b = states[0.0].networks, states[7.0].networks
-    # the auxiliary pair trains against a detached jammer: identical both ways
+    # the auxiliary pair trains against z read as a constant: identical both ways
     for net in ("g", "h"):
         pa, pb = getattr(a, net), getattr(b, net)
         for pname in pa.array_names():
@@ -317,27 +301,7 @@ def test_eta_only_touches_the_compressor_side():
     assert any(not np.array_equal(a.f.array(p), b.f.array(p)) for p in a.f.array_names())
 
 
-def test_phase_a_gradients_blocked_by_detach():
-    cfg = small_cfg(seed=5)
-    state = init_state(cfg)
-    batch = synth_source("gaussian", 16, 3, seed=5).images
-    tape = Tape()
-    f_b = BoundMlp(tape, state.networks.f)
-    g_b = BoundMlp(tape, state.networks.g)
-    h_b = BoundMlp(tape, state.networks.h)
-    d = tape.const(batch)
-    z = detach(power_normalize(f_b(d), cfg.P_a))
-    x = tape.const(Rng(derive_seed(5, "phase-a")).normal((16, 2)))
-    loss = jscc_loss(g_b, h_b, x, z, cfg.P_t, cfg.sigma_n_sq, Rng(6))
-    f_tensors = list(f_b.nodes.values())
-    grads = backward_grads(tape, loss, f_tensors)
-    assert all(np.all(g == 0.0) for g in grads)
-    # g still learns from the same loss
-    g_grads = backward_grads(tape, loss, list(g_b.nodes.values()))
-    assert any(np.any(g != 0.0) for g in g_grads)
-
-
-def test_phase_a_without_detach_would_leak():
+def test_live_jammer_carries_compressor_gradient_to_the_channel_term():
     cfg = small_cfg(seed=6)
     state = init_state(cfg)
     batch = synth_source("gaussian", 16, 3, seed=6).images
@@ -348,7 +312,7 @@ def test_phase_a_without_detach_would_leak():
     d = tape.const(batch)
     z_live = power_normalize(f_b(d), cfg.P_a)
     x = tape.const(Rng(derive_seed(6, "leak")).normal((16, 2)))
-    loss = _jscc_graph(g_b, h_b, x, z_live, cfg.P_t, cfg.sigma_n_sq, Rng(7))
+    loss = jscc_loss(g_b, h_b, x, z_live, cfg.P_t, cfg.sigma_n_sq, Rng(7))
     grads = backward_grads(tape, loss, list(f_b.nodes.values()))
     assert any(np.any(g != 0.0) for g in grads)
 
@@ -516,11 +480,26 @@ def test_step_records_few_tape_nodes(monkeypatch, regularizer, n, data_hidden, j
     assert ops.count("imq_mmd") == (regularizer == "mmd")
 
 
+def test_recorded_tapes_are_freed_by_reference_counting():
+    # a tape holds its nodes and each tensor holds its tape, but no node holds a tensor: a
+    # step's tapes go when their last tensor does, without waiting for the cycle collector
+    cfg = small_cfg(jscc_steps_per_data_step=2)
+    state = init_state(cfg)
+    data = synth_source("gaussian", 128, 3, seed=4).images
+    gc.collect()
+    gc.disable()
+    try:
+        train_step(state, data[:16], cfg)
+        evaluate(state, cfg, data, epoch=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_every_op_has_a_caller(monkeypatch):
     # one training step of each regularizer at the comparison shape, then `evaluate`, runs
     # every op of `_OPS`, recorded or on a record-free tape, so an op that outlives its last
-    # caller fails here; `detach` is kept without one: the acceptance tests use it as the
-    # independent stop-gradient reference, and `jscc_loss` accepts a detached z
+    # caller fails here
     seen = set()
     real_apply = Tape.apply
 
@@ -534,7 +513,7 @@ def test_every_op_has_a_caller(monkeypatch):
         cfg = GameConfig(k=2, n=8, batch_size=128, seed=3, data_hidden=64, jscc_hidden=64,
                          jscc_steps_per_data_step=2, regularizer=regularizer)
         evaluate(train_step(init_state(cfg), data, cfg), cfg, data, epoch=1)
-    assert seen | {"detach"} == set(ad._OPS)
+    assert seen == set(ad._OPS)
 
 
 def test_compressor_steers_channel_loss_both_ways():
@@ -554,7 +533,7 @@ def test_compressor_steers_channel_loss_both_ways():
         f_b = BoundMlp(tape, f)
         g_b, h_b = BoundMlp(tape, state.networks.g), BoundMlp(tape, state.networks.h)
         z = power_normalize(f_b(tape.const(batch)), cfg.P_a)
-        jt = _jscc_graph(g_b, h_b, tape.const(x_batch), z, cfg.P_t, cfg.sigma_n_sq, Rng(8))
+        jt = jscc_loss(g_b, h_b, tape.const(x_batch), z, cfg.P_t, cfg.sigma_n_sq, Rng(8))
         return tape, f_b, jt
 
     tape, f_b, jt = jscc_of()

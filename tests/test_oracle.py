@@ -375,6 +375,37 @@ def test_matching_spec_rejects_diagonals_not_1d_of_one_length(diagonals):
         MatchingSpec(*diagonals)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sigma", np.array([np.nan, 1.0])), ("sigma", np.array([1.0, np.inf])),
+    ("lambda_x", np.array([np.nan, 1.0])), ("lambda_z", np.array([-np.inf, 1.0])),
+    ("radii", (0.0, np.nan)), ("radii", (np.inf,)), ("radii", ()), ("radii", (-1e308, 1.0)),
+])
+def test_matching_spec_rejects_non_finite_values_and_empty_grids(field, value):
+    # a NaN, an infinity or a radius past 1 would make a CF turn NaN, whose table index -2^63
+    # `np.take(mode="wrap")` never finishes reducing, and an empty grid tests nothing
+    kwargs = dict(sigma=np.ones(2), lambda_x=np.ones(2), lambda_z=np.ones(2))
+    kwargs[field] = value
+    with pytest.raises(ConfigError, match="finite|radius"):
+        MatchingSpec(**kwargs)
+
+
+def test_matching_columns_scaled_past_float64_raise():
+    # finite samples and a finite sigma whose product overflows: an inf column would never
+    # leave the cos-sin table lookup, so the blocks `matching_residual` reads must refuse it
+    x = np.column_stack([np.ones(10), np.full(10, 1e160)])
+    (block,) = oracle._column_blocks(x, 0, 1e150)
+    assert np.array_equal(block, np.full(10, 1e150))
+    with pytest.raises(NumericError, match="column 1 times sigma 1e\\+150 overflows"):
+        list(oracle._column_blocks(x, 1, 1e150))
+
+
+def test_matching_spec_converts_list_diagonals():
+    m = MatchingSpec(sigma=[2.0], lambda_x=[3], lambda_z=[4.0])
+    assert m.sigma.dtype == np.float64 and abs(m.s_diag[0] - 3.0) < 1e-15
+    with pytest.raises(ConfigError, match="numeric"):
+        MatchingSpec(sigma=[[1.0, 2.0], [3.0]], lambda_x=[1.0], lambda_z=[1.0])
+
+
 def test_isotropic_matching_unit_game():
     m = isotropic_matching(OracleSpec(1.0, 1.0, 1.0, 0.0, k=2))
     assert np.allclose(m.s_diag, 1.0, atol=1e-15)
